@@ -29,12 +29,8 @@ from fractions import Fraction as Q
 
 from .errors import PoleError
 from .rootdata import LatticePair, RootSystem, WeylElement
-from .scalars import Scalar
+from .scalars import Scalar, _as_scalar
 from .torusfn import TorusFraction
-
-
-def _as_scalar(c) -> Scalar:
-    return c if isinstance(c, Scalar) else Scalar.const(c)
 
 
 def default_pair(system) -> LatticePair:

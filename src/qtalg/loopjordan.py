@@ -40,11 +40,7 @@ from .errors import NormalFormError
 from .linalg import is_integral, mat_solve, rank
 from .mlambda import Character, IsotropyGroup, isotropy_group
 from .rootdata import LatticePair, RootSystem, WeylElement
-from .scalars import QPower, Scalar
-
-
-def _as_scalar(c) -> Scalar:
-    return c if isinstance(c, Scalar) else Scalar.const(c)
+from .scalars import QPower, Scalar, _as_scalar
 
 
 def _as_qpower(c) -> QPower:

@@ -27,11 +27,7 @@ from .errors import WindowOverflowError
 from .linalg import is_integral, mat_solve, nullspace
 from .qtorus import HWElement, TorusElement
 from .rootdata import LatticePair, WeylElement
-from .scalars import QPower, Scalar
-
-
-def _as_scalar(c) -> Scalar:
-    return c if isinstance(c, Scalar) else Scalar.const(c)
+from .scalars import QPower, Scalar, _as_scalar
 
 
 class Character:

@@ -20,15 +20,9 @@ from fractions import Fraction as Q
 
 from .errors import DegenerateFormError
 from .rootdata import LatticePair, WeylElement
-from .scalars import LaurentPoly, Scalar
+from .scalars import LaurentPoly, Scalar, _as_scalar
 
 Vec = tuple[int, ...]
-
-
-def _as_scalar(c) -> Scalar:
-    if isinstance(c, Scalar):
-        return c
-    return Scalar.const(c)
 
 
 class QuantumTorus:

@@ -20,7 +20,7 @@ The root index n of a value is implicit: exponents are stored as exact
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import ScalarEmbeddingError, SpecializationError
 
@@ -53,17 +53,25 @@ def nth_root(x: Q, n: int) -> Q | None:
         r = nth_root(-x, n)
         return None if r is None else -r
 
-    def iroot(m: int) -> int | None:
-        r = round(m ** (1.0 / n))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c**n == m:
-                return c
-        return None
-
-    a, b = iroot(x.numerator), iroot(x.denominator)
-    if a is None or b is None:
+    a, b = _iroot(x.numerator, n), _iroot(x.denominator, n)
+    if a**n != x.numerator or b**n != x.denominator:
         return None
     return Q(a, b)
+
+
+def _iroot(m: int, n: int) -> int:
+    """Floor of the n-th root of m >= 0, by integer Newton steps (exact for
+    integers of any size, unlike a float root)."""
+    if n == 2:
+        return isqrt(m)
+    if m < 2:
+        return m
+    x = 1 << -(-m.bit_length() // n)  # a power of two at or above the root
+    while True:
+        y = ((n - 1) * x + m // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 def _pow_q(base: Q, exp: Q) -> Q:
@@ -807,6 +815,67 @@ class Scalar:
         return cls(
             LaurentPoly.from_json(data["num"]), LaurentPoly.from_json(data["den"])
         )
+
+
+def _as_scalar(c) -> Scalar:
+    return c if isinstance(c, Scalar) else Scalar.const(c)
+
+
+# -- evaluation modulo a prime ----------------------------------------------
+#
+# Reduction modulo _P at one fixed point (q^(1/grid), t, v) -> _POINT is a
+# ring homomorphism on the scalars it is defined on: those whose rational
+# coefficients have denominators prime to _P and whose denominator does not
+# vanish at the point.  A nonzero residue of an expression built from such
+# scalars by ring operations therefore proves the expression nonzero
+# (Schwartz 1980; Zippel 1979); a zero residue proves nothing.  The point is
+# fixed so that runs are deterministic; any nonzero residues would do.
+
+_P = (1 << 61) - 1
+_POINT = (1_234_567_890_123_457, 987_654_321_098_767, 271_828_182_845_905)
+
+
+def _root_index(scalars) -> int:
+    """Smallest grid n with every q-exponent of the scalars in (1/n)Z."""
+    return lcm(1, *(poly.root_index() for s in scalars for poly in (s.num, s.den)))
+
+
+def _terms_residue(terms, grid: int) -> int | None:
+    """Residue of sum coeff * q^qe t^te v^ve over (key, coeff) pairs, or None
+    when a coefficient denominator is divisible by _P.  grid must be a
+    multiple of every qe's denominator."""
+    rq, rt, rv = _POINT
+    total = 0
+    for (qe, te, ve), c in terms:
+        term = c.numerator
+        if qe:
+            term *= pow(rq, qe.numerator * (grid // qe.denominator), _P)
+        if te:
+            term *= pow(rt, te, _P)
+        if ve:
+            term *= pow(rv, ve, _P)
+        d = c.denominator
+        if d != 1:
+            if d % _P == 0:
+                return None
+            term *= pow(d, -1, _P)
+        total += term
+    return total % _P
+
+
+def _residue(s: Scalar, grid: int) -> int | None:
+    """Residue of s at the fixed point with q^(1/grid) -> _POINT[0], or None
+    when s is undefined there: a coefficient denominator is divisible by _P,
+    or the denominator of s vanishes at the point."""
+    num = _terms_residue(s.num.terms.items(), grid)
+    if num is None:
+        return None
+    if s.den.terms == {_ZERO_KEY: 1}:
+        return num
+    den = _terms_residue(s.den.terms.items(), grid)
+    if not den:
+        return None
+    return num * pow(den, -1, _P) % _P
 
 
 class QPower:

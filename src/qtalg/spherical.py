@@ -26,15 +26,11 @@ from __future__ import annotations
 
 from .daha import DiffRefOperator, dl_operator
 from .rootdata import LatticePair, RootSystem, WeylElement
-from .scalars import LaurentPoly, Scalar
+from .scalars import LaurentPoly, Scalar, _as_scalar
 from .torusfn import TorusFraction
 
 _T = "T"
 _X = "X"
-
-
-def _as_scalar(c) -> Scalar:
-    return c if isinstance(c, Scalar) else Scalar.const(c)
 
 
 def _as_v(v) -> Scalar:

@@ -15,28 +15,36 @@ poles readable: the stored denominator is the pole divisor.
 
 Fractions cancel on construction: a denominator binomial is dropped
 whenever it divides the numerator exactly (classwise synthetic division
-along beta).
+along beta).  Most candidate binomials do not divide, so each is first
+screened modulo a prime at one fixed point: a class remainder that is
+nonzero there is nonzero exactly, and the binomial is rejected without
+any exact arithmetic.  Every other case, including a coefficient that is
+undefined at the point, goes to the exact division, so the screen can
+only reject and the result is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PoleError
 from .linalg import unimodular_completion
 from .rootdata import LatticePair, WeylElement
-from .scalars import Scalar
+from .scalars import (
+    _P,
+    Scalar,
+    _as_scalar,
+    _residue,
+    _root_index,
+    _terms_residue,
+)
 
 XKey = tuple[Q, ...]
 # denominator binomial e^beta - c, with c stored by monomial data
 Factor = tuple[tuple[int, ...], tuple[Q, int, int], Q]
 
 _completion_cache: dict[tuple[int, ...], list[list[int]]] = {}
-
-
-def _as_scalar(c) -> Scalar:
-    return c if isinstance(c, Scalar) else Scalar.const(c)
 
 
 def _xkey(x) -> XKey:
@@ -177,11 +185,36 @@ class TorusFraction:
     # -- reduction ---------------------------------------------------------------
 
     def _reduce(self) -> None:
+        """Cancel, one at a time, every denominator factor that divides the
+        numerator exactly.
+
+        Each pass evaluates the numerator's coefficients once modulo the
+        prime p of :mod:`qtalg.scalars`, at its fixed point with q^(1/grid)
+        for the lcm grid of the pass.  A factor e^beta - c whose division
+        has a single-member class, or a class remainder P(c) that is
+        nonzero mod p, does not divide: reduction mod p is a ring
+        homomorphism on the values involved, so a nonzero residue is a
+        nonzero exact remainder.  Any other factor, including one whose
+        value or class coefficients are undefined mod p (a coefficient
+        denominator divisible by p, or a scalar denominator vanishing at
+        the point), goes to the exact division.
+        """
         factors = list(self.factors)
         changed = True
         while changed and self.num and factors:
             changed = False
-            for f in sorted(set(factors)):
+            distinct = sorted(set(factors))
+            grid = lcm(
+                _root_index(self.num.values()),
+                *(f[1][0].denominator for f in distinct),
+            )
+            values = {x: _residue(c, grid) for x, c in self.num.items()}
+            classes: dict[tuple[int, ...], list] = {}
+            for f in distinct:
+                if f[0] not in classes:
+                    classes[f[0]] = _beta_classes(self.num, f[0])
+                if _indivisible(classes[f[0]], values, _terms_residue([f[1:]], grid)):
+                    continue
                 quotient = _divide_num(self.num, f)
                 if quotient is not None:
                     self.num = quotient
@@ -513,30 +546,57 @@ def _canonicalize_factor(f: Factor, unit: dict, rank: int):
     return flipped, _num_mul(unit, mult)
 
 
+def _beta_classes(num: dict, beta: tuple[int, ...]) -> list[list[tuple[int, XKey]]]:
+    """Split the exponents of num into the classes x + Z beta; each member
+    comes with its offset m >= 0 above the lowest member of its class."""
+    _, content, row = _beta_coordinate(beta)
+    classes: dict[tuple, list] = {}
+    for x in num:
+        # beta-coordinate: x . row gives the prim coordinate; beta = content*prim
+        k = sum((Q(r) * Q(v) for r, v in zip(row, x)), Q(0)) / content
+        rest = tuple(Q(v) - k * b for v, b in zip(x, beta))
+        classes.setdefault((k % 1,) + rest, []).append((k, x))
+    out = []
+    for items in classes.values():
+        kmin = min(k for k, _ in items)
+        out.append([(int(k - kmin), x) for k, x in items])
+    return out
+
+
+def _indivisible(classes: list, values: dict, c: int | None) -> bool:
+    """True when e^beta - c provably does not divide the numerator: a class
+    along beta has a single member, or a class polynomial P has P(c) != 0
+    mod p.  values maps exponents to coefficient residues and c is the
+    residue of the factor value, each None where undefined."""
+    if any(len(items) == 1 for items in classes):
+        return True
+    if c is None:
+        return False
+    for items in classes:
+        coeffs = [0] * (max(m for m, _ in items) + 1)
+        for m, x in items:
+            if values[x] is None:
+                break
+            coeffs[m] = values[x]
+        else:
+            remainder = 0
+            for a in reversed(coeffs):
+                remainder = (remainder * c + a) % _P
+            if remainder:
+                return True
+    return False
+
+
 def _divide_num(num: dict, f: Factor) -> dict | None:
     """Exact quotient num / (e^beta - c), or None."""
     beta, c = f[0], _factor_value(f)
-    prim, content, row = _beta_coordinate(beta)
-
-    def coordinate(x) -> Q:
-        # beta-coordinate: x . row gives the prim coordinate; beta = content*prim
-        return sum((Q(r) * Q(v) for r, v in zip(row, x)), Q(0)) / content
-
-    classes: dict[tuple, list] = {}
-    for x, coeff in num.items():
-        k = coordinate(x)
-        rest = tuple(Q(v) - k * b for v, b in zip(x, beta))
-        key = (k % 1,) + rest
-        classes.setdefault(key, []).append((k, x, coeff))
     quotient: dict[XKey, Scalar] = {}
-    for items in classes.values():
-        kmin = min(k for k, _, _ in items)
-        degree = max(int(k - kmin) for k, _, _ in items)
+    for items in _beta_classes(num, beta):
+        degree = max(m for m, _ in items)
         coeffs = [Scalar.zero()] * (degree + 1)
         base = None
-        for k, x, coeff in items:
-            m = int(k - kmin)
-            coeffs[m] = coeffs[m] + coeff
+        for m, x in items:
+            coeffs[m] = coeffs[m] + num[x]
             if m == 0:
                 base = x
         # synthetic division of sum coeffs[m] u^m by (u - c)

@@ -7,7 +7,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qtalg.errors import ScalarEmbeddingError, SpecializationError
-from qtalg.scalars import LaurentPoly, QPower, Scalar
+from qtalg.scalars import (
+    _P,
+    LaurentPoly,
+    QPower,
+    Scalar,
+    _residue,
+    _root_index,
+    nth_root,
+)
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
 qexps = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -153,6 +161,35 @@ def test_specialize_fractional_exponents():
         Scalar.q(Q(1, 2)).specialize(2, 1, 1)
     with pytest.raises(SpecializationError):
         Scalar.t(-1).specialize(2, 0, 1)
+
+
+def test_nth_root_is_exact_for_large_integers():
+    assert nth_root(Q(3**200), 2) == 3**100
+    assert nth_root(Q(7**800), 2) == 7**400
+    assert nth_root(Q(5**90, 11**60), 3) == Q(5**30, 11**20)
+    assert nth_root(Q(-(2**301)), 7) == -(2**43)
+    # no exact root
+    assert nth_root(Q(3**201), 2) is None
+    assert nth_root(Q(2**300 + 1), 3) is None
+    assert nth_root(Q(1, 7**801), 2) is None
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scalars, scalars)
+def test_residue_is_a_ring_homomorphism(a, b):
+    grid = _root_index([a, b])
+    ra, rb = _residue(a, grid), _residue(b, grid)
+    assume(ra is not None and rb is not None)
+    assert _residue(a + b, grid) == (ra + rb) % _P
+    assert _residue(a * b, grid) == ra * rb % _P
+    assert _residue(Scalar.zero(), grid) == 0
+
+
+def test_residue_is_undefined_off_its_domain():
+    assert _residue(Scalar.const(Q(1, _P)), 1) is None
+    assert _residue(Scalar.const(Q(_P, 3)), 1) == 0
+    half = Scalar.q(Q(1, 2))
+    assert _residue(half * half, 2) == _residue(Scalar.q(), 2)
 
 
 def test_scalar_monomial_access():

@@ -3,11 +3,14 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from qtalg import torusfn
 from qtalg.errors import PoleError
 from qtalg.rootdata import LatticePair, RootSystem
-from qtalg.scalars import Scalar
-from qtalg.torusfn import TorusFraction
+from qtalg.scalars import _P, _POINT, LaurentPoly, Scalar
+from qtalg.torusfn import TorusFraction, _divide_num, _make_factor, _num_mul
 
 A1 = LatticePair(RootSystem("A1"), "root")
 A1_ADJ = LatticePair(RootSystem("A1"), "adjoint")
@@ -26,6 +29,10 @@ def test_cancellation():
     assert g == frac({(1,): 1, (0,): -1})
     h = frac({(4,): 1, (0,): -Scalar.q(4)}, [((2,), Scalar.q(2))])
     assert h == frac({(2,): 1, (0,): Scalar.q(2)})
+    # the factor's value needs a finer q-grid than the numerator
+    k = frac({(3,): 1, (0,): -Scalar.q(1)}, [((1,), Scalar.q(Q(1, 3)))])
+    assert k.is_polynomial()
+    assert k == frac({(2,): 1, (1,): Scalar.q(Q(1, 3)), (0,): Scalar.q(Q(2, 3))})
 
 
 def test_no_spurious_cancellation():
@@ -188,3 +195,157 @@ def test_pole_list_and_json():
     assert [(d, m) for d, _, m in poles] == [((1,), 1), ((1,), 1)]
     data = f.to_json()
     assert len(data["den"]) == 2 and data["num"]
+
+
+# -- the modular screen in front of factor cancellation ---------------------------
+
+
+def reference_reduce(num: dict, factors) -> tuple[dict, tuple]:
+    """The unscreened reduce loop: an exact trial division for every
+    distinct factor of every pass."""
+    factors = list(factors)
+    changed = True
+    while changed and num and factors:
+        changed = False
+        for f in sorted(set(factors)):
+            quotient = _divide_num(num, f)
+            if quotient is not None:
+                num = quotient
+                factors.remove(f)
+                changed = True
+                break
+    if not num:
+        factors = []
+    return num, tuple(sorted(factors))
+
+
+def stored(num: dict) -> dict:
+    return {x: c.to_json() for x, c in num.items()}
+
+
+PAIRS = {
+    1: (A1, [(1,), (2,), (3,)]),
+    2: (A2, [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (0, 2)]),
+}
+# fractional q-exponents with denominators 2 and 3 (grid 6), negative
+# exponents and symbolic v
+_qexps = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_coeffs = st.sampled_from([Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(5, 3)])
+_polys = st.dictionaries(
+    st.tuples(_qexps, st.integers(-2, 2), st.integers(-1, 1)),
+    _coeffs,
+    min_size=1,
+    max_size=3,
+).map(LaurentPoly)
+_dens = st.sampled_from(
+    [
+        LaurentPoly.one(),
+        LaurentPoly.one() + LaurentPoly.t(2),
+        LaurentPoly.q(Q(1, 2)) - LaurentPoly.v(),
+    ]
+)
+_scalars = st.builds(Scalar, _polys, _dens)
+_monomials = st.builds(
+    Scalar.monomial,
+    qexp=_qexps,
+    texp=st.integers(-2, 2),
+    vexp=st.integers(-1, 1),
+    coeff=_coeffs,
+)
+
+
+@st.composite
+def fractions_to_reduce(draw):
+    """(pair, numerator, factors): a random numerator times a random subset
+    of the factors, over half-lattice exponents."""
+    pair, betas = PAIRS[draw(st.sampled_from([1, 2]))]
+    xs = st.tuples(
+        *[st.fractions(min_value=-2, max_value=2, max_denominator=2)] * pair.rank
+    )
+    num = draw(st.dictionaries(xs, _scalars, min_size=1, max_size=4))
+    factors = [
+        _make_factor(draw(st.sampled_from(betas)), draw(_monomials))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    zero = (0,) * pair.rank
+    for f in factors:
+        if draw(st.booleans()):
+            c = torusfn._factor_value(f)
+            num = _num_mul(num, {f[0]: Scalar.one(), zero: -c})
+    return pair, num, factors
+
+
+_screen_settings = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@_screen_settings
+@given(fractions_to_reduce())
+def test_screened_reduce_matches_the_unscreened_loop(case):
+    pair, num, factors = case
+    raw = TorusFraction(pair, num, factors, reduce=False)
+    ref_num, ref_factors = reference_reduce(raw.num, raw.factors)
+    screened = TorusFraction(pair, num, factors)
+    assert screened.factors == ref_factors
+    assert stored(screened.num) == stored(ref_num)
+
+
+@_screen_settings
+@given(fractions_to_reduce(), st.data())
+def test_a_factor_of_the_numerator_always_cancels(case, data):
+    pair, g, factors = case
+    f = data.draw(st.sampled_from(factors))
+    zero = (0,) * pair.rank
+    num = _num_mul(g, {f[0]: Scalar.one(), zero: -torusfn._factor_value(f)})
+    cancelled = TorusFraction(pair, num, (f,))
+    assert cancelled.factors == ()
+    assert cancelled == TorusFraction(pair, g)
+
+
+def count_exact_divisions(monkeypatch) -> list:
+    calls = []
+    exact = torusfn._divide_num
+
+    def counted(num, f):
+        calls.append(f)
+        return exact(num, f)
+
+    monkeypatch.setattr(torusfn, "_divide_num", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "undefined",
+    [
+        Scalar.const(Q(1, _P)),  # coefficient denominator divisible by p
+        Scalar(LaurentPoly.one(), LaurentPoly.t() - LaurentPoly.const(_POINT[1])),
+    ],
+    ids=["coefficient-denominator-p", "denominator-vanishes-at-point"],
+)
+def test_undefined_residues_fall_back_to_exact_division(monkeypatch, undefined):
+    calls = count_exact_divisions(monkeypatch)
+    factor = ((1,), Scalar.q(2))
+    # (e^a - q^2) * undefined * (e^a + 1) cancels
+    num = {
+        (2,): undefined,
+        (1,): undefined * (Scalar.one() - Scalar.q(2)),
+        (0,): -undefined * Scalar.q(2),
+    }
+    divisible = frac(num, [factor])
+    assert divisible.is_polynomial()
+    assert divisible == frac({(1,): undefined, (0,): undefined})
+    assert len(calls) == 1
+    # every class holds an undefined coefficient, so the screen cannot
+    # reject and the exact division decides
+    calls.clear()
+    kept = frac({(1,): undefined, (0,): 1}, [factor])
+    assert kept.pole_list() == [((1,), Scalar.q(2), 1)]
+    assert len(calls) == 1
+
+
+def test_screen_rejects_without_exact_division(monkeypatch):
+    calls = count_exact_divisions(monkeypatch)
+    f = frac({(1,): Scalar.t(2), (0,): -1}, [((1,), Scalar.t(2)), ((2,), Scalar.q())])
+    assert len(f.factors) == 2
+    assert calls == []
