@@ -311,15 +311,6 @@ class MatrixLoop:
             rows.append(row)
         return MatrixLoop(rows)
 
-    def is_unitriangular(self) -> bool:
-        for i in range(self.n):
-            if not (self.rows[i][i] - ZPoly.one()).is_zero():
-                return False
-            for j in range(i):
-                if not self.rows[i][j].is_zero():
-                    return False
-        return True
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixLoop):
             return NotImplemented

@@ -143,9 +143,6 @@ class WeylElement:
     def act_root(self, coords) -> Coords:
         return _mat_vec_int(self.mat_root, tuple(coords))
 
-    def act_coroot(self, coords) -> Coords:
-        return _mat_vec_int(self.mat_coroot, tuple(coords))
-
     def __repr__(self) -> str:
         return "s[" + " ".join(str(i + 1) for i in self.word) + "]" if self.word else "e"
 
@@ -464,6 +461,3 @@ class LatticePair:
 
     def positive_roots_x(self) -> list[tuple]:
         return [self.root_to_x(r) for r in self.system.positive_roots]
-
-    def roots_x(self) -> list[tuple]:
-        return [self.root_to_x(r) for r in self.system.roots]

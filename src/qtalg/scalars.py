@@ -4,7 +4,7 @@ Three layers, all exact:
 
 * ``LaurentPoly`` — sparse Laurent polynomials in the formal variables
   ``q`` (exponents in (1/n)Z for a per-value root index n), ``t`` and
-  ``v`` (integer exponents), with ``fractions.Fraction`` coefficients.
+  ``v`` (integer exponents), with rational coefficients.
 * ``Scalar`` — the fraction field of ``LaurentPoly``.  Representations
   are reduced by monomial content and by exact division when one side
   divides the other (no full multivariate gcd); equality is decided by
@@ -13,8 +13,19 @@ Three layers, all exact:
   zeta * q^a * m with zeta a root of unity (stored as its rotation
   number), a rational and m a positive rational magnitude.
 
-The root index n of a value is implicit: exponents are stored as exact
-``Fraction``s, so mixed-index arithmetic promotes automatically.
+The root index n of a value is implicit: exponents are exact rationals,
+so mixed-index arithmetic promotes automatically.
+
+Storage rule: a q-exponent or coefficient of a ``LaurentPoly`` is stored
+as a Python ``int`` when it is integral and as a ``fractions.Fraction``
+only when it is not, so the common integral case never pays for
+``Fraction`` arithmetic.  Constructors, ``scale`` and ``shift`` normalize
+with ``_norm``, and every quotient of stored values goes through ``_div``.
+Sums and products are kept as Python computes them: ints stay ints, and a
+``Fraction`` that happens to be integral (q^(1/2) * q^(1/2)) keeps its
+type until a constructor or quotient normalizes it.  An ``int`` and a
+``Fraction`` of equal value hash and compare equal, so the type never
+splits a term.
 """
 
 from __future__ import annotations
@@ -24,11 +35,10 @@ from math import gcd, isqrt, lcm
 
 from .errors import ScalarEmbeddingError, SpecializationError
 
-Key = tuple[Q, int, int]  # (q-exponent, t-exponent, v-exponent)
+Rat = int | Q  # int when integral, Fraction otherwise
+Key = tuple[Rat, int, int]  # (q-exponent, t-exponent, v-exponent)
 
-_ZERO_KEY: Key = (Q(0), 0, 0)
-
-_Q0 = Q(0)
+_ZERO_KEY: Key = (0, 0, 0)
 
 
 def _as_q(x) -> Q:
@@ -37,6 +47,24 @@ def _as_q(x) -> Q:
     if isinstance(x, int):
         return Q(x)
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
+
+
+def _norm(x) -> Rat:
+    """x as stored: an int when integral, else a Fraction."""
+    if x.__class__ is int:
+        return x
+    if isinstance(x, Q):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
+
+
+def _div(a: Rat, b: Rat) -> Rat:
+    """Exact quotient a / b as stored: an int when integral."""
+    if a.__class__ is int and b.__class__ is int:
+        return a // b if a % b == 0 else Q(a, b)
+    return _norm(a / b)
 
 
 def nth_root(x: Q, n: int) -> Q | None:
@@ -94,14 +122,14 @@ class LaurentPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Key, Q] | None = None):
-        clean: dict[Key, Q] = {}
+    def __init__(self, terms: dict[Key, Rat] | None = None):
+        clean: dict[Key, Rat] = {}
         if terms:
             for key, coeff in terms.items():
-                coeff = _as_q(coeff)
+                coeff = _norm(coeff)
                 if coeff:
                     qe, te, ve = key
-                    clean[(_as_q(qe), te, ve)] = coeff
+                    clean[(_norm(qe), te, ve)] = coeff
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
@@ -112,7 +140,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c) -> LaurentPoly:
-        return cls({_ZERO_KEY: _as_q(c)})
+        return cls({_ZERO_KEY: c})
 
     @classmethod
     def one(cls) -> LaurentPoly:
@@ -120,7 +148,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, qexp=0, texp: int = 0, vexp: int = 0, coeff=1) -> LaurentPoly:
-        return cls({(_as_q(qexp), texp, vexp): _as_q(coeff)})
+        return cls({(qexp, texp, vexp): coeff})
 
     @classmethod
     def q(cls, exp=1) -> LaurentPoly:
@@ -142,7 +170,7 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def as_monomial(self) -> tuple[Key, Q]:
+    def as_monomial(self) -> tuple[Key, Rat]:
         if len(self.terms) != 1:
             raise ValueError("not a monomial")
         [(key, coeff)] = self.terms.items()
@@ -155,7 +183,7 @@ class LaurentPoly:
             n = lcm(n, qe.denominator)
         return n
 
-    def leading(self) -> tuple[Key, Q]:
+    def leading(self) -> tuple[Key, Rat]:
         """Term with the largest (qexp, texp, vexp) in lexicographic order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -172,7 +200,7 @@ class LaurentPoly:
             min(k[2] for k in keys),
         )
 
-    def rational_content(self) -> Q:
+    def rational_content(self) -> Rat:
         """Positive rational c with self/c integer-primitive, signed by the
         leading coefficient."""
         if not self.terms:
@@ -182,7 +210,7 @@ class LaurentPoly:
         for coeff in self.terms.values():
             num = gcd(num, coeff.numerator)
             den = lcm(den, coeff.denominator)
-        content = Q(num, den)
+        content = _div(num, den)
         return -content if self.leading()[1] < 0 else content
 
     # -- arithmetic -----------------------------------------------------
@@ -192,7 +220,7 @@ class LaurentPoly:
             return NotImplemented
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            acc = terms.get(key, Q(0)) + coeff
+            acc = terms.get(key, 0) + coeff
             if acc:
                 terms[key] = acc
             else:
@@ -212,11 +240,11 @@ class LaurentPoly:
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        terms: dict[Key, Q] = {}
+        terms: dict[Key, Rat] = {}
         for (qa, ta, va), ca in self.terms.items():
             for (qb, tb, vb), cb in other.terms.items():
                 key = (qa + qb, ta + tb, va + vb)
-                acc = terms.get(key, Q(0)) + ca * cb
+                acc = terms.get(key, 0) + ca * cb
                 if acc:
                     terms[key] = acc
                 else:
@@ -240,11 +268,13 @@ class LaurentPoly:
     def divide_exact(self, other: LaurentPoly) -> LaurentPoly | None:
         """Exact quotient self/other, or None when other does not divide.
 
-        Long division peeling the lexicographically largest key.  An exact
-        quotient has every key between top - lead and bottom - low (extreme
-        keys of a product never cancel), so the scan aborts as soon as it
-        walks below that window; a step budget bounds the pathological
-        non-divisible cases that descend slowly.
+        Long division peeling the lexicographically largest key.  In each
+        of q, t and v the lowest and highest degree parts of a product are
+        the products of those parts of the factors, so every key m of an
+        exact quotient satisfies min_i(self) - min_i(other) <= m_i <=
+        max_i(self) - max_i(other).  The scan aborts as soon as m leaves
+        that box.  The popped key strictly decreases and lies on a fixed
+        grid inside the box, so the loop ends without a step budget.
         """
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -254,31 +284,29 @@ class LaurentPoly:
             ((kq, kt, kv), kc), = other.terms.items()
             out = LaurentPoly.__new__(LaurentPoly)
             out.terms = {
-                (qe - kq, te - kt, ve - kv): c / kc
+                (_norm(qe - kq), te - kt, ve - kv): _div(c, kc)
                 for (qe, te, ve), c in self.terms.items()
             }
             return out
         lead = max(other.terms)
         lc = other.terms[lead]
         rest = [(key, c) for key, c in other.terms.items() if key != lead]
-        lo_s, lo_o = min(self.terms), min(other.terms)
-        bottom = (lo_s[0] - lo_o[0], lo_s[1] - lo_o[1], lo_s[2] - lo_o[2])
+        qs, ts, vs = zip(*self.terms)
+        qo, to, vo = zip(*other.terms)
+        lq, lt, lv = min(qs) - min(qo), min(ts) - min(to), min(vs) - min(vo)
+        hq, ht, hv = max(qs) - max(qo), max(ts) - max(to), max(vs) - max(vo)
         rem = dict(self.terms)
-        quo: dict[Key, Q] = {}
-        budget = 2 * len(self.terms) + 16
+        quo: dict[Key, Rat] = {}
         while rem:
             top = max(rem)
-            m = (top[0] - lead[0], top[1] - lead[1], top[2] - lead[2])
-            if m < bottom:
+            m = (_norm(top[0] - lead[0]), top[1] - lead[1], top[2] - lead[2])
+            if not (lq <= m[0] <= hq and lt <= m[1] <= ht and lv <= m[2] <= hv):
                 return None
-            budget -= 1
-            if budget < 0:
-                return None
-            coeff = rem.pop(top) / lc
+            coeff = _div(rem.pop(top), lc)
             quo[m] = coeff
             for key, c in rest:
                 kk = (m[0] + key[0], m[1] + key[1], m[2] + key[2])
-                acc = rem.get(kk, _Q0) - coeff * c
+                acc = rem.get(kk, 0) - coeff * c
                 if acc:
                     rem[kk] = acc
                 else:
@@ -288,17 +316,18 @@ class LaurentPoly:
         return out
 
     def scale(self, c) -> LaurentPoly:
-        c = _as_q(c)
+        c = _norm(c)
         out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {} if not c else {k: c * x for k, x in self.terms.items()}
+        out.terms = {} if not c else {k: _norm(c * x) for k, x in self.terms.items()}
         return out
 
     def shift(self, dq=0, dt: int = 0, dv: int = 0) -> LaurentPoly:
         """Multiply by the monomial q^dq t^dt v^dv."""
-        dq = _as_q(dq)
+        dq = _norm(dq)
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = {
-            (qe + dq, te + dt, ve + dv): c for (qe, te, ve), c in self.terms.items()
+            (_norm(qe + dq), te + dt, ve + dv): c
+            for (qe, te, ve), c in self.terms.items()
         }
         return out
 
@@ -324,7 +353,7 @@ class LaurentPoly:
         if not self.terms:
             return "0"
 
-        def fmt(key: Key, coeff: Q) -> str:
+        def fmt(key: Key, coeff: Rat) -> str:
             qe, te, ve = key
             parts = []
             for name, e in (("q", qe), ("t", Q(te)), ("v", Q(ve))):
@@ -386,8 +415,8 @@ def _strip_common(
         den = den.shift(-mq, -mt, -mv)
     content = den.rational_content()
     if content != 1:
-        num = num.scale(1 / content)
-        den = den.scale(1 / content)
+        inv = _div(1, content)
+        num, den = num.scale(inv), den.scale(inv)
     return num, den
 
 
@@ -412,8 +441,8 @@ def _try_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     for poly in (num, den):
         for (qe, _, _) in poly.terms:
             grid = lcm(grid, qe.denominator)
-    nval = _point_value(num.scale(1 / num.rational_content()), grid)
-    dval = _point_value(den.scale(1 / den.rational_content()), grid)
+    nval = _point_value(num.scale(_div(1, num.rational_content())), grid)
+    dval = _point_value(den.scale(_div(1, den.rational_content())), grid)
     if abs(dval) > 1 and nval % dval:
         return None
     return num.divide_exact(den)
@@ -446,7 +475,7 @@ def _axis_split(poly: LaurentPoly):
     if ax == 0:
         for qe in axes[0]:
             grid = lcm(grid, qe.denominator)
-    core: dict[int, Q] = {}
+    core: dict[int, Rat] = {}
     for key, c in poly.terms.items():
         e = int(key[ax] * grid) if ax == 0 else key[ax]
         core[e] = c
@@ -455,7 +484,7 @@ def _axis_split(poly: LaurentPoly):
     return ax, tuple(mono), core, grid
 
 
-def _int_list(core: dict[int, Q]) -> tuple[int, list[int]]:
+def _int_list(core: dict[int, Rat]) -> tuple[int, list[int]]:
     """(offset, primitive integer coefficient list) for a univariate bucket."""
     lo, hi = min(core), max(core)
     scale = 1
@@ -527,16 +556,16 @@ def _uni_gcd(a: list[int], b: list[int]) -> list[int]:
     return [1]
 
 
-def _uni_divide_exact(arr: list[Q], g: list[int]) -> list[Q] | None:
+def _uni_divide_exact(arr: list[Rat], g: list[int]) -> list[Rat] | None:
     """Exact quotient of a rational coefficient list by g, else None."""
     dg = len(g) - 1
     if len(arr) <= dg:
         return None
     lc = g[-1]
     r = list(arr)
-    out = [_Q0] * (len(arr) - dg)
+    out = [0] * (len(arr) - dg)
     for k in range(len(arr) - dg - 1, -1, -1):
-        c = r[k + dg] / lc
+        c = _div(r[k + dg], lc)
         out[k] = c
         if c:
             for i, bc in enumerate(g):
@@ -546,9 +575,9 @@ def _uni_divide_exact(arr: list[Q], g: list[int]) -> list[Q] | None:
     return out
 
 
-def _bucket(poly: LaurentPoly, ax: int, grid: int) -> dict[tuple, dict[int, Q]]:
+def _bucket(poly: LaurentPoly, ax: int, grid: int) -> dict[tuple, dict[int, Rat]]:
     """Group terms by the exponents of the axes other than ax."""
-    out: dict[tuple, dict[int, Q]] = {}
+    out: dict[tuple, dict[int, Rat]] = {}
     for key, c in poly.terms.items():
         e = int(key[ax] * grid) if ax == 0 else key[ax]
         rest = tuple(x for i, x in enumerate(key) if i != ax)
@@ -557,12 +586,12 @@ def _bucket(poly: LaurentPoly, ax: int, grid: int) -> dict[tuple, dict[int, Q]]:
 
 
 def _rebuild(
-    buckets: dict[tuple, list[tuple[int, Q]]], ax: int, grid: int
+    buckets: dict[tuple, list[tuple[int, Rat]]], ax: int, grid: int
 ) -> LaurentPoly:
-    terms: dict[Key, Q] = {}
+    terms: dict[Key, Rat] = {}
     for rest, pairs in buckets.items():
         for e, c in pairs:
-            exp = Q(e, grid) if ax == 0 else e
+            exp = _div(e, grid) if ax == 0 else e
             key = rest[:ax] + (exp,) + rest[ax:]
             terms[key] = c
     out = LaurentPoly.__new__(LaurentPoly)
@@ -593,18 +622,18 @@ def _cancel_axis(
         g = _uni_gcd(g, arr)
         if len(g) == 1:
             return None
-    new_other: dict[tuple, list[tuple[int, Q]]] = {}
+    new_other: dict[tuple, list[tuple[int, Rat]]] = {}
     for rest, b in raw_buckets.items():
         lo = min(b)
         quo = _uni_divide_exact(
-            [b.get(e, _Q0) for e in range(lo, max(b) + 1)], g
+            [b.get(e, 0) for e in range(lo, max(b) + 1)], g
         )
         if quo is None:
             return None
         new_other[rest] = [(lo + i, c) for i, c in enumerate(quo) if c]
     lo_c = min(core)
     quo_u = _uni_divide_exact(
-        [core.get(e, _Q0) for e in range(lo_c, max(core) + 1)], g
+        [core.get(e, 0) for e in range(lo_c, max(core) + 1)], g
     )
     if quo_u is None:
         return None
@@ -725,7 +754,7 @@ class Scalar:
         single terms)."""
         (nk, nc) = self.num.as_monomial()
         (dk, dc) = self.den.as_monomial()
-        return (nk[0] - dk[0], nk[1] - dk[1], nk[2] - dk[2]), nc / dc
+        return (_norm(nk[0] - dk[0]), nk[1] - dk[1], nk[2] - dk[2]), Q(nc, dc)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -33,22 +33,27 @@ from .linalg import unimodular_completion
 from .rootdata import LatticePair, WeylElement
 from .scalars import (
     _P,
+    Rat,
     Scalar,
     _as_scalar,
+    _div,
+    _norm,
     _residue,
     _root_index,
     _terms_residue,
 )
 
-XKey = tuple[Q, ...]
+# exponent of a torus monomial; each entry an int when integral, else a
+# Fraction (half-lattice points), as in scalars
+XKey = tuple[Rat, ...]
 # denominator binomial e^beta - c, with c stored by monomial data
-Factor = tuple[tuple[int, ...], tuple[Q, int, int], Q]
+Factor = tuple[tuple[int, ...], tuple[Rat, int, int], Q]
 
 _completion_cache: dict[tuple[int, ...], list[list[int]]] = {}
 
 
 def _xkey(x) -> XKey:
-    return tuple(Q(v) for v in x)
+    return tuple(_norm(v) for v in x)
 
 
 def _factor_value(f: Factor) -> Scalar:
@@ -78,9 +83,8 @@ def _beta_coordinate(beta: tuple[int, ...]):
     return prim, content, row
 
 
-def _scalar_frac_power(tau: Scalar, k: Q) -> Scalar:
+def _scalar_frac_power(tau: Scalar, k: Rat) -> Scalar:
     """tau^k for monomial tau; fractional k needs unit coefficient."""
-    k = Q(k)
     if k.denominator == 1:
         return tau ** int(k)
     (qe, te, ve), coeff = tau.as_monomial()
@@ -285,16 +289,16 @@ class TorusFraction:
 
     def substitute(self, mat, phi) -> TorusFraction:
         """Apply e^x -> q^{phi.x} e^{M x} (M integral, phi a covector)."""
-        phi = tuple(Q(p) for p in phi)
+        phi = _xkey(phi)
         n = self.pair.rank
 
-        def apply_mat(x):
+        def apply_mat(x) -> XKey:
             return tuple(
-                sum(Q(mat[i][k]) * x[k] for k in range(n)) for i in range(n)
+                _norm(sum(mat[i][k] * x[k] for k in range(n))) for i in range(n)
             )
 
-        def qform(x) -> Q:
-            return sum((p * v for p, v in zip(phi, x)), Q(0))
+        def qform(x) -> Rat:
+            return _norm(sum(p * v for p, v in zip(phi, x)))
 
         num = {}
         for x, c in self.num.items():
@@ -322,7 +326,7 @@ class TorusFraction:
         """Conjugation by the translation mu: e^x -> q^{2<x,mu>} e^x."""
         n = self.pair.rank
         phi = tuple(
-            2 * sum(Q(self.pair.pairing[i][j]) * Q(mu[j]) for j in range(n))
+            2 * sum(self.pair.pairing[i][j] * mu[j] for j in range(n))
             for i in range(n)
         )
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -364,13 +368,13 @@ class TorusFraction:
         if content != 1:
             raise ValueError("evaluation direction must be primitive")
 
-        def coordinate(x) -> Q:
-            return sum((Q(r) * Q(v) for r, v in zip(row, x)), Q(0))
+        def coordinate(x) -> Rat:
+            return _norm(sum(r * v for r, v in zip(row, x)))
 
         num = {}
         for x, c in self.num.items():
             k = coordinate(x)
-            key = tuple(Q(v) - k * a for v, a in zip(x, alpha))
+            key = tuple(_norm(v - k * a) for v, a in zip(x, alpha))
             coeff = c * _scalar_frac_power(tau, k)
             num[key] = num[key] + coeff if key in num else coeff
         unit: dict[XKey, Scalar] = {_xkey((0,) * self.pair.rank): Scalar.one()}
@@ -379,14 +383,13 @@ class TorusFraction:
             beta, c = f[0], _factor_value(f)
             k = coordinate(beta)
             assert k.denominator == 1
-            k = int(k)
             new_beta = tuple(b - k * a for b, a in zip(beta, alpha))
             if not any(new_beta):
                 value = tau**k - c  # nonzero: no matching factor
                 unit = _num_scale(unit, value.inverse())
                 continue
-            unit = _num_scale(unit, _scalar_frac_power(tau, Q(-k)))
-            nf = _make_factor(new_beta, c * _scalar_frac_power(tau, Q(-k)))
+            unit = _num_scale(unit, tau ** -k)
+            nf = _make_factor(new_beta, c * tau ** -k)
             nf, unit = _canonicalize_factor(nf, unit, self.pair.rank)
             factors.append(nf)
         return TorusFraction(self.pair, _num_mul(num, unit), tuple(factors))
@@ -553,8 +556,8 @@ def _beta_classes(num: dict, beta: tuple[int, ...]) -> list[list[tuple[int, XKey
     classes: dict[tuple, list] = {}
     for x in num:
         # beta-coordinate: x . row gives the prim coordinate; beta = content*prim
-        k = sum((Q(r) * Q(v) for r, v in zip(row, x)), Q(0)) / content
-        rest = tuple(Q(v) - k * b for v, b in zip(x, beta))
+        k = _div(sum(r * v for r, v in zip(row, x)), content)
+        rest = tuple(_norm(v - k * b) for v, b in zip(x, beta))
         classes.setdefault((k % 1,) + rest, []).append((k, x))
     out = []
     for items in classes.values():
@@ -611,6 +614,7 @@ def _divide_num(num: dict, f: Factor) -> dict | None:
         for m, qc in enumerate(qcoeffs):
             if qc.is_zero():
                 continue
-            key = tuple(Q(v) + m * b for v, b in zip(base, beta))
+            # base is a stored key and m * b an int, so this is stored form
+            key = tuple(v + m * b for v, b in zip(base, beta))
             quotient[key] = quotient.get(key, Scalar.zero()) + qc
     return {x: c for x, c in quotient.items() if not c.is_zero()}

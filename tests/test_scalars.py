@@ -12,6 +12,7 @@ from qtalg.scalars import (
     LaurentPoly,
     QPower,
     Scalar,
+    _div,
     _residue,
     _root_index,
     nth_root,
@@ -272,3 +273,156 @@ def test_qpower_specialize():
 @given(qpowers)
 def test_qpower_json_round_trip(a):
     assert QPower.from_json(a.to_json()) == a
+
+
+# -- exact division ------------------------------------------------------------
+
+
+def test_divide_exact_needs_no_step_budget():
+    q, t, one = LaurentPoly.q(), LaurentPoly.t(), LaurentPoly.one()
+    geometric = LaurentPoly({(k, 0, 0): 1 for k in range(30)})
+    assert (q**30 - one).divide_exact(q - one) == geometric
+    s = Scalar((q**30 - one) * (one + t), (q - one) * (one + t))
+    assert s.den == one
+    assert s.num == geometric
+
+
+def test_divide_exact_rejects_non_divisors():
+    q, t, v, one = LaurentPoly.q(), LaurentPoly.t(), LaurentPoly.v(), LaurentPoly.one()
+    assert (q**30 - one).divide_exact(q**7 - one) is None
+    assert (q**30 - one).divide_exact(q - LaurentPoly.const(2)) is None
+    assert (q * t + one).divide_exact(q + t) is None
+    # the quotient's t-degree would leave its box at the first step
+    assert (q**3 * v - one).divide_exact(q * t - one) is None
+
+
+big_polys = st.dictionaries(keys, coeffs, min_size=21, max_size=30).map(LaurentPoly)
+
+
+@given(big_polys, polys.filter(lambda p: not p.is_zero()))
+@settings(max_examples=40, deadline=None)
+def test_divide_exact_recovers_long_quotients(a, b):
+    assert len(a.terms) > 20
+    assert (a * b).divide_exact(b) == a
+
+
+# -- storage: int when integral, Fraction otherwise ------------------------------
+
+
+def stored_values(*ps: LaurentPoly):
+    for p in ps:
+        for (qe, te, ve), c in p.terms.items():
+            yield from (qe, te, ve, c)
+
+
+def assert_no_float(*ps: LaurentPoly):
+    for x in stored_values(*ps):
+        assert isinstance(x, (int, Q)), x
+
+
+def assert_normalized(*ps: LaurentPoly):
+    for x in stored_values(*ps):
+        assert type(x) is int or (type(x) is Q and x.denominator != 1), x
+
+
+def fraction_only(p: LaurentPoly) -> LaurentPoly:
+    """p stored with every q-exponent and coefficient a Fraction."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = {(Q(qe), te, ve): Q(c) for (qe, te, ve), c in p.terms.items()}
+    return out
+
+
+def fraction_only_scalar(s: Scalar) -> Scalar:
+    out = Scalar.__new__(Scalar)
+    out.num, out.den = fraction_only(s.num), fraction_only(s.den)
+    return out
+
+
+nonunit = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+    lambda r: r not in (0, 1, -1)
+)
+# q0 a square, so that half-integer q-exponents evaluate exactly
+points = st.tuples(nonunit.map(lambda r: r * r), nonunit, nonunit)
+
+
+@given(st.dictionaries(keys, coeffs, max_size=4), coeffs, keys)
+@settings(max_examples=60, deadline=None)
+def test_constructors_store_ints_when_integral(raw, c, key):
+    p = LaurentPoly(raw)  # hypothesis draws Fraction values, integral ones too
+    qe, te, ve = key
+    assert_normalized(
+        p,
+        LaurentPoly.const(c),
+        LaurentPoly.monomial(qe, te, ve, c),
+        LaurentPoly.q(qe),
+        p.scale(c),
+        p.scale(1 / c),
+        p.shift(qe, te, ve),
+        LaurentPoly.from_json(p.to_json()),
+    )
+    if p.terms:
+        assert_normalized(LaurentPoly.const(p.rational_content()))
+        s = Scalar(p, LaurentPoly.monomial(qe, te, ve, c))
+        assert_normalized(s.num, s.den)
+        back = Scalar.from_json(s.to_json())
+        assert_normalized(back.num, back.den)
+
+
+@given(scalars, polys.filter(lambda p: not p.is_zero()), polys)
+@settings(max_examples=60, deadline=None)
+def test_exact_division_stores_ints_when_integral(s, b, a):
+    # the Scalar constructor divides by content, by univariate gcds and by
+    # whole sides, all through the exact-division helper
+    assert_normalized(s.num, s.den)
+    assert_normalized((a * b).divide_exact(b))
+    for x, y in ((6, 3), (3, 6), (Q(3, 2), Q(1, 2)), (Q(1, 2), 3), (-4, Q(2, 3))):
+        assert _div(x, y) == Q(x) / Q(y)
+        assert_normalized(LaurentPoly.const(_div(x, y)))
+        assert type(_div(x, y)) is (int if (Q(x) / Q(y)).denominator == 1 else Q)
+
+
+@given(scalars, scalars, st.integers(-2, 3), points)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_scalar_arithmetic_agrees_with_fraction_storage(a, b, n, point):
+    fa, fb = fraction_only_scalar(a), fraction_only_scalar(b)
+    pairs = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)]
+    if not b.is_zero():
+        pairs.append((a / b, fa / fb))
+    if not a.is_zero():
+        pairs += [(a.inverse(), fa.inverse()), (a**n, fa**n)]
+    for got, ref in pairs:
+        assert_no_float(got.num, got.den)
+        assert got == ref
+        try:
+            value = got.specialize(*point)
+        except SpecializationError:
+            continue
+        assert value == ref.specialize(*point)
+
+
+@given(polys, polys.filter(lambda p: not p.is_zero()), coeffs, keys, points)
+@settings(max_examples=60, deadline=None)
+def test_poly_arithmetic_agrees_with_fraction_storage(a, b, c, key, point):
+    fa, fb = fraction_only(a), fraction_only(b)
+    pairs = [
+        (a + b, fa + fb),
+        (a - b, fa - fb),
+        (a * b, fa * fb),
+        (a**3, fa**3),
+        ((a * b).divide_exact(b), (fa * fb).divide_exact(fb)),
+        (a.scale(c), fa.scale(c)),
+        (a.shift(*key), fa.shift(*key)),
+    ]
+    quo = a.divide_exact(b)
+    if quo is not None:
+        assert quo * b == a
+        pairs.append((quo, fa.divide_exact(fb)))
+    for got, ref in pairs:
+        assert_no_float(got)
+        assert got == ref
+        assert got.specialize(*point) == ref.specialize(*point)
+        assert got.to_json() == ref.to_json() and str(got) == str(ref)

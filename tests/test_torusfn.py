@@ -349,3 +349,59 @@ def test_screen_rejects_without_exact_division(monkeypatch):
     f = frac({(1,): Scalar.t(2), (0,): -1}, [((1,), Scalar.t(2)), ((2,), Scalar.q())])
     assert len(f.factors) == 2
     assert calls == []
+
+
+# -- storage of exponents: int when integral, Fraction otherwise --------------------
+
+
+def assert_stored_normalized(f: TorusFraction):
+    for x, c in f.num.items():
+        for v in x:
+            assert type(v) is int or (type(v) is Q and v.denominator != 1), x
+        for poly in (c.num, c.den):
+            for (qe, te, ve), coeff in poly.terms.items():
+                assert isinstance(qe, (int, Q)) and isinstance(coeff, (int, Q))
+    for f_ in f.factors:
+        qe = f_[1][0]
+        assert type(qe) is int or (type(qe) is Q and qe.denominator != 1), f_
+
+
+def fraction_keyed(f: TorusFraction) -> TorusFraction:
+    """f with every exponent stored as a Fraction."""
+    out = TorusFraction.__new__(TorusFraction)
+    out.pair, out.factors = f.pair, f.factors
+    out.num = {tuple(Q(v) for v in x): c for x, c in f.num.items()}
+    return out
+
+
+@_screen_settings
+@given(fractions_to_reduce(), fractions_to_reduce(), st.data())
+def test_substitution_and_evaluation_store_ints_when_integral(case, other, data):
+    pair, num, factors = case
+    f = TorusFraction(pair, num, factors)
+    ref = fraction_keyed(f)
+    n = pair.rank
+    halves = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    phi = data.draw(st.tuples(*[halves] * n))
+    mu = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    results = [
+        (f, ref),
+        (f.substitute(ident, phi), ref.substitute(ident, phi)),
+        (f.shift_mu(mu), ref.shift_mu(mu)),
+    ]
+    for i in range(n):
+        s = pair.system.simple_reflection(i)
+        results.append((f.weyl_act(s), ref.weyl_act(s)))
+    alpha = data.draw(st.sampled_from(PAIRS[n][1][: 1 if n == 1 else 3]))
+    tau = Scalar.q(data.draw(_qexps))
+    try:
+        results.append((f.evaluate_at(alpha, tau), ref.evaluate_at(alpha, tau)))
+    except PoleError:
+        pass
+    if other[0] is pair:
+        g = TorusFraction(pair, other[1], other[2])
+        results += [(f + g, ref + g), (f * g, ref * g)]
+    for got, expected in results:
+        assert_stored_normalized(got)
+        assert got == expected
