@@ -5,10 +5,10 @@ Three layers, all exact:
 * ``LaurentPoly`` — sparse Laurent polynomials in the formal variables
   ``q`` (exponents in (1/n)Z for a per-value root index n), ``t`` and
   ``v`` (integer exponents), with rational coefficients.
-* ``Scalar`` — the fraction field of ``LaurentPoly``.  Representations
-  are reduced by monomial content and by exact division when one side
-  divides the other (no full multivariate gcd); equality is decided by
-  cross-multiplication.
+* ``Scalar`` — the fraction field of ``LaurentPoly``, in lowest terms:
+  numerator and denominator are divided by their exact gcd (GCDHEU) and
+  normalized, so every value has one stored form and equality compares
+  stored terms.
 * ``QPower`` — the exact multiplicative group of torus coordinates
   zeta * q^a * m with zeta a root of unity (stored as its rotation
   number), a rational and m a positive rational magnitude.
@@ -193,12 +193,8 @@ class LaurentPoly:
     def min_exponents(self) -> Key:
         if not self.terms:
             raise ValueError("zero polynomial has no exponents")
-        keys = list(self.terms)
-        return (
-            min(k[0] for k in keys),
-            min(k[1] for k in keys),
-            min(k[2] for k in keys),
-        )
+        qs, ts, vs = zip(*self.terms)
+        return min(qs), min(ts), min(vs)
 
     def rational_content(self) -> Rat:
         """Positive rational c with self/c integer-primitive, signed by the
@@ -420,266 +416,196 @@ def _strip_common(
     return num, den
 
 
-def _point_value(poly: LaurentPoly, grid: int) -> int:
-    """Value at q^(1/grid) = 2, t = 3, v = 5 for an integer-coefficient
-    polynomial with nonnegative exponents."""
-    total = 0
-    for (qe, te, ve), coeff in poly.terms.items():
-        total += coeff.numerator * 2 ** int(qe * grid) * 3**te * 5**ve
-    return total
+def _int_poly(poly: LaurentPoly, grid: int) -> tuple[LaurentPoly, int, Key]:
+    """(poly over its monomial content m, with every q-exponent multiplied by
+    grid and every coefficient by s; s; m): s is the lcm of the coefficient
+    denominators, and every stored value is an int.  ``int()`` matters: a
+    Fraction with denominator 1 can reach here, and an int raised to a
+    Fraction power is a float."""
+    s = lcm(1, *(c.denominator for c in poly.terms.values()))
+    mono = mq, mt, mv = poly.min_exponents()
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = {
+        (int((qe - mq) * grid), te - mt, ve - mv): int(c * s)
+        for (qe, te, ve), c in poly.terms.items()
+    }
+    return out, s, mono
 
 
-def _try_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
-    """num/den when den divides num exactly, else None.
-
-    A one-point integrality test screens out most non-divisible pairs
-    before the long division runs: with both parts integer-primitive an
-    exact quotient has integer coefficients (Gauss), so den's value at an
-    integer point must divide num's.
-    """
-    grid = 1
-    for poly in (num, den):
-        for (qe, _, _) in poly.terms:
-            grid = lcm(grid, qe.denominator)
-    nval = _point_value(num.scale(_div(1, num.rational_content())), grid)
-    dval = _point_value(den.scale(_div(1, den.rational_content())), grid)
-    if abs(dval) > 1 and nval % dval:
-        return None
-    return num.divide_exact(den)
-
-
-# -- common-factor cancellation ------------------------------------------
-#
-# Fraction denominators in the operator algebra are, almost without
-# exception, monomials times a polynomial in a single variable (powers of
-# symmetrizer normalizations like t^2 + 1).  For such a shape the full
-# multivariate gcd with the numerator reduces to univariate gcds against
-# the numerator's coefficient buckets, which Euclid settles exactly.
-
-
-def _axis_split(poly: LaurentPoly):
-    """(axis, mono, core, grid) when poly is a monomial times a polynomial
-    in one variable, else None.  core maps integer exponents (q scaled by
-    grid) to coefficients; mono holds the fixed exponents of the other
-    axes."""
-    axes = [set(), set(), set()]
-    for key in poly.terms:
-        axes[0].add(key[0])
-        axes[1].add(key[1])
-        axes[2].add(key[2])
-    varying = [i for i in range(3) if len(axes[i]) > 1]
-    if len(varying) != 1:
-        return None
-    ax = varying[0]
-    grid = 1
-    if ax == 0:
-        for qe in axes[0]:
-            grid = lcm(grid, qe.denominator)
-    core: dict[int, Rat] = {}
-    for key, c in poly.terms.items():
-        e = int(key[ax] * grid) if ax == 0 else key[ax]
-        core[e] = c
-    mono = list(next(iter(poly.terms)))
-    mono[ax] = 0
-    return ax, tuple(mono), core, grid
-
-
-def _int_list(core: dict[int, Rat]) -> tuple[int, list[int]]:
-    """(offset, primitive integer coefficient list) for a univariate bucket."""
-    lo, hi = min(core), max(core)
-    scale = 1
-    for c in core.values():
-        scale = lcm(scale, c.denominator)
-    arr = [0] * (hi - lo + 1)
-    for e, c in core.items():
-        arr[e - lo] = c.numerator * (scale // c.denominator)
-    g = 0
-    for x in arr:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
-        arr = [x // g for x in arr]
-    return lo, arr
-
-
-def _horner(arr: list[int], x: int) -> int:
-    total = 0
-    for c in reversed(arr):
-        total = total * x + c
-    return total
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b (deg a >= deg b >= 1), integer lists."""
-    r = a[:]
-    db = len(b) - 1
-    lc = b[-1]
-    while len(r) - 1 >= db:
-        m = r[-1]
-        if m == 0:
-            r.pop()
-            continue
-        if lc != 1:
-            r = [lc * x for x in r]
-        k = len(r) - 1 - db
-        for i, bc in enumerate(b):
-            r[k + i] -= m * bc
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _prim(arr: list[int]) -> list[int]:
-    while arr and arr[-1] == 0:
-        arr.pop()
-    g = 0
-    for x in arr:
-        g = gcd(g, x)
-        if g == 1:
-            return arr
-    if g > 1:
-        arr = [x // g for x in arr]
-    return arr
-
-
-def _uni_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Gcd of primitive integer polynomials by the primitive PRS."""
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _prim(_pseudo_rem(a, b))
-        if not r:
-            return b
-        a, b = b, r
-    return [1]
-
-
-def _uni_divide_exact(arr: list[Rat], g: list[int]) -> list[Rat] | None:
-    """Exact quotient of a rational coefficient list by g, else None."""
-    dg = len(g) - 1
-    if len(arr) <= dg:
-        return None
-    lc = g[-1]
-    r = list(arr)
-    out = [0] * (len(arr) - dg)
-    for k in range(len(arr) - dg - 1, -1, -1):
-        c = _div(r[k + dg], lc)
-        out[k] = c
-        if c:
-            for i, bc in enumerate(g):
-                r[k + i] -= c * bc
-    if any(r[:dg]):
-        return None
+def _off_grid(f: LaurentPoly, grid: int, s: int, mono: Key) -> LaurentPoly:
+    """The inverse of ``_int_poly``: f * m / s with q-exponents off the grid."""
+    mq, mt, mv = mono
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = {
+        (_norm(_div(qe, grid) + mq), te + mt, ve + mv): _div(c, s)
+        for (qe, te, ve), c in f.terms.items()
+    }
     return out
 
 
-def _bucket(poly: LaurentPoly, ax: int, grid: int) -> dict[tuple, dict[int, Rat]]:
-    """Group terms by the exponents of the axes other than ax."""
-    out: dict[tuple, dict[int, Rat]] = {}
-    for key, c in poly.terms.items():
-        e = int(key[ax] * grid) if ax == 0 else key[ax]
-        rest = tuple(x for i, x in enumerate(key) if i != ax)
-        out.setdefault(rest, {})[e] = c
+def _primitive(f: LaurentPoly) -> tuple[LaurentPoly, int]:
+    """(f over its integer content and its monomial content, the integer
+    content) for a nonzero integer polynomial."""
+    content = gcd(*f.terms.values())
+    mono = mq, mt, mv = f.min_exponents()
+    if content == 1 and mono == _ZERO_KEY:
+        return f, 1
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = {
+        (qe - mq, te - mt, ve - mv): c // content
+        for (qe, te, ve), c in f.terms.items()
+    }
+    return out, content
+
+
+def _powers(xi: int, n: int) -> list[int]:
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * xi)
     return out
 
 
-def _rebuild(
-    buckets: dict[tuple, list[tuple[int, Rat]]], ax: int, grid: int
-) -> LaurentPoly:
-    terms: dict[Key, Rat] = {}
-    for rest, pairs in buckets.items():
-        for e, c in pairs:
-            exp = _div(e, grid) if ax == 0 else e
-            key = rest[:ax] + (exp,) + rest[ax:]
-            terms[key] = c
+def _evaluate(f: LaurentPoly, ax: int, xi: int) -> LaurentPoly:
+    """f with the variable on axis ax set to the integer xi."""
+    pw = _powers(xi, max(k[ax] for k in f.terms))
+    terms: dict[Key, int] = {}
+    for key, c in f.terms.items():
+        k = key[:ax] + (0,) + key[ax + 1 :]
+        terms[k] = terms.get(k, 0) + c * pw[key[ax]]
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = {k: c for k, c in terms.items() if c}
+    return out
+
+
+def _interpolate(h: LaurentPoly, ax: int, xi: int) -> LaurentPoly:
+    """The polynomial in axis ax whose coefficients are the symmetric
+    xi-adic digits of h's coefficients (h free of that axis)."""
+    half = xi // 2
+    terms: dict[Key, int] = {}
+    for key, c in h.terms.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                terms[key[:ax] + (e,) + key[ax + 1 :]] = d
+            c = (c - d) // xi
+            e += 1
     out = LaurentPoly.__new__(LaurentPoly)
     out.terms = terms
     return out
 
 
-def _cancel_axis(
-    other: LaurentPoly, uni: LaurentPoly, split
-) -> tuple[LaurentPoly, LaurentPoly] | None:
-    """Divide both polys by gcd(core of uni, buckets of other), or None."""
-    ax, mono, core, grid0 = split
-    grid = grid0
-    if ax == 0:
-        for (qe, _, _) in other.terms:
-            grid = lcm(grid, qe.denominator)
-        if grid != grid0:
-            core = {e * (grid // grid0): c for e, c in core.items()}
-    _, g = _int_list(core)
-    sieve = abs(_horner(g, 3))
-    raw_buckets = _bucket(other, ax, grid)
-    int_buckets = [_int_list(b)[1] for b in raw_buckets.values()]
-    for arr in int_buckets:
-        sieve = gcd(sieve, abs(_horner(arr, 3)))
-        if sieve == 1:
-            return None
-    for arr in int_buckets:
-        g = _uni_gcd(g, arr)
-        if len(g) == 1:
-            return None
-    new_other: dict[tuple, list[tuple[int, Rat]]] = {}
-    for rest, b in raw_buckets.items():
-        lo = min(b)
-        quo = _uni_divide_exact(
-            [b.get(e, 0) for e in range(lo, max(b) + 1)], g
-        )
-        if quo is None:
-            return None
-        new_other[rest] = [(lo + i, c) for i, c in enumerate(quo) if c]
-    lo_c = min(core)
-    quo_u = _uni_divide_exact(
-        [core.get(e, 0) for e in range(lo_c, max(core) + 1)], g
-    )
-    if quo_u is None:
-        return None
-    rest_u = tuple(x for i, x in enumerate(mono) if i != ax)
-    new_uni = _rebuild(
-        {rest_u: [(lo_c + i, c) for i, c in enumerate(quo_u) if c]}, ax, grid
-    )
-    return _rebuild(new_other, ax, grid), new_uni
+# Smallest screen coordinate: the values of coprime sides share small
+# factors by accident, and a factor below half the smallest coordinate does
+# not defeat the screen.
+_SCREEN_MIN = 1 << 16
+
+
+def _proves_coprime(f: LaurentPoly, g: LaurentPoly) -> bool:
+    """True when the values at one integer point prove that the integer
+    polynomials f and g (nonnegative exponents, g nonzero) have no common
+    nonmonomial factor; False proves nothing.
+
+    On each axis either side has, in the order q, t, v, the coordinate is
+    x_k >= 2 B_k + 2, where B_k bounds g's coefficients once the earlier
+    axes are substituted; the roots of every nonzero polynomial in x_k of
+    size at most B_k are then smaller than x_k / 2 in absolute value
+    (Cauchy).  Let c be a common factor without monomial content and x_k
+    the last axis it involves.  Substituting an earlier axis keeps c's
+    degree in x_k, because c's leading coefficient in x_k divides g's, which
+    does not vanish there.  Then c, a polynomial in x_k alone, divides a
+    nonzero coefficient of g, so |c(x)| > x_k / 2 and c(x) divides both
+    values.  A gcd of the values with 2 |gcd| < min x_k excludes every such
+    c.
+    """
+    ft, gt = f.terms, g.terms
+    bound = max(map(abs, gt.values()))
+    pw: list[list[int]] = []
+    lowest = 0
+    for fd, gd in zip(map(max, zip(*ft)), map(max, zip(*gt))):
+        xi = max(2 * bound + 2, _SCREEN_MIN) if fd or gd else 0
+        pw.append(_powers(xi, max(fd, gd)))
+        if fd or gd:
+            lowest = lowest or xi
+            bound *= sum(pw[-1][: gd + 1])
+    pq, pt, pv = pw
+    fv = sum(c * pq[a] * pt[b] * pv[e] for (a, b, e), c in ft.items())
+    gv = sum(c * pq[a] * pt[b] * pv[e] for (a, b, e), c in gt.items())
+    return 2 * gcd(fv, gv) < lowest
+
+
+def _gcd(
+    f: LaurentPoly, g: LaurentPoly
+) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """(h, f / h, g / h), up to monomials, for h the gcd over the integers
+    of integer polynomials with nonnegative exponents, not both zero.
+
+    GCDHEU (Char, Geddes & Gonnet 1989): substitute an integer xi for the
+    first variable either side has, take the gcd of the images by recursion
+    (an integer gcd once no variable is left), rebuild a polynomial from
+    the symmetric xi-adic digits of its coefficients and accept its
+    primitive part if it has no monomial content and divides both sides.
+    With xi >= 2 * min(|f|, |g|) + 2 (largest coefficient sizes) an
+    accepted candidate is the gcd.  The monomial check is needed because
+    ``divide_exact`` divides Laurent polynomials, where every monomial is a
+    unit.  A candidate is rejected only while xi is below twice the gcd's
+    coefficients or the images share more than the image of the gcd: a
+    nonconstant factor for finitely many xi, otherwise an integer bounded
+    independently of xi, which the digits separate once xi is large enough.
+    So growing xi ends the loop; there is no try budget.
+    """
+    if not f.terms or not g.terms:  # gcd(p, 0) = p
+        p, c = _primitive(f if f.terms else g)
+        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        return (p.scale(c), one, zero) if f.terms else (p.scale(c), zero, one)
+    f, cf = _primitive(f)
+    g, cg = _primitive(g)
+    content = gcd(cf, cg)
+    h, a, b = LaurentPoly.one(), f, g
+    if len(f.terms) > 1 and len(g.terms) > 1:
+        ax = next(i for i, d in enumerate(map(max, zip(*f.terms, *g.terms))) if d)
+        xi = 2 * min(max(map(abs, p.terms.values())) for p in (f, g)) + 2
+        while True:
+            h = _gcd(_evaluate(f, ax, xi), _evaluate(g, ax, xi))[0]
+            h = _interpolate(h, ax, xi)
+            if h.min_exponents() == _ZERO_KEY:
+                h = _primitive(h)[0]
+                a = f.divide_exact(h)
+                b = None if a is None else g.divide_exact(h)
+                if b is not None:
+                    break
+            xi = xi * 73794 // 27011  # CGG's growth factor, about e
+    return h.scale(content), a.scale(cf // content), b.scale(cg // content)
 
 
 def _cancel_common(
-    num: LaurentPoly, den: LaurentPoly
+    p: LaurentPoly, r: LaurentPoly
 ) -> tuple[LaurentPoly, LaurentPoly] | None:
-    """Cancel the full common polynomial factor when one side is a monomial
-    times a univariate polynomial; fall back to whole-side division."""
-    split = _axis_split(den)
-    if split is not None:
-        pair = _cancel_axis(num, den, split)
-        if pair is None:
-            return None
-        return _strip_common(*pair)
-    split = _axis_split(num)
-    if split is not None:
-        pair = _cancel_axis(den, num, split)
-        if pair is None:
-            return None
-        return _strip_common(pair[1], pair[0])
-    quo = _try_divide(num, den)
-    if quo is not None:
-        return _strip_common(quo, LaurentPoly.one())
-    if len(num.terms) > 1:
-        quo = _try_divide(den, num)
-        if quo is not None:
-            return _strip_common(LaurentPoly.one(), quo)
-    return None
+    """(p / h, r / h) for h the gcd of p and r, or None when they have no
+    common factor but monomials."""
+    if len(p.terms) < 2 or len(r.terms) < 2:
+        return None
+    grid = lcm(p.root_index(), r.root_index())
+    (f, sf, mf), (g, sg, mg) = _int_poly(p, grid), _int_poly(r, grid)
+    if _proves_coprime(f, g):
+        return None
+    h, a, b = _gcd(f, g)
+    if len(h.terms) == 1:
+        return None
+    return _off_grid(a, grid, sf, mf), _off_grid(b, grid, sg, mg)
 
 
 class Scalar:
     """Element of the fraction field of LaurentPoly.
 
-    Invariants: den != 0; den is integer-primitive with positive leading
-    coefficient; the pair carries no common monomial content (the
-    componentwise minimum exponent over both supports is zero); when one
-    side divides the other exactly the quotient is taken, so polynomial
-    scalars have den = 1.  Beyond that there is no multivariate gcd:
-    equality is by cross-multiplication, never by canonical form.
+    Canonical form: num and den are coprime (their gcd is taken exactly,
+    ``_gcd``); den is integer-primitive with positive leading coefficient;
+    the pair carries no common monomial content (the componentwise minimum
+    exponent over both supports is zero).  Every value therefore has one
+    stored form, polynomial scalars have den = 1, and equality compares
+    stored terms.
     """
 
     __slots__ = ("num", "den")
@@ -694,12 +620,21 @@ class Scalar:
             self.den = LaurentPoly.one()
             return
         num, den = _strip_common(num, den)
-        if len(den.terms) > 1:
-            cancelled = _cancel_common(num, den)
-            if cancelled is not None:
-                num, den = cancelled
+        cancelled = _cancel_common(num, den)
+        if cancelled is not None:
+            num, den = _strip_common(*cancelled)
         self.num = num
         self.den = den
+
+    @classmethod
+    def _from_coprime(cls, num: LaurentPoly, den: LaurentPoly) -> Scalar:
+        """num/den for a pair with no common nonmonomial factor, which
+        needs no gcd: only monomial content and scale are normalized."""
+        if num.is_zero():
+            return cls.zero()
+        out = cls.__new__(cls)
+        out.num, out.den = _strip_common(num, den)
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -763,9 +698,15 @@ class Scalar:
             return NotImplemented
         if self.den is other.den or self.den == other.den:
             return Scalar(self.num + other.num, self.den)
-        return Scalar(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        # Henrici: a/b + c/d = (a d' + c b') / (b d') with b = g b', d = g d'
+        # for g = gcd(b, d); when g is 1, that is in lowest terms.
+        split = _cancel_common(self.den, other.den)
+        if split is None:
+            return Scalar._from_coprime(
+                self.num * other.den + other.num * self.den, self.den * other.den
+            )
+        b, d = split
+        return Scalar(self.num * d + other.num * b, self.den * d)
 
     def __neg__(self) -> Scalar:
         out = Scalar.__new__(Scalar)
@@ -783,31 +724,33 @@ class Scalar:
             return Scalar(other.num, self.den)
         if other.num == self.den:
             return Scalar(self.num, other.den)
-        return Scalar(self.num * other.num, self.den * other.den)
+        # Henrici: with a/b and c/d in lowest terms, (a/gcd(a, d)) (c/gcd(c, b))
+        # over (b/gcd(c, b)) (d/gcd(a, d)) is in lowest terms.
+        a, d = _cancel_common(self.num, other.den) or (self.num, other.den)
+        c, b = _cancel_common(other.num, self.den) or (other.num, self.den)
+        return Scalar._from_coprime(a * c, b * d)
 
     def __truediv__(self, other: Scalar) -> Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        return Scalar(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self) -> Scalar:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.den, self.num)
+        return Scalar._from_coprime(self.den, self.num)
 
     def __pow__(self, n: int) -> Scalar:
         if n < 0:
             return self.inverse() ** (-n)
-        return Scalar(self.num**n, self.den**n)
+        return Scalar._from_coprime(self.num**n, self.den**n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * other.den == other.num * self.den
+        return self.den == other.den and self.num == other.num
 
     __hash__ = None
 

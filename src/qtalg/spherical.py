@@ -56,24 +56,11 @@ def reduced_words(system: RootSystem, w: WeylElement) -> list[tuple[int, ...]]:
     return out
 
 
-def hecke_word_operator(pair: LatticePair, word, v=None) -> DiffRefOperator:
-    """T_{w,v} as an operator, from any word in the finite nodes."""
-    out = DiffRefOperator.identity(pair)
-    for i in word:
-        i = int(i)
-        if not 1 <= i <= pair.rank:
-            raise ValueError("finite Hecke words use nodes 1..rank")
-        out = out * dl_operator(pair, i, v)
-    return out
-
-
 class HeckeExpression:
     """Formal linear combination of words in T_i and e^mu, with parameter v.
 
     Words are tuples of atoms ("T", i) and ("X", mu); this representation
-    is what the involution acts on.  Arbitrary quasi-idempotent words can
-    be built with the same arithmetic (an experimental hook: no
-    correctness claims are attached to them).
+    is what the involution acts on.
     """
 
     __slots__ = ("v", "terms")
@@ -418,19 +405,13 @@ def im_involution(expr: HeckeExpression) -> HeckeExpression:
     return HeckeExpression(expr.v, out)
 
 
-def sign_rep_apply(pair: LatticePair, expr: HeckeExpression, f: TorusFraction,
-                   projector: HeckeExpression | None = None) -> TorusFraction:
-    """Act by the involuted word on the projected function space.
-
-    The default projector is the anti-symmetrizer; any quasi-idempotent
-    word may be supplied instead (experimental, unchecked).
-    """
+def sign_rep_apply(
+    pair: LatticePair, expr: HeckeExpression, f: TorusFraction
+) -> TorusFraction:
+    """Act by the involuted word on the anti-symmetrized function space."""
     if not isinstance(expr, HeckeExpression):
         raise TypeError("sign_rep_apply expects a generator-word expression")
-    word = projector if projector is not None else antisymmetrizer_word(
-        pair.system, expr.v
-    )
-    proj = word.to_operator(pair)
+    proj = antisymmetrizer_word(pair.system, expr.v).to_operator(pair)
     if proj.apply(f) != f:
         raise ValueError("function is not in the projected subspace")
     image = im_involution(expr).to_operator(pair).apply(f)

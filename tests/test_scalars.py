@@ -26,6 +26,12 @@ scalars = st.tuples(polys, polys.filter(lambda p: not p.is_zero())).map(
     lambda nd: Scalar(nd[0], nd[1])
 )
 
+nonunit = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+    lambda r: r not in (0, 1, -1)
+)
+# q0 a square, so that half-integer q-exponents evaluate exactly
+points = st.tuples(nonunit.map(lambda r: r * r), nonunit, nonunit)
+
 
 def poly(d):
     return LaurentPoly({(Q(qe), te, ve): Q(c) for (qe, te, ve), c in d.items()})
@@ -105,6 +111,77 @@ def test_normalization_invariants():
         poly({(2, 1, 0): Q(1, 2)}),
         poly({(1, 3, 0): Q(-2, 3), (1, 4, 0): Q(-2, 3)}),
     )
+
+
+def test_common_factors_cancel_completely():
+    q, t, v, one = LaurentPoly.q(), LaurentPoly.t(), LaurentPoly.v(), LaurentPoly.one()
+    c = LaurentPoly.const
+    # t - 2 is 1 at t = 3, where a one-point sieve sees no common factor
+    s = Scalar((t - c(2)) * (q + t), (t - c(2)) * (t + c(5)))
+    assert (s.num, s.den) == (q + t, t + c(5))
+    s = Scalar((t - c(2)) * (q + one), (t - c(2)) * (q - one))
+    assert (s.num, s.den) == (q + one, q - one)
+    s = Scalar((t + v) * (q + one), (t + v) * (q * t - one))
+    assert (s.num, s.den) == (q + one, q * t - one)
+    # the image of the numerator vanishes at the first evaluation point
+    s = Scalar((q - c(4)) * (t + v) * (t + one), (t + v) * (t + one))
+    assert (s.num, s.den) == (q - c(4), one)
+    # the first candidate gcd does not divide, so the evaluation point grows
+    s = Scalar((q**2 * v + c(2) * v) * (t + v), (q * t * v - t * v) * (t + v))
+    assert (s.num, s.den) == (q**2 + c(2), q * t - t)
+
+
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+
+
+@given(polys, nonzero_polys, nonzero_polys)
+@settings(max_examples=80, deadline=None)
+def test_common_factor_leaves_the_stored_form_unchanged(a, b, c):
+    # fractional and negative exponents, rational coefficients, q, t and v
+    s, t = Scalar(a, b), Scalar(a * c, b * c)
+    assert s.num.terms == t.num.terms
+    assert s.den.terms == t.den.terms
+
+
+@given(scalars, scalars, nonzero_polys, points)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_equality_agrees_with_specialize(a, b, c, point):
+    unreduced = Scalar(a.num * c, a.den * c)
+    assert unreduced == a
+    assert (a == b) == (a - b).is_zero()
+    try:
+        va, vb = a.specialize(*point), b.specialize(*point)
+        vu = unreduced.specialize(*point)
+    except SpecializationError:
+        assume(False)
+    assert vu == va
+    if a == b:
+        assert va == vb
+    if va != vb:
+        assert a != b
+
+
+def sympy_poly(p: LaurentPoly, grid: int, syms):
+    y, t, v = syms
+    return sum(
+        (c.numerator * y ** int(qe * grid) * t**te * v**ve) / c.denominator
+        for (qe, te, ve), c in p.terms.items()
+    )
+
+
+@given(scalars, scalars, nonzero_polys)
+@settings(max_examples=40, deadline=None)
+def test_stored_sides_are_coprime_by_an_independent_gcd(a, b, c):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("y t v")  # y = q^(1/grid)
+    for s in (a, a * b, a + b, Scalar(a.num * c, a.den * c)):
+        grid = _root_index([s])
+        g = sympy.gcd(sympy_poly(s.num, grid, syms), sympy_poly(s.den, grid, syms))
+        assert len(sympy.Poly(g, *syms).terms()) == 1, (s, g)
 
 
 @given(scalars, scalars, scalars)
@@ -338,13 +415,6 @@ def fraction_only_scalar(s: Scalar) -> Scalar:
     return out
 
 
-nonunit = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
-    lambda r: r not in (0, 1, -1)
-)
-# q0 a square, so that half-integer q-exponents evaluate exactly
-points = st.tuples(nonunit.map(lambda r: r * r), nonunit, nonunit)
-
-
 @given(st.dictionaries(keys, coeffs, max_size=4), coeffs, keys)
 @settings(max_examples=60, deadline=None)
 def test_constructors_store_ints_when_integral(raw, c, key):
@@ -371,8 +441,8 @@ def test_constructors_store_ints_when_integral(raw, c, key):
 @given(scalars, polys.filter(lambda p: not p.is_zero()), polys)
 @settings(max_examples=60, deadline=None)
 def test_exact_division_stores_ints_when_integral(s, b, a):
-    # the Scalar constructor divides by content, by univariate gcds and by
-    # whole sides, all through the exact-division helper
+    # the Scalar constructor divides by content and by the gcd, all through
+    # the exact-division helper
     assert_normalized(s.num, s.den)
     assert_normalized((a * b).divide_exact(b))
     for x, y in ((6, 3), (3, 6), (Q(3, 2), Q(1, 2)), (Q(1, 2), 3), (-4, Q(2, 3))):

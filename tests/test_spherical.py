@@ -13,7 +13,6 @@ from qtalg.spherical import (
     check_absorption,
     check_sign_absorption,
     check_spherical,
-    hecke_word_operator,
     idempotent_e_v,
     idempotent_eps_v,
     im_involution,
@@ -47,21 +46,25 @@ def test_reduced_words_inventory():
 
 def test_word_independence_a2_symbolic():
     for w in A2.system.elements:
-        ops = [hecke_word_operator(A2, word) for word in reduced_words(A2.system, w)]
+        ops = [
+            HeckeExpression.word(word).to_operator(A2)
+            for word in reduced_words(A2.system, w)
+        ]
         assert all(op == ops[0] for op in ops[1:])
 
 
 def test_word_independence_b2():
     for w in B2.system.elements:
         ops = [
-            hecke_word_operator(B2, word, 1) for word in reduced_words(B2.system, w)
+            HeckeExpression.word(word, 1).to_operator(B2)
+            for word in reduced_words(B2.system, w)
         ]
         assert all(op == ops[0] for op in ops[1:])
 
 
 def test_word_rejects_affine_node():
-    with pytest.raises(ValueError, match="1..rank"):
-        hecke_word_operator(A1, [0])
+    with pytest.raises(ValueError, match="numbered from 1"):
+        HeckeExpression.word([0]).to_operator(A1)
 
 
 # -- idempotents ----------------------------------------------------------------
@@ -140,7 +143,7 @@ def test_word_and_operator_representations_agree():
     direct = DiffRefOperator.zero(A2)
     for word, coeff in expr.terms.items():
         indices = [i for _, i in word]
-        direct = direct + hecke_word_operator(A2, indices, v).scale(coeff)
+        direct = direct + HeckeExpression.word(indices, v).to_operator(A2).scale(coeff)
     assert direct == idempotent_e_v(A2, v)
 
 
@@ -274,15 +277,3 @@ def test_sign_rep_rejects_functions_outside_the_space():
     a = symmetrizer_word(A1.system, Scalar.zero())
     with pytest.raises(ValueError, match="projected subspace"):
         sign_rep_apply(A1, a, frac(A1, {(1,): ONE}))
-
-
-def test_custom_projector_hook():
-    v = Scalar.zero()
-    eps_word = antisymmetrizer_word(A1.system, v)
-    a = eps_word * HeckeExpression.monomial((-1,), v) * eps_word
-    sym = frac(A1, {(1,): ONE, (-1,): ONE})
-    image = sign_rep_apply(
-        A1, a, sym, projector=symmetrizer_word(A1.system, v)
-    )
-    s = A1.system.simple_reflection(0)
-    assert image.weyl_act(s) == image
