@@ -130,7 +130,7 @@ class DiffRefOperator:
         act_y = self.pair.act_y
         for (w1, m1), h1 in self.terms.items():
             for (w2, m2), h2 in other.terms.items():
-                coeff = h1 * h2.weyl_act(w1).shift_mu(m1)
+                coeff = h1 * h2.transport(w1, m1)
                 key = (
                     w1 * w2,
                     tuple(a + b for a, b in zip(m1, act_y(w1, m2))),
@@ -163,7 +163,7 @@ class DiffRefOperator:
     def apply(self, f: TorusFraction) -> TorusFraction:
         out = TorusFraction.zero(self.pair)
         for (w, mu), h in self.terms.items():
-            out = out + h * f.weyl_act(w).shift_mu(mu)
+            out = out + h * f.transport(w, mu)
         return out
 
     # -- display and JSON ---------------------------------------------------------

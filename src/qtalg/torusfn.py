@@ -21,6 +21,12 @@ nonzero there is nonzero exactly, and the binomial is rejected without
 any exact arithmetic.  Every other case, including a coefficient that is
 undefined at the point, goes to the exact division, so the screen can
 only reject and the result is exact.
+
+Substitutions e^x -> q^{phi.x} e^{Mx} skip that reduction.  For M
+invertible such a map is a ring automorphism, so a factor divides the
+image of the numerator exactly when it divided the numerator, and a
+reduced fraction maps to a reduced one.  Every caller passes a
+Weyl-group or identity matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 
 from .errors import PoleError
-from .linalg import unimodular_completion
+from .linalg import mat_det, unimodular_completion
 from .rootdata import LatticePair, WeylElement
 from .scalars import (
     _P,
@@ -107,7 +113,8 @@ class TorusFraction:
             if not c.is_zero():
                 clean[_xkey(x)] = c
         self.num = clean
-        self.factors = tuple(sorted(factors))
+        # zero has no poles, whatever the factors were
+        self.factors = tuple(sorted(factors)) if clean else ()
         if reduce and self.factors:
             self._reduce()
 
@@ -205,7 +212,7 @@ class TorusFraction:
         """
         factors = list(self.factors)
         changed = True
-        while changed and self.num and factors:
+        while changed and factors:
             changed = False
             distinct = sorted(set(factors))
             grid = lcm(
@@ -225,8 +232,6 @@ class TorusFraction:
                     factors.remove(f)
                     changed = True
                     break
-        if not self.num:
-            factors = []
         self.factors = tuple(sorted(factors))
 
     # -- arithmetic -----------------------------------------------------------------
@@ -288,9 +293,24 @@ class TorusFraction:
     # -- substitutions -----------------------------------------------------------
 
     def substitute(self, mat, phi) -> TorusFraction:
-        """Apply e^x -> q^{phi.x} e^{M x} (M integral, phi a covector)."""
+        """Apply e^x -> q^{phi.x} e^{M x} (M integral and invertible, phi a
+        covector).
+
+        With M invertible this is a ring automorphism of the Laurent
+        polynomials with exponents in Q^n, and it sends each denominator
+        binomial to a unit times a binomial.  A factor therefore divides
+        the image of the numerator exactly when it divided the numerator,
+        so a reduced fraction maps to a reduced one and the result is built
+        without a second reduction.  Every caller passes a Weyl-group or an
+        identity matrix; a singular M raises ValueError.
+        """
         phi = _xkey(phi)
         n = self.pair.rank
+        ident = all(mat[i][k] == (i == k) for i in range(n) for k in range(n))
+        if ident and not any(phi):
+            return self  # fractions never change after construction
+        if not ident and mat_det(mat) == 0:
+            raise ValueError("substitution matrix must be invertible")
 
         def apply_mat(x) -> XKey:
             return tuple(
@@ -302,8 +322,9 @@ class TorusFraction:
 
         num = {}
         for x, c in self.num.items():
-            key = apply_mat(x)
-            coeff = c * Scalar.q(qform(x))
+            key = x if ident else apply_mat(x)
+            e = qform(x)
+            coeff = c * Scalar.q(e) if e else c
             num[key] = num[key] + coeff if key in num else coeff
         unit: dict[XKey, Scalar] = {_xkey((0,) * n): Scalar.one()}
         factors = []
@@ -311,26 +332,36 @@ class TorusFraction:
             beta, c = f[0], _factor_value(f)
             new_beta = tuple(int(v) for v in apply_mat(beta))
             shift = qform(beta)
-            # e^beta - c  ->  q^shift (e^{M beta} - q^{-shift} c)
-            unit = _num_scale(unit, Scalar.q(-shift))
-            nf = _make_factor(new_beta, c * Scalar.q(-shift))
-            nf, unit = _canonicalize_factor(nf, unit, n)
+            if shift:
+                # e^beta - c  ->  q^shift (e^{M beta} - q^{-shift} c)
+                unit = _num_scale(unit, Scalar.q(-shift))
+                c = c * Scalar.q(-shift)
+            nf, unit = _canonicalize_factor(_make_factor(new_beta, c), unit, n)
             factors.append(nf)
-        return TorusFraction(self.pair, _num_mul(num, unit), tuple(factors))
+        return TorusFraction(
+            self.pair, _num_mul(num, unit), tuple(factors), reduce=False
+        )
+
+    def transport(self, w: WeylElement, mu) -> TorusFraction:
+        """Move the fraction left through D^mu [w]: the plain action
+        e^x -> e^{wx} followed by the shift e^x -> q^{2<x,mu>} e^x, done as
+        one substitution with the covector M_w^T phi_mu."""
+        pair = self.pair
+        n = pair.rank
+        mat = pair.x_matrix(w)
+        phi_mu = [
+            2 * sum(pair.pairing[i][j] * mu[j] for j in range(n)) for i in range(n)
+        ]
+        phi = tuple(sum(mat[i][k] * phi_mu[i] for i in range(n)) for k in range(n))
+        return self.substitute(mat, phi)
 
     def weyl_act(self, w: WeylElement) -> TorusFraction:
         """The plain action e^x -> e^{wx}."""
-        return self.substitute(self.pair.x_matrix(w), (0,) * self.pair.rank)
+        return self.transport(w, (0,) * self.pair.rank)
 
     def shift_mu(self, mu) -> TorusFraction:
         """Conjugation by the translation mu: e^x -> q^{2<x,mu>} e^x."""
-        n = self.pair.rank
-        phi = tuple(
-            2 * sum(self.pair.pairing[i][j] * mu[j] for j in range(n))
-            for i in range(n)
-        )
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return self.substitute(ident, phi)
+        return self.transport(self.pair.system.identity, mu)
 
     # -- evaluation and residues ------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Tests for the command-line front end (plumbing only; algebra lives below)."""
 
+import hashlib
 import json
 from fractions import Fraction as Q
 
@@ -302,6 +303,37 @@ def test_suite_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QTORUS_SEED", "9")
     code2, from_env, _ = run(capsys, "suite", "--checks", "isotropy-d4", "--json")
     assert code == code2 == 0 and flagged == from_env
+
+
+# -- byte-identical documents -----------------------------------------------------
+
+# sha256 of stdout, recorded before operator coefficients were moved by a
+# single non-reducing substitution; a change of algorithm must not move a byte
+PINNED_DOCUMENTS = {
+    "daha-op-a1": (
+        ("daha", "op", "--json", "--root-system", "A1", "--v", "1", "--word", "T0 T1 T0"),
+        "3460f00adb3a8c61e3486cfdcda2f6daf78919c67008894ea2cdf0b08ed283f7",
+    ),
+    "daha-op-a1-weight": (
+        (
+            "daha", "op", "--json", "--root-system", "A1", "--lattice", "weight",
+            "--v", "1/2", "--word", "T0 T1",
+        ),
+        "303f725df732c8712d781945def32fea2a9f43e2929340e3c4636f6f9ea57c73",
+    ),
+    "spherical-e-a1-symbolic": (
+        ("spherical", "e", "--json", "--root-system", "A1", "--v", "symbolic"),
+        "4f893b7aa9b842f184f3b83405d34a0be0d0eea82b22affa2f45e29c24758080",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DOCUMENTS))
+def test_json_documents_are_byte_identical(capsys, name):
+    argv, digest = PINNED_DOCUMENTS[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- error paths -------------------------------------------------------------------

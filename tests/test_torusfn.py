@@ -100,6 +100,11 @@ def test_substitute_composes():
     # combined map: matrix m1 m2, covector phi2 + m2^T phi1
     combined = f.substitute(((-1,),), (2 + Q(1, 2),))
     assert once == combined
+    # a singular matrix is no automorphism: the result could keep a factor
+    # that divides its numerator
+    g = TorusFraction.ratio(A2, {(1, 0): 1, (0, 0): -1}, [((1, 1), 1)])
+    with pytest.raises(ValueError, match="invertible"):
+        g.substitute(((1, 0), (0, 0)), (0, 0))
 
 
 def test_half_lattice_display_form():
@@ -197,6 +202,15 @@ def test_pole_list_and_json():
     assert len(data["den"]) == 2 and data["num"]
 
 
+def test_zero_fraction_has_no_poles():
+    f = TorusFraction.ratio(A1, {(0,): 1}, [((1,), Scalar.q(2))])
+    zero = f.scale(Scalar.zero())
+    assert zero.is_zero() and zero.is_polynomial()
+    assert zero.pole_list() == [] and zero.to_json()["den"] == []
+    unreduced = TorusFraction(A1, {(1,): Scalar.zero()}, f.factors, reduce=False)
+    assert unreduced.pole_list() == []
+
+
 # -- the modular screen in front of factor cancellation ---------------------------
 
 
@@ -227,6 +241,11 @@ PAIRS = {
     1: (A1, [(1,), (2,), (3,)]),
     2: (A2, [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (0, 2)]),
 }
+# the same directions on the weight lattice, whose Weyl matrices differ
+WEIGHT_PAIRS = {
+    n: (LatticePair(pair.system, "weight"), betas)
+    for n, (pair, betas) in PAIRS.items()
+}
 # fractional q-exponents with denominators 2 and 3 (grid 6), negative
 # exponents and symbolic v
 _qexps = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -255,10 +274,11 @@ _monomials = st.builds(
 
 
 @st.composite
-def fractions_to_reduce(draw):
+def fractions_to_reduce(draw, lattices=(PAIRS,)):
     """(pair, numerator, factors): a random numerator times a random subset
     of the factors, over half-lattice exponents."""
-    pair, betas = PAIRS[draw(st.sampled_from([1, 2]))]
+    lattice = draw(st.sampled_from(lattices))
+    pair, betas = lattice[draw(st.sampled_from([1, 2]))]
     xs = st.tuples(
         *[st.fractions(min_value=-2, max_value=2, max_denominator=2)] * pair.rank
     )
@@ -405,3 +425,63 @@ def test_substitution_and_evaluation_store_ints_when_integral(case, other, data)
     for got, expected in results:
         assert_stored_normalized(got)
         assert got == expected
+
+
+# -- transport: one non-reducing substitution --------------------------------------
+
+
+def reference_substitute(f: TorusFraction, mat, phi) -> TorusFraction:
+    """The substitution e^x -> q^{phi.x} e^{M x} with a reducing rebuild."""
+    n = f.pair.rank
+    num = {}
+    for x, c in f.num.items():
+        key = tuple(sum(mat[i][k] * x[k] for k in range(n)) for i in range(n))
+        coeff = c * Scalar.q(sum(p * v for p, v in zip(phi, x)))
+        num[key] = num[key] + coeff if key in num else coeff
+    unit = {(0,) * n: Scalar.one()}
+    factors = []
+    for beta, key, coeff in f.factors:
+        c = Scalar.monomial(qexp=key[0], texp=key[1], vexp=key[2], coeff=coeff)
+        new_beta = tuple(
+            int(sum(mat[i][k] * beta[k] for k in range(n))) for i in range(n)
+        )
+        shift = sum(p * v for p, v in zip(phi, beta))
+        unit = torusfn._num_scale(unit, Scalar.q(-shift))
+        nf = _make_factor(new_beta, c * Scalar.q(-shift))
+        nf, unit = torusfn._canonicalize_factor(nf, unit, n)
+        factors.append(nf)
+    return TorusFraction(f.pair, _num_mul(num, unit), tuple(factors))
+
+
+def reference_transport(f: TorusFraction, w, mu) -> TorusFraction:
+    """The plain Weyl action, then the shift by mu, each reducing."""
+    pair, n = f.pair, f.pair.rank
+    moved = reference_substitute(f, pair.x_matrix(w), (0,) * n)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    phi = tuple(
+        2 * sum(pair.pairing[i][j] * mu[j] for j in range(n)) for i in range(n)
+    )
+    return reference_substitute(moved, ident, phi)
+
+
+@_screen_settings
+@given(fractions_to_reduce(lattices=(PAIRS, WEIGHT_PAIRS)), st.data())
+def test_transport_matches_the_reducing_two_step_path(case, data):
+    pair, num, factors = case
+    f = TorusFraction(pair, num, factors)
+    n = pair.rank
+    w = pair.system.element_by_word(
+        data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    )
+    mu = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
+    got = f.transport(w, mu)
+    expected = reference_transport(f, w, mu)
+    assert got.factors == expected.factors
+    assert stored(got.num) == stored(expected.num)
+    # the substitution is an automorphism: reducing again cancels nothing
+    rebuilt = TorusFraction(pair, got.num, got.factors)
+    assert rebuilt.factors == got.factors
+    assert stored(rebuilt.num) == stored(got.num)
+    same = f.transport(pair.system.identity, (0,) * n)
+    assert same == f
+    assert same.factors == f.factors and stored(same.num) == stored(f.num)
