@@ -623,110 +623,6 @@ def character_table(group: PermGroup) -> CharacterTable:
     return table
 
 
-# -- semidirect structure -----------------------------------------------------
-
-
-class SemidirectStructure:
-    """Transversal of a normal subgroup, with a complement when one is found."""
-
-    __slots__ = ("split", "complement", "transversal", "quotient_order")
-
-    def __init__(self, split, complement, transversal, quotient_order):
-        self.split = split
-        self.complement = complement
-        self.transversal = transversal
-        self.quotient_order = quotient_order
-
-    def to_json(self) -> dict:
-        return {
-            "split": self.split,
-            "quotient_order": self.quotient_order,
-            "complement": None
-            if self.complement is None
-            else [list(x) for x in self.complement],
-        }
-
-
-def _closure_bounded(degree, gens, limit):
-    """Closure of the generators, or None once it exceeds the limit."""
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _compose(g, x)
-                if y not in seen:
-                    if len(seen) >= limit:
-                        return None
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
-def semidirect_structure(
-    group: PermGroup, normal: PermGroup, complement_hint=None
-) -> SemidirectStructure:
-    """Complement search for a normal subgroup, splitting the extension.
-
-    A supplied hint (for instance the positivity-preserving transversal
-    of a component group) is verified directly.  Otherwise candidate
-    complements generated by up to three elements of order dividing the
-    index are tried exhaustively, which settles every index up to 8.
-    """
-    check_normal(group, normal)
-    index = group.order // normal.order
-    reps = coset_representatives(group, normal)
-    nset = set(normal.elements)
-
-    def as_complement(candidate) -> tuple | None:
-        if candidate is None or len(candidate) != index:
-            return None
-        cset = set(candidate)
-        if len(cset & nset) != 1 or group.identity not in cset:
-            return None
-        if any(x not in group.index for x in cset):
-            return None
-        if any(_compose(a, b) not in cset for a in cset for b in cset):
-            return None
-        return tuple(sorted(cset))
-
-    if complement_hint is not None:
-        comp = as_complement([tuple(x) for x in complement_hint])
-        if comp is not None:
-            return SemidirectStructure(True, comp, comp, index)
-    if index == 1:
-        ident = (group.identity,)
-        return SemidirectStructure(True, ident, ident, index)
-
-    candidates = [
-        x
-        for x in group.elements
-        if x != group.identity and index % _perm_order(x) == 0
-    ]
-    for size in (1, 2, 3):
-        if size > 1 and len(candidates) ** size > 400_000:
-            break
-        for combo in _tuples(candidates, size):
-            closure = _closure_bounded(group.degree, combo, index)
-            comp = as_complement(closure)
-            if comp is not None:
-                return SemidirectStructure(True, comp, comp, index)
-    return SemidirectStructure(False, None, tuple(reps), index)
-
-
-def _tuples(pool, size):
-    if size == 1:
-        for x in pool:
-            yield (x,)
-    else:
-        for i, x in enumerate(pool):
-            for rest in _tuples(pool[i + 1 :], size - 1):
-                yield (x,) + rest
-
-
 # -- Clifford orbits and counting ---------------------------------------------
 
 

@@ -25,8 +25,6 @@ vanishing"; the exact ranges are documented in the README).
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-
 from .errors import PoleError
 from .rootdata import LatticePair, RootSystem, WeylElement
 from .scalars import Scalar, _as_scalar
@@ -38,28 +36,6 @@ def default_pair(system) -> LatticePair:
     if isinstance(system, str):
         system = RootSystem(system)
     return LatticePair(system, "adjoint")
-
-
-class Divisor:
-    """The locus e^alpha = tau inside the character torus."""
-
-    __slots__ = ("alpha", "tau")
-
-    def __init__(self, alpha, tau):
-        self.alpha = tuple(int(a) for a in alpha)
-        self.tau = _as_scalar(tau)
-        if not any(self.alpha):
-            raise ValueError("divisor direction must be nonzero")
-        if self.tau.is_zero():
-            raise ValueError("divisor value must be nonzero")
-
-    def __repr__(self) -> str:
-        return f"Divisor(e^{list(self.alpha)} = {self.tau})"
-
-
-def residue_at(f: TorusFraction, d: Divisor) -> TorusFraction:
-    """Residue of f along the divisor (zero when f is regular there)."""
-    return f.residue(d.alpha, d.tau)
 
 
 class DiffRefOperator:
@@ -304,42 +280,6 @@ def relations_report(pair: LatticePair, v=None) -> dict:
     }
 
 
-# -- translation bookkeeping ---------------------------------------------------
-
-
-def affine_to_finite(pair: LatticePair, coeffs: dict) -> DiffRefOperator:
-    """Rewrite sum f_{(mu, w)} [mu . w] with [mu . w] = D^mu [w]."""
-    terms: dict = {}
-    for (mu, w), f in coeffs.items():
-        key = (w, tuple(int(m) for m in mu))
-        terms[key] = terms[key] + f if key in terms else f
-    return DiffRefOperator(pair, terms)
-
-
-def finite_to_affine(op: DiffRefOperator) -> dict:
-    """Inverse of affine_to_finite."""
-    return {(mu, w): h for (w, mu), h in op.terms.items()}
-
-
-def affine_reflection(pair: LatticePair, root, k: int):
-    """The reflection for the affine root (root, k) as a pair (mu, w):
-    s_{(alpha, k)} = translation by k alpha_coroot times s_alpha."""
-    system = pair.system
-    root = tuple(int(r) for r in root)
-    if not system.is_root(root):
-        raise ValueError("not a root")
-    coroot = system.coroot_of(root)
-    mu = tuple(int(k) * m for m in pair.coroot_to_y(coroot))
-    return (mu, system.reflection(root))
-
-
-def affine_mul(pair: LatticePair, a, b):
-    """Product in the extended affine group: (mu1, w1)(mu2, w2) =
-    (mu1 + w1 mu2, w1 w2)."""
-    (m1, w1), (m2, w2) = a, b
-    return (tuple(p + q for p, q in zip(m1, pair.act_y(w1, m2))), w1 * w2)
-
-
 # -- membership test -------------------------------------------------------------
 
 
@@ -478,46 +418,3 @@ def check_membership(op: DiffRefOperator) -> dict:
                     )
     return {"ok": not violations, "violations": violations}
 
-
-# -- rank-one fractional-weight module ----------------------------------------
-
-
-def mfrac_cocycle(pair: LatticePair, node: int) -> TorusFraction:
-    """The factor (q^{-1} e^{a/2} - q e^{-a/2}) / (q^{-1} e^{-a/2} - q e^{a/2})
-    for a = alpha_node, with e^{alpha_0 / 2} = q e^{-theta/2}."""
-    q = Scalar.q()
-    qi = q.inverse()
-    if node == 0:
-        half = tuple(Q(a, 2) for a in pair.theta_x())
-        neg = tuple(-x for x in half)
-        # e^{alpha_0/2} = q e^{-theta/2}
-        num = {neg: Scalar.one(), half: Scalar.const(-1)}
-        den = {half: qi * qi, neg: -(q * q)}
-        return TorusFraction.from_two_term_den(pair, num, den)
-    alpha = pair.simple_root_x(node - 1)
-    half = tuple(Q(a, 2) for a in alpha)
-    neg = tuple(-x for x in half)
-    num = {half: qi, neg: -q}
-    den = {neg: qi, half: -q}
-    return TorusFraction.from_two_term_den(pair, num, den)
-
-
-def mfrac_weyl_act(pair: LatticePair, node: int, f: TorusFraction) -> TorusFraction:
-    """The affine Weyl substitution: finite nodes act by s_i; node 0 by
-    e^x -> q^{2<x,theta_coroot>} e^{s_theta x}."""
-    system = pair.system
-    if node == 0:
-        mat = pair.x_matrix(system.reflection(system.highest_root))
-        theta_y = pair.theta_coroot_y()
-        n = pair.rank
-        phi = tuple(
-            2 * sum(Q(pair.pairing[i][j]) * Q(theta_y[j]) for j in range(n))
-            for i in range(n)
-        )
-        return f.substitute(mat, phi)
-    return f.weyl_act(system.simple_reflection(node - 1))
-
-
-def mfrac_act(pair: LatticePair, node: int, f: TorusFraction) -> TorusFraction:
-    """The twisted reflection action on the rank-one module: f |-> s_i(f) c_i."""
-    return mfrac_weyl_act(pair, node, f) * mfrac_cocycle(pair, node)

@@ -40,10 +40,6 @@ def mat_vec(a: Sequence[Sequence[Q]], v: Sequence[Q]) -> list[Q]:
     return [sum((row[k] * v[k] for k in range(len(v))), Q(0)) for row in a]
 
 
-def transpose(a: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def mat_det(a: Sequence[Sequence[Q]]) -> Q:
     """Determinant by fraction elimination."""
     n = len(a)
@@ -151,26 +147,6 @@ def nullspace(
             vec[pcol] = zero - prow[f]
         basis.append(vec)
     return basis
-
-
-def solve_general(
-    rows: list[list],
-    rhs: list,
-    zero,
-    is_zero: Callable = lambda x: x == 0,
-) -> list | None:
-    """One solution of rows·x = rhs, or None if inconsistent."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = row_echelon(aug, is_zero)
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for prow, pcol in zip(rref, pivots):
-        x[pcol] = prow[-1]
-    return x
 
 
 # -- unimodular completion --------------------------------------------------

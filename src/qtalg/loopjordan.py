@@ -38,7 +38,7 @@ from itertools import permutations
 
 from .errors import NormalFormError
 from .linalg import is_integral, mat_solve, rank
-from .mlambda import Character, IsotropyGroup, isotropy_group
+from .mlambda import Character, isotropy_group
 from .rootdata import LatticePair, RootSystem, WeylElement
 from .scalars import QPower, Scalar, _as_scalar
 

@@ -273,10 +273,6 @@ class HWElement:
         return " + ".join(f"[{f!r}]*{w!r}" for w, f in self.terms.items())
 
 
-def hw_mul(a: HWElement, b: HWElement) -> HWElement:
-    return a * b
-
-
 def w_project_invariants(elem: TorusElement) -> TorusElement:
     """Average of the Weyl orbit: (1/|W|) sum_w w.elem."""
     torus = elem.torus
@@ -307,12 +303,14 @@ class Witness:
 
     For h = sum_i c_i e^{v_i} and the conjugates u_k = e^{kv} h e^{-kv}
     (k = 0..s-1), row j of ``rows`` gives scalars a_k with
-    sum_k a_k u_k = c_j e^{v_j}.
+    sum_k a_k u_k = c_j e^{v_j}.  Row j of ``cleared`` is the same row
+    with its common denominator pulled out: polynomial numerators and the
+    denominator they share.
     """
 
     __slots__ = ("element", "conjugator", "z_exponents", "rows", "verified", "_cleared")
 
-    def __init__(self, element, conjugator, z_exponents, rows, verified, cleared=None):
+    def __init__(self, element, conjugator, z_exponents, rows, verified, cleared):
         self.element = element
         self.conjugator = conjugator
         self.z_exponents = z_exponents
@@ -323,10 +321,9 @@ class Witness:
     def verify(self) -> bool:
         """Recompute the conjugates and re-multiply them against the rows.
 
-        When the denominator-cleared form of the rows is available the
-        comparison is made after multiplying both sides by the (nonzero)
-        row denominator, which keeps every coefficient polynomial small;
-        otherwise the sum is formed directly in the fraction field.
+        The comparison is made after multiplying both sides by the
+        (nonzero) row denominator, which keeps every coefficient
+        polynomial small.
         """
         h = self.element
         torus = h.torus
@@ -335,13 +332,9 @@ class Witness:
             h.conjugate_by_monomial(self.conjugator, k) for k in range(len(support))
         ]
         for j, v in enumerate(support):
-            if self._cleared is not None:
-                nums, den = self._cleared[j]
-                scalars = [Scalar(a) for a in nums]
-                target = torus.monomial(v, h.terms[v] * Scalar(den))
-            else:
-                scalars = self.rows[j]
-                target = torus.monomial(v, h.terms[v])
+            nums, den = self._cleared[j]
+            scalars = [Scalar(a) for a in nums]
+            target = torus.monomial(v, h.terms[v] * Scalar(den))
             acc = torus.zero()
             for a, u in zip(scalars, conjugates):
                 acc = acc + u.scale(a)

@@ -206,9 +206,6 @@ class RootSystem:
     def coroot_of(self, root) -> Coords:
         return self._coroot_of[tuple(root)]
 
-    def is_root(self, coords) -> bool:
-        return tuple(coords) in self._coroot_of
-
     def is_positive_root(self, coords) -> bool:
         c = tuple(coords)
         return c in self._coroot_of and min(c) >= 0

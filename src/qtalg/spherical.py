@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .daha import DiffRefOperator, dl_operator
 from .rootdata import LatticePair, RootSystem, WeylElement
-from .scalars import LaurentPoly, Scalar, _as_scalar
+from .scalars import Scalar, _as_scalar
 from .torusfn import TorusFraction
 
 _T = "T"
@@ -210,35 +210,12 @@ def poincare_sum(system: RootSystem, ratio: Scalar) -> Scalar:
 def _word_weights(system: RootSystem, v: Scalar, sign: bool) -> dict:
     """Idempotent coefficients per group element, sign=True for eps_v.
 
-    Denominators are cleared against the longest length L, so that every
-    coefficient shares one polynomial denominator: for e_v the weight of w
-    is y^{L-l(w)} / sum_u t^{l(u)} y^{L-l(u)}, for eps_v it is
-    (-1)^{l(w)} t^{L-l(w)} / sum_u y^{l(u)} t^{L-l(u)}.
+    The weight of w is y^{-l(w)} / W(t, v) for e_v and (-t)^{-l(w)} / c
+    for eps_v, with the normalizations of the module docstring.  Scalars
+    are stored in lowest terms, so one formula serves every v.  A
+    vanishing normalization raises ValueError; for e_v a vanishing y
+    raises first, when it is inverted.
     """
-    longest = system.longest_element.length
-    if v.den == LaurentPoly.one():
-        t_pos, t_neg = LaurentPoly.t(1), LaurentPoly.t(-1)
-        y = t_pos - v.num * (t_pos - t_neg)
-        norm = LaurentPoly.zero()
-        if sign:
-            for w in system.elements:
-                norm = norm + y**w.length * LaurentPoly.t(longest - w.length)
-        else:
-            for w in system.elements:
-                norm = norm + LaurentPoly.t(w.length) * y ** (longest - w.length)
-        if norm.is_zero():
-            raise ValueError(_NORM_ERROR[sign])
-        if sign:
-            return {
-                w: Scalar(
-                    LaurentPoly.t(longest - w.length).scale((-1) ** w.length),
-                    norm,
-                )
-                for w in system.elements
-            }
-        return {
-            w: Scalar(y ** (longest - w.length), norm) for w in system.elements
-        }
     y = deformed_y(v)
     if sign:
         norm = poincare_sum(system, y * Scalar.t().inverse())

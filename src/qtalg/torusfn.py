@@ -77,6 +77,13 @@ def _make_factor(beta, c: Scalar) -> Factor:
     return beta, key, coeff
 
 
+def _divisor_value(tau) -> Scalar:
+    tau = _as_scalar(tau)
+    if tau.is_zero():
+        raise ValueError("divisor value must be nonzero")
+    return tau
+
+
 def _beta_coordinate(beta: tuple[int, ...]):
     """Primitive part, content and the dual row functional of beta, via a
     cached unimodular completion of beta/content."""
@@ -387,9 +394,9 @@ class TorusFraction:
 
     def evaluate_at(self, alpha, tau) -> TorusFraction:
         """Substitute e^alpha = tau (alpha a primitive integer vector, tau a
-        monomial scalar).  Raises PoleError if a denominator factor
+        nonzero monomial scalar).  Raises PoleError if a denominator factor
         vanishes there."""
-        tau = _as_scalar(tau)
+        tau = _divisor_value(tau)
         alpha = tuple(int(a) for a in alpha)
         if not any(alpha):
             raise ValueError("evaluation direction must be nonzero")
@@ -426,16 +433,17 @@ class TorusFraction:
         return TorusFraction(self.pair, _num_mul(num, unit), tuple(factors))
 
     def pole_order(self, alpha, tau) -> int:
-        return len(self._matching_factors(tuple(int(a) for a in alpha), _as_scalar(tau)))
+        alpha = tuple(int(a) for a in alpha)
+        return len(self._matching_factors(alpha, _divisor_value(tau)))
 
     def residue(self, alpha, tau) -> TorusFraction:
         """Residue along e^alpha = tau: the value of (e^alpha - tau) * self
         on the divisor.  Zero if there is no pole; PoleError if the pole
         has order > 1.
 
-        alpha may have either orientation; tau must be a monomial.
+        alpha may have either orientation; tau must be a nonzero monomial.
         """
-        tau = _as_scalar(tau)
+        tau = _divisor_value(tau)
         alpha = tuple(int(a) for a in alpha)
         first = next((a for a in alpha if a), None)
         if first is None:

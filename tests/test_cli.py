@@ -325,6 +325,17 @@ PINNED_DOCUMENTS = {
         ("spherical", "e", "--json", "--root-system", "A1", "--v", "symbolic"),
         "4f893b7aa9b842f184f3b83405d34a0be0d0eea82b22affa2f45e29c24758080",
     ),
+    "spherical-e-a2-symbolic": (
+        ("spherical", "e", "--json", "--root-system", "A2", "--v", "symbolic"),
+        "93fc8c765a886c2726c5b73d26238a7f989117196996e56ddc86be1280e16f00",
+    ),
+    "qtorus-witness-random": (
+        (
+            "qtorus", "witness", "--json", "--pairing", "[[1,0],[0,1]]",
+            "--random", "25", "--seed", "5",
+        ),
+        "dd1e7102ee1a54635baea7a5eea12fbe4a87023b20a64b937bdbe5c565f3a4a6",
+    ),
 }
 
 

@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from qtalg.clifford import (
-    CharacterTable,
     Cyc,
     PermGroup,
     character_table,
@@ -16,7 +15,6 @@ from qtalg.clifford import (
     coset_representatives,
     cyclotomic_poly,
     quotient_group,
-    semidirect_structure,
     weyl_permutation_group,
 )
 from qtalg.errors import EnumerationBoundError
@@ -197,37 +195,6 @@ def test_character_table_weyl_d4():
 def test_character_table_is_cached():
     g = s3()
     assert character_table(g) is character_table(g)
-
-
-# -- semidirect structure -----------------------------------------------------
-
-
-def test_semidirect_trivial_quotient():
-    g = s3()
-    out = semidirect_structure(g, g)
-    assert out.split and out.complement == (g.identity,)
-
-
-def test_semidirect_s3_over_c3_finds_c2():
-    out = semidirect_structure(s3(), c3())
-    assert out.split and out.quotient_order == 2
-    assert len(out.complement) == 2
-
-
-def test_semidirect_quaternion_is_non_split():
-    q8, c4 = quaternion_pair()
-    out = semidirect_structure(q8, c4)
-    assert not out.split
-    assert out.complement is None
-    assert out.quotient_order == 2
-    assert len(out.transversal) == 2
-
-
-def test_semidirect_accepts_a_valid_hint():
-    g, n = s3(), c3()
-    hint = [g.identity, (1, 0, 2)]
-    out = semidirect_structure(g, n, complement_hint=hint)
-    assert out.split and set(out.complement) == set(hint)
 
 
 # -- Clifford orbits and counting ----------------------------------------------

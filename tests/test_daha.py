@@ -1,7 +1,6 @@
 """Tests for difference-reflection operators, relations and membership."""
 
 import random
-from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
@@ -9,22 +8,13 @@ from hypothesis import strategies as st
 
 from qtalg.daha import (
     DiffRefOperator,
-    Divisor,
-    affine_mul,
-    affine_reflection,
-    affine_to_finite,
     check_braid,
     check_membership,
     check_quadratic,
     default_pair,
     dl_operator,
-    finite_to_affine,
-    mfrac_act,
-    mfrac_cocycle,
-    mfrac_weyl_act,
     node_reflection,
     relations_report,
-    residue_at,
 )
 from qtalg.errors import PoleError
 from qtalg.scalars import Scalar
@@ -191,21 +181,21 @@ def test_operator_equality_matches_pointwise_action():
 
 def test_residue_simple_pole():
     f = frac(A1, {(0,): Scalar.one()}, [((1,), Scalar.one())])
-    assert residue_at(f, Divisor((1,), 1)) == TorusFraction.one(A1)
-    assert residue_at(f, Divisor((1,), T**2)).is_zero()
+    assert f.residue((1,), 1) == TorusFraction.one(A1)
+    assert f.residue((1,), T**2).is_zero()
 
 
 def test_residue_restricts_transverse_factors():
     dens = [((1, 0), Scalar.one()), ((0, 1), QV**2)]
     f = frac(A2, {(0, 0): Scalar.one()}, dens)
     expected = frac(A2, {(0, 0): Scalar.one()}, [((0, 1), QV**2)])
-    assert residue_at(f, Divisor((1, 0), 1)) == expected
+    assert f.residue((1, 0), 1) == expected
 
 
 def test_residue_rejects_double_pole():
     f = frac(A1, {(0,): Scalar.one()}, [((1,), Scalar.one()), ((1,), Scalar.one())])
     with pytest.raises(PoleError):
-        residue_at(f, Divisor((1,), 1))
+        f.residue((1,), 1)
 
 
 # -- membership ----------------------------------------------------------------
@@ -262,42 +252,7 @@ def test_membership_residue_cancellation_is_exact():
     assert (r_e + r_s).is_zero()
 
 
-# -- affine bookkeeping ----------------------------------------------------------
-
-
-def test_affine_round_trip():
-    op = dl_operator(A2, 0, 1) * dl_operator(A2, 1, 1)
-    coeffs = finite_to_affine(op)
-    assert affine_to_finite(A2, coeffs) == op
-
-
-def test_translations_only():
-    f = {((1, 0), A2.system.identity): TorusFraction.one(A2)}
-    op = affine_to_finite(A2, f)
-    assert op == DiffRefOperator.shift_op(A2, (1, 0))
-
-
-def test_affine_reflection_is_involution():
-    alpha = A1.system.highest_root
-    refl = affine_reflection(A1, alpha, 1)
-    assert refl == ((2,), A1.system.simple_reflection(0))
-    square = affine_mul(A1, refl, refl)
-    assert square == ((0,), A1.system.identity)
-
-
-def test_affine_reflection_product_bookkeeping():
-    # s_{(alpha,k)} (nu, w) = (k alpha_coroot + s_alpha nu, s_alpha w)
-    alpha = A2.system.highest_root
-    k = 2
-    refl = affine_reflection(A2, alpha, k)
-    s_alpha = A2.system.reflection(alpha)
-    coroot_y = A2.coroot_to_y(A2.system.coroot_of(alpha))
-    nu, w = (1, -1), A2.system.simple_reflection(1)
-    prod = affine_mul(A2, refl, (nu, w))
-    expected_mu = tuple(
-        k * c + m for c, m in zip(coroot_y, A2.act_y(s_alpha, nu))
-    )
-    assert prod == (expected_mu, s_alpha * w)
+# -- node zero ------------------------------------------------------------------
 
 
 def test_node_zero_reflection_squares_to_identity():
@@ -305,48 +260,16 @@ def test_node_zero_reflection_squares_to_identity():
     assert s0 * s0 == DiffRefOperator.identity(A2)
 
 
-# -- rank-one fractional module ---------------------------------------------------
-
-
-def test_mfrac_reflections_are_involutions():
-    f = TorusFraction.monomial(A2, (1, -1), T)
-    for node in (0, 1, 2):
-        assert mfrac_act(A2, node, mfrac_act(A2, node, f)) == f
-
-
-def test_mfrac_action_on_one_is_the_cocycle():
-    one = TorusFraction.one(A1)
-    assert mfrac_act(A1, 1, one) == mfrac_cocycle(A1, 1)
-
-
-def test_mfrac_cocycle_closed_form():
-    # the half-exponent ratio equals -q^{-2}(e^a - q^2)/(e^a - q^{-2})
-    c = mfrac_cocycle(A1, 1)
-    expected = frac(
-        A1,
-        {(1,): -(QV.inverse() ** 2), (0,): Scalar.one()},
-        [((1,), QV.inverse() ** 2)],
-    )
-    assert c == expected
-
-
-def test_mfrac_braid_relation():
-    f = TorusFraction.monomial(A2, (1, 0))
-
-    def act(nodes, g):
-        for n in reversed(nodes):
-            g = mfrac_act(A2, n, g)
-        return g
-
-    assert act([1, 2, 1], f) == act([2, 1, 2], f)
-    assert act([0, 1, 0], f) == act([1, 0, 1], f)
-
-
 def test_node_zero_substitution_matches_operator():
+    # [s_0] acts by e^x -> q^{2<x, theta_coroot>} e^{s_theta x}
     s0 = node_reflection(A2, 0)
+    system = A2.system
+    mat = A2.x_matrix(system.reflection(system.highest_root))
+    theta_y = A2.theta_coroot_y()
+    phi = tuple(2 * sum(p * c for p, c in zip(row, theta_y)) for row in A2.pairing)
     for mono in [(1, 0), (0, 1), (2, -1)]:
         f = TorusFraction.monomial(A2, mono)
-        assert s0.apply(f) == mfrac_weyl_act(A2, 0, f)
+        assert s0.apply(f) == f.substitute(mat, phi)
 
 
 # -- JSON -----------------------------------------------------------------------

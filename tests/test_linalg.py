@@ -17,8 +17,6 @@ from qtalg.linalg import (
     nullspace,
     rank,
     row_echelon,
-    solve_general,
-    transpose,
     unimodular_completion,
     xgcd,
 )
@@ -52,10 +50,6 @@ def test_solve(m, b):
     assert mat_vec(m, x) == b
 
 
-def test_transpose():
-    assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
-
-
 def test_rank_and_echelon():
     assert rank([[Q(1), Q(2)], [Q(2), Q(4)]]) == 1
     rref, pivots = row_echelon([[Q(0), Q(2)], [Q(3), Q(1)]])
@@ -81,13 +75,6 @@ def test_nullspace_over_scalar_field():
         for a, x in zip(row, basis[0]):
             acc = acc + a * x
         assert acc.is_zero()
-
-
-def test_solve_general():
-    sol = solve_general([[Q(1), Q(1)], [Q(2), Q(2)]], [Q(3), Q(6)], Q(0))
-    assert sol is not None
-    assert mat_vec([[Q(1), Q(1)], [Q(2), Q(2)]], sol) == [Q(3), Q(6)]
-    assert solve_general([[Q(1), Q(1)], [Q(2), Q(2)]], [Q(3), Q(7)], Q(0)) is None
 
 
 def test_is_integral():

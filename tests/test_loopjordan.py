@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qtalg.errors import NormalFormError
 from qtalg.loopjordan import (
-    ComponentWeyl,
     MatrixLoop,
     QNormalForm,
     ZPoly,

@@ -106,6 +106,15 @@ def test_e_v_idempotent_b2_numeric():
         assert e * e == e
 
 
+def test_idempotents_at_a_v_with_a_denominator():
+    v = T.inverse()
+    e = idempotent_e_v(A1, v)
+    assert e * e == e
+    assert check_absorption(A1, 1, v)
+    eps = idempotent_eps_v(A1, v)
+    assert eps * eps == eps
+
+
 def test_eps_v_idempotent_and_xi_image():
     eps = idempotent_eps_v(A1)
     assert eps * eps == eps

@@ -192,6 +192,15 @@ def test_residue_through_multiple_of_direction():
     assert res.as_scalar() == (Scalar.const(2) * Scalar.q(1)).inverse()
 
 
+@pytest.mark.parametrize("alpha", [(1,), (-1,)], ids=["alpha", "minus-alpha"])
+def test_zero_divisor_value_is_an_error(alpha):
+    # e^alpha = 0 is not a point of the torus, in either orientation
+    f = frac({(1,): 1}, [((1,), 1)])
+    for method in (f.evaluate_at, f.residue, f.pole_order):
+        with pytest.raises(ValueError, match="divisor value must be nonzero"):
+            method(alpha, 0)
+
+
 def test_pole_list_and_json():
     f = TorusFraction.ratio(
         A1, {(0,): 1}, [((1,), Scalar.q(2)), ((1,), 1)]
