@@ -101,18 +101,26 @@ class DiffRefOperator:
 
     def __mul__(self, other: DiffRefOperator) -> DiffRefOperator:
         """Composition, normal-ordered: coefficients move left through
-        D^mu and [w] by the substitution rules."""
-        terms: dict = {}
-        act_y = self.pair.act_y
+        D^mu and [w] by the substitution rules.
+
+        The term pairs are grouped by their key (w1 w2, m1 + w1 m2).  Each
+        group's partial products h1 * h2.transport(w1, m1) are formed
+        unreduced, one group at a time, and summed once over the lcm of
+        their denominators with one reduction (:meth:`TorusFraction.sum`)."""
+        pair = self.pair
+        groups: dict = {}
         for (w1, m1), h1 in self.terms.items():
             for (w2, m2), h2 in other.terms.items():
-                coeff = h1 * h2.transport(w1, m1)
                 key = (
                     w1 * w2,
-                    tuple(a + b for a, b in zip(m1, act_y(w1, m2))),
+                    tuple(a + b for a, b in zip(m1, pair.act_y(w1, m2))),
                 )
-                terms[key] = terms[key] + coeff if key in terms else coeff
-        return DiffRefOperator(self.pair, terms)
+                groups.setdefault(key, []).append((h1, h2, w1, m1))
+        terms = {}
+        for key, group in groups.items():
+            parts = [h1.mul_unreduced(h2.transport(w1, m1)) for h1, h2, w1, m1 in group]
+            terms[key] = TorusFraction.sum(pair, parts)
+        return DiffRefOperator(pair, terms)
 
     def __pow__(self, n: int) -> DiffRefOperator:
         if n < 0:
@@ -137,10 +145,8 @@ class DiffRefOperator:
     # -- action on functions ------------------------------------------------------
 
     def apply(self, f: TorusFraction) -> TorusFraction:
-        out = TorusFraction.zero(self.pair)
-        for (w, mu), h in self.terms.items():
-            out = out + h * f.transport(w, mu)
-        return out
+        parts = [h.mul_unreduced(f.transport(w, mu)) for (w, mu), h in self.terms.items()]
+        return TorusFraction.sum(self.pair, parts)
 
     # -- display and JSON ---------------------------------------------------------
 

@@ -27,10 +27,20 @@ invertible such a map is a ring automorphism, so a factor divides the
 image of the numerator exactly when it divided the numerator, and a
 reduced fraction maps to a reduced one.  Every caller passes a
 Weyl-group or identity matrix.
+
+Sums are reduced once.  :meth:`TorusFraction.sum` puts any number of
+fractions over the least common multiple of their factor multisets and
+reduces the result, and operator composition hands it partial products
+left unreduced (:meth:`TorusFraction.mul_unreduced`).  A binomial is
+only cancelled after an exact division, so one late reduction is exact.
+When no two stored directions are proportional, as for roots, the
+reduced denominator depends on the value alone, so it is also the form
+that reducing every product and partial sum would store.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as Q
 from math import gcd, lcm
 
@@ -192,13 +202,8 @@ class TorusFraction:
 
     def pole_list(self) -> list[tuple[tuple[int, ...], Scalar, int]]:
         """Distinct denominator binomials with multiplicities."""
-        out = []
-        seen: dict[Factor, int] = {}
-        for f in self.factors:
-            seen[f] = seen.get(f, 0) + 1
-        for f in sorted(seen):
-            out.append((f[0], _factor_value(f), seen[f]))
-        return out
+        counts = sorted(Counter(self.factors).items())
+        return [(f[0], _factor_value(f), m) for f, m in counts]
 
     # -- reduction ---------------------------------------------------------------
 
@@ -243,15 +248,35 @@ class TorusFraction:
 
     # -- arithmetic -----------------------------------------------------------------
 
+    @classmethod
+    def sum(cls, pair: LatticePair, parts) -> TorusFraction:
+        """The sum of the fractions in parts, reduced once.
+
+        The denominator is the least common multiple of the parts' factor
+        multisets.  Each numerator is multiplied by the binomials its own
+        denominator lacks, the numerators are added, and the result is
+        reduced.  Parts may be unreduced (see :meth:`mul_unreduced`): the
+        value is the same, and the one reduction cancels what it can.
+        """
+        parts = [p for p in parts if p.num]
+        owned = [Counter(p.factors) for p in parts]
+        lcm_factors: Counter = Counter()
+        for counts in owned:
+            lcm_factors |= counts
+        num: dict[XKey, Scalar] = {}
+        for p, counts in zip(parts, owned):
+            missing = lcm_factors - counts
+            terms = p.num
+            if missing:
+                terms = _num_mul(terms, _factors_poly(missing.elements(), pair.rank))
+            for x, c in terms.items():
+                num[x] = num[x] + c if x in num else c
+        return cls(pair, num, tuple(lcm_factors.elements()))
+
     def __add__(self, other: TorusFraction) -> TorusFraction:
         if not isinstance(other, TorusFraction):
             return NotImplemented
-        common, a_extra, b_extra = _split_multisets(self.factors, other.factors)
-        num = _num_add(
-            _num_mul(self.num, _factors_poly(b_extra, self.pair.rank)),
-            _num_mul(other.num, _factors_poly(a_extra, self.pair.rank)),
-        )
-        return TorusFraction(self.pair, num, common + a_extra + b_extra)
+        return TorusFraction.sum(self.pair, (self, other))
 
     def __neg__(self) -> TorusFraction:
         out = TorusFraction.__new__(TorusFraction)
@@ -269,6 +294,12 @@ class TorusFraction:
         return TorusFraction(
             self.pair, _num_mul(self.num, other.num), self.factors + other.factors
         )
+
+    def mul_unreduced(self, other: TorusFraction) -> TorusFraction:
+        """The product with the factor multisets concatenated and nothing
+        cancelled, for :meth:`sum` to reduce."""
+        num = _num_mul(self.num, other.num)
+        return TorusFraction(self.pair, num, self.factors + other.factors, False)
 
     def scale(self, c) -> TorusFraction:
         c = _as_scalar(c)
@@ -433,8 +464,11 @@ class TorusFraction:
         return TorusFraction(self.pair, _num_mul(num, unit), tuple(factors))
 
     def pole_order(self, alpha, tau) -> int:
+        tau = _divisor_value(tau)
         alpha = tuple(int(a) for a in alpha)
-        return len(self._matching_factors(alpha, _divisor_value(tau)))
+        if not any(alpha):
+            raise ValueError("pole direction must be nonzero")
+        return len(self._matching_factors(alpha, tau))
 
     def residue(self, alpha, tau) -> TorusFraction:
         """Residue along e^alpha = tau: the value of (e^alpha - tau) * self
@@ -513,20 +547,6 @@ class TorusFraction:
 # -- numerator-dict helpers -------------------------------------------------------
 
 
-def _num_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for x, c in b.items():
-        if x in out:
-            s = out[x] + c
-            if s.is_zero():
-                del out[x]
-            else:
-                out[x] = s
-        else:
-            out[x] = c
-    return out
-
-
 def _num_mul(a: dict, b: dict) -> dict:
     out: dict[XKey, Scalar] = {}
     for x, cx in a.items():
@@ -556,23 +576,6 @@ def _factors_poly(factors, rank: int) -> dict:
         binom = {_xkey(beta): Scalar.one(), _xkey((0,) * rank): -c}
         out = _num_mul(out, binom)
     return out
-
-
-def _split_multisets(a: tuple, b: tuple):
-    counts: dict[Factor, int] = {}
-    for f in a:
-        counts[f] = counts.get(f, 0) + 1
-    common, b_extra = [], []
-    for f in b:
-        if counts.get(f, 0) > 0:
-            counts[f] -= 1
-            common.append(f)
-        else:
-            b_extra.append(f)
-    a_extra = []
-    for f, m in counts.items():
-        a_extra.extend([f] * m)
-    return tuple(common), tuple(a_extra), tuple(b_extra)
 
 
 def _canonicalize_factor(f: Factor, unit: dict, rank: int):

@@ -321,6 +321,15 @@ PINNED_DOCUMENTS = {
         ),
         "303f725df732c8712d781945def32fea2a9f43e2929340e3c4636f6f9ea57c73",
     ),
+    # recorded before coefficients were summed once over an lcm denominator;
+    # its denominators run along the non-primitive roots (2,-2) and (0,2)
+    "daha-op-b2-weight-symbolic": (
+        (
+            "daha", "op", "--json", "--root-system", "B2", "--lattice", "weight",
+            "--v", "symbolic", "--word", "T0 T2 T1",
+        ),
+        "822b303d81d4e94d586ce3944b44729307d0c47cb3e3c021227473bb11b6fc8d",
+    ),
     "spherical-e-a1-symbolic": (
         ("spherical", "e", "--json", "--root-system", "A1", "--v", "symbolic"),
         "4f893b7aa9b842f184f3b83405d34a0be0d0eea82b22affa2f45e29c24758080",

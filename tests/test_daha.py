@@ -1,6 +1,7 @@
 """Tests for difference-reflection operators, relations and membership."""
 
 import random
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from qtalg.daha import (
     relations_report,
 )
 from qtalg.errors import PoleError
+from qtalg.rootdata import LatticePair, RootSystem
 from qtalg.scalars import Scalar
 from qtalg.torusfn import TorusFraction
 
@@ -174,6 +176,61 @@ def test_operator_equality_matches_pointwise_action():
         same_normal = a == b
         same_pointwise = all(a.apply(f) == b.apply(f) for f in monos)
         assert same_normal == same_pointwise
+
+
+# the lattices of the pinned operator documents and more: non-primitive root
+# directions on the weight lattices (A1 (2,), B2 (2,-2) and (0,2))
+FOLD_PAIRS = [
+    LatticePair(RootSystem(name), lattice)
+    for name, lattice in (
+        ("A1", "root"),
+        ("A1", "weight"),
+        ("B2", "root"),
+        ("B2", "weight"),
+        ("C2", "weight"),
+        ("G2", "root"),
+    )
+]
+
+
+def pairwise_product(a: DiffRefOperator, b: DiffRefOperator) -> DiffRefOperator:
+    """Composition as it was before the n-ary sum: each partial product
+    reduced, then added into its term one at a time.  A two-term
+    TorusFraction sum is that old pairwise addition (test_torusfn checks
+    it against a copy)."""
+    terms: dict = {}
+    for (w1, m1), h1 in a.terms.items():
+        for (w2, m2), h2 in b.terms.items():
+            coeff = h1 * h2.transport(w1, m1)
+            key = (w1 * w2, tuple(x + y for x, y in zip(m1, a.pair.act_y(w1, m2))))
+            terms[key] = terms[key] + coeff if key in terms else coeff
+    return DiffRefOperator(a.pair, terms)
+
+
+@given(
+    st.sampled_from(FOLD_PAIRS),
+    st.sampled_from([None, Q(1, 2)]),
+    st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_product_and_apply_store_the_pairwise_fold_form(pair, v, data):
+    word = data.draw(st.lists(st.integers(0, pair.rank), min_size=2, max_size=4))
+    gens = {node: dl_operator(pair, node, v) for node in set(word)}
+    got = ref = DiffRefOperator.identity(pair)
+    for node in word:
+        got, ref = got * gens[node], pairwise_product(ref, gens[node])
+    assert got.to_json() == ref.to_json()
+    # a half-lattice function with a pole along a root direction
+    half = tuple(Q(1, 2) * a for a in pair.theta_x())
+    zero = (0,) * pair.rank
+    root = data.draw(st.sampled_from(pair.positive_roots_x()))
+    f = TorusFraction.ratio(
+        pair, {half: Scalar.v(), zero: Scalar.one()}, [(root, Scalar.q(2))]
+    )
+    applied = TorusFraction.zero(pair)
+    for (w, mu), h in got.terms.items():
+        applied = applied + h * f.transport(w, mu)
+    assert got.apply(f).to_json() == applied.to_json()
 
 
 # -- residues ------------------------------------------------------------------

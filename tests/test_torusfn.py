@@ -10,7 +10,13 @@ from qtalg import torusfn
 from qtalg.errors import PoleError
 from qtalg.rootdata import LatticePair, RootSystem
 from qtalg.scalars import _P, _POINT, LaurentPoly, Scalar
-from qtalg.torusfn import TorusFraction, _divide_num, _make_factor, _num_mul
+from qtalg.torusfn import (
+    TorusFraction,
+    _divide_num,
+    _factors_poly,
+    _make_factor,
+    _num_mul,
+)
 
 A1 = LatticePair(RootSystem("A1"), "root")
 A1_ADJ = LatticePair(RootSystem("A1"), "adjoint")
@@ -199,6 +205,14 @@ def test_zero_divisor_value_is_an_error(alpha):
     for method in (f.evaluate_at, f.residue, f.pole_order):
         with pytest.raises(ValueError, match="divisor value must be nonzero"):
             method(alpha, 0)
+
+
+def test_zero_direction_is_an_error():
+    # f = e^a / (e^a - 1): a zero direction names no divisor
+    f = frac({(1,): 1}, [((1,), 1)])
+    for method in (f.evaluate_at, f.residue, f.pole_order):
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            method((0,), 1)
 
 
 def test_pole_list_and_json():
@@ -494,3 +508,127 @@ def test_transport_matches_the_reducing_two_step_path(case, data):
     same = f.transport(pair.system.identity, (0,) * n)
     assert same == f
     assert same.factors == f.factors and stored(same.num) == stored(f.num)
+
+
+# -- one n-ary sum over the lcm denominator ---------------------------------------
+
+
+def pairwise_add(a: TorusFraction, b: TorusFraction) -> TorusFraction:
+    """The two-term sum the n-ary one replaced: the lcm of the two factor
+    multisets, each numerator times the factors only the other has, one
+    reduction."""
+    counts: dict = {}
+    for f in a.factors:
+        counts[f] = counts.get(f, 0) + 1
+    common, b_extra = [], []
+    for f in b.factors:
+        if counts.get(f, 0) > 0:
+            counts[f] -= 1
+            common.append(f)
+        else:
+            b_extra.append(f)
+    a_extra = [f for f, m in counts.items() for _ in range(m)]
+    rank = a.pair.rank
+    num = _num_mul(a.num, _factors_poly(b_extra, rank))
+    for x, c in _num_mul(b.num, _factors_poly(a_extra, rank)).items():
+        num[x] = num[x] + c if x in num else c
+    return TorusFraction(a.pair, num, common + a_extra + b_extra)
+
+
+def pairwise_fold(parts) -> TorusFraction:
+    """The sum as operator products formed it before: each part reduced,
+    then added into the running total one at a time."""
+    reduced = [TorusFraction(p.pair, p.num, p.factors) for p in parts]
+    out = reduced[0]
+    for p in reduced[1:]:
+        out = pairwise_add(out, p)
+    return out
+
+
+def _oriented(beta) -> tuple[int, ...]:
+    beta = tuple(int(b) for b in beta)
+    return beta if next(b for b in beta if b) > 0 else tuple(-b for b in beta)
+
+
+# root directions, as operator coefficients have them: in a reduced root
+# system no two are proportional, and on the weight lattices some are not
+# primitive (A1 (2,), B2 (2,-2) and (0,2))
+ROOT_DIRECTIONS = [
+    (pair, sorted({_oriented(a) for a in pair.positive_roots_x()}))
+    for pair in (
+        A1,
+        LatticePair(RootSystem("A1"), "weight"),
+        A2,
+        LatticePair(RootSystem("B2"), "weight"),
+        LatticePair(RootSystem("G2"), "root"),
+    )
+]
+# factor values: random monomials (symbolic v, coefficient 1/2) and squares,
+# whose binomials split along a non-primitive direction
+_values = st.one_of(
+    _monomials,
+    st.sampled_from(
+        [Scalar.one(), Scalar.q(2), Scalar.t(2), Scalar.q(-2) * Scalar.t(2)]
+    ),
+)
+
+
+@st.composite
+def parts_to_sum(draw):
+    """(pair, parts): unreduced products of fractions over a shared pool of
+    root-direction factors with half-lattice numerators, and sometimes a last
+    part that cancels the sum down to another such fraction."""
+    pair, betas = draw(st.sampled_from(ROOT_DIRECTIONS))
+    zero = (0,) * pair.rank
+    xs = st.tuples(
+        *[st.fractions(min_value=-1, max_value=1, max_denominator=2)] * pair.rank
+    )
+    pool = [
+        _make_factor(draw(st.sampled_from(betas)), draw(_values))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+    def fraction() -> TorusFraction:
+        num = draw(st.dictionaries(xs, _scalars, min_size=1, max_size=2))
+        factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+        for f in factors:
+            if draw(st.booleans()):
+                c = torusfn._factor_value(f)
+                num = _num_mul(num, {f[0]: Scalar.one(), zero: -c})
+        return TorusFraction(pair, num, factors, reduce=False)
+
+    parts = [
+        fraction().mul_unreduced(fraction()) for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):
+        target = fraction()
+        parts.append(TorusFraction.sum(pair, [target] + [-p for p in parts]))
+    return pair, parts
+
+
+@_screen_settings
+@given(parts_to_sum(), st.randoms(use_true_random=False))
+def test_sum_stores_the_pairwise_fold_form(case, rng):
+    pair, parts = case
+    got = TorusFraction.sum(pair, parts)
+    assert got.to_json() == pairwise_fold(parts).to_json()
+    shuffled = list(parts)
+    rng.shuffle(shuffled)
+    assert TorusFraction.sum(pair, shuffled).to_json() == got.to_json()
+    a, b = (TorusFraction(pair, p.num, p.factors) for p in (parts * 2)[:2])
+    assert (a + b).to_json() == pairwise_add(a, b).to_json()
+
+
+def test_proportional_directions_make_the_fold_depend_on_order():
+    # e^{2a} - 1 = (e^a - 1)(e^a + 1): with both binomials stored, which one
+    # a reduction cancels depends on the factors it is given, so the
+    # pairwise fold's stored form depends on the order of the parts.  The
+    # n-ary sum sees one denominator whatever the order.
+    a = frac({(0,): 1}, [((2,), 1)])
+    b = frac({(2,): 1, (0,): -2}, [((2,), 1)])
+    c = frac({(0,): 1}, [((1,), 1)])
+    assert pairwise_fold([a, b, c]).factors != pairwise_fold([a, c, b]).factors
+    assert pairwise_fold([a, b, c]) == pairwise_fold([a, c, b])
+    orders = ([a, b, c], [c, b, a], [b, c, a])
+    forms = {str(TorusFraction.sum(A1, parts).to_json()) for parts in orders}
+    assert len(forms) == 1
