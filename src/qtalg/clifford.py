@@ -26,6 +26,7 @@ from fractions import Fraction as Q
 from math import gcd, isqrt, lcm
 
 from .errors import EnumerationBoundError
+from .linalg import Residue, mat_vec, nullspace, row_echelon
 
 
 # -- cyclotomic polynomials and numbers --------------------------------------
@@ -377,64 +378,6 @@ def _primitive_root(p: int) -> int:
     raise AssertionError("no primitive root found")
 
 
-def _kernel_mod(mat, p: int):
-    """Basis of the kernel of a square matrix over GF(p)."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if m[r][col] % p), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        m[row] = [(x * inv) % p for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] % p:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        vec = [0] * n
-        vec[free] = 1
-        for prow, pcol in zip(m, pivots):
-            vec[pcol] = (-prow[free]) % p
-        basis.append(vec)
-    return basis
-
-
-def _express(basis, targets, p: int):
-    """Coordinates of each target vector in the given independent basis."""
-    n = len(basis[0])
-    d = len(basis)
-    aug = [[basis[j][i] % p for j in range(d)] + [t[i] % p for t in targets]
-           for i in range(n)]
-    row = 0
-    pivots = []
-    for col in range(d):
-        piv = next((r for r in range(row, n) if aug[r][col]), None)
-        if piv is None:
-            raise AssertionError("basis vectors are dependent")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], p - 2, p)
-        aug[row] = [(x * inv) % p for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if any(x % p for x in aug[r][d:]):
-            raise AssertionError("target escapes the invariant subspace")
-    return [[aug[i][d + t] for i in range(d)] for t in range(len(targets))]
-
-
 class CharacterTable:
     """Exact character table: classes, cyclotomic rows, orthogonality."""
 
@@ -509,6 +452,7 @@ def character_table(group: PermGroup) -> CharacterTable:
     e = group.exponent()
     p = _dixon_prime(group.order, e)
 
+    zero, one = Residue(0, p), Residue(1, p)
     mats = []
     for i in range(r):
         mat = [[0] * r for _ in range(r)]
@@ -517,40 +461,40 @@ def character_table(group: PermGroup) -> CharacterTable:
             for x in classes[i][1]:
                 j = class_of[_compose(_invert(x), zk)]
                 mat[j][k] += 1
-        mats.append([[c % p for c in row] for row in mat])
+        mats.append([[Residue(c, p) for c in row] for row in mat])
 
-    spaces = [[[1 if i == j else 0 for i in range(r)] for j in range(r)]]
+    # split GF(p)^r into the joint eigenlines of the class sums
+    spaces = [[[one if i == j else zero for i in range(r)] for j in range(r)]]
     for mat in mats[1:]:
         if all(len(s) == 1 for s in spaces):
             break
         refined = []
         for basis in spaces:
-            if len(basis) == 1:
+            d = len(basis)
+            if d == 1:
                 refined.append(basis)
                 continue
-            images = [
-                [sum(mat[i][k] * vec[k] for k in range(r)) % p for i in range(r)]
-                for vec in basis
-            ]
-            x = _express(basis, images, p)
-            d = len(basis)
+            # coordinates of the images in the basis: the class sum on the
+            # invariant subspace, column j holding the image of basis[j]
+            images = [mat_vec(mat, vec) for vec in basis]
+            rref, pivots = row_echelon([list(col) for col in zip(*basis, *images)])
+            if pivots != list(range(d)):
+                raise AssertionError("class sum does not preserve its subspace")
+            action = [row[d:] for row in rref[:d]]
+            columns = list(zip(*basis))
             found = 0
             for t in range(p):
-                shifted = [
-                    [(x[j][i] - (t if i == j else 0)) % p for j in range(d)]
-                    for i in range(d)
-                ]
-                kern = _kernel_mod(shifted, p)
+                shift = Residue(t, p)
+                kern = nullspace(
+                    [
+                        [x - shift if i == j else x for j, x in enumerate(row)]
+                        for i, row in enumerate(action)
+                    ],
+                    zero,
+                    one,
+                )
                 if kern:
-                    refined.append(
-                        [
-                            [
-                                sum(kv[j] * basis[j][i] for j in range(d)) % p
-                                for i in range(r)
-                            ]
-                            for kv in kern
-                        ]
-                    )
+                    refined.append([mat_vec(columns, kv) for kv in kern])
                     found += len(kern)
                     if found == d:
                         break
@@ -560,10 +504,7 @@ def character_table(group: PermGroup) -> CharacterTable:
     if not all(len(s) == 1 for s in spaces):
         raise AssertionError("class algebra did not split into lines")
 
-    omegas = []
-    for (vec,) in spaces:
-        inv0 = pow(vec[0], p - 2, p)
-        omegas.append([(x * inv0) % p for x in vec])
+    omegas = [[(x / vec[0]).value for x in vec] for (vec,) in spaces]
 
     inv_class = [class_of[_invert(rep)] for rep in reps]
     rows_modp = []

@@ -1,12 +1,11 @@
 """Exact linear algebra.
 
-Dense matrices as lists of row lists.  Two tiers:
-
-* rational matrices (``fractions.Fraction`` entries) with inverse,
-  solve, determinant;
-* generic elimination that only uses ``-``, ``*``, ``/`` and a zero
-  test, usable over any exact field (rationals, ``Scalar``, GF(p)
-  wrappers).
+Dense matrices as lists of row lists.  One generic elimination,
+``row_echelon``, serves every field: it only uses ``-``, ``*``, ``/`` and
+a zero test, so rationals, ``Scalar`` and residues modulo a prime
+(``Residue``) all go through it.  Kernels, ranks, inverses and solves are
+built on it; products need only a ring.  The determinant is separate: it
+eliminates without normalizing pivots and is used on rational matrices.
 
 Plus a unimodular completion of a primitive integer vector, used to
 change coordinates so that a chosen lattice direction becomes the first
@@ -16,34 +15,34 @@ basis vector.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import reduce
+from operator import add, mul
 from typing import Callable, Sequence
-
-
-def _frac_rows(rows: Sequence[Sequence]) -> list[list[Q]]:
-    return [[Q(x) for x in row] for row in rows]
 
 
 def identity(n: int) -> list[list[Q]]:
     return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[Q]], b: Sequence[Sequence[Q]]) -> list[list[Q]]:
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    assert all(len(r) == mid for r in a), "inner dimensions must agree"
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(mid)), Q(0)) for j in range(cols)]
-        for i in range(rows)
-    ]
+def _dot(xs: Sequence, ys: Sequence):
+    """Sum of the products of two nonempty vectors over any ring."""
+    return reduce(add, map(mul, xs, ys))
 
 
-def mat_vec(a: Sequence[Sequence[Q]], v: Sequence[Q]) -> list[Q]:
-    return [sum((row[k] * v[k] for k in range(len(v))), Q(0)) for row in a]
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    assert all(len(r) == len(b) for r in a), "inner dimensions must agree"
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
+
+
+def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
+    return [_dot(row, v) for row in a]
 
 
 def mat_det(a: Sequence[Sequence[Q]]) -> Q:
     """Determinant by fraction elimination."""
     n = len(a)
-    m = _frac_rows(a)
+    m = [[Q(x) for x in row] for row in a]
     det = Q(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
@@ -64,20 +63,12 @@ def mat_det(a: Sequence[Sequence[Q]]) -> Q:
 def mat_inv(a: Sequence[Sequence[Q]]) -> list[list[Q]]:
     """Inverse of a square rational matrix; ValueError if singular."""
     n = len(a)
-    m = _frac_rows(a)
-    aug = [m[i] + identity(n)[i] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    ident = identity(n)
+    aug = [[Q(x) for x in row] + ident[i] for i, row in enumerate(a)]
+    rref, pivots = row_echelon(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in rref]
 
 
 def mat_solve(a: Sequence[Sequence[Q]], b: Sequence[Q]) -> list[Q]:
@@ -90,6 +81,41 @@ def is_integral(v: Sequence[Q]) -> bool:
 
 
 # -- generic elimination ---------------------------------------------------
+
+
+class Residue:
+    """Residue class of an integer modulo a prime p, a field element."""
+
+    __slots__ = ("value", "p")
+
+    def __init__(self, value: int, p: int):
+        self.value = value % p
+        self.p = p
+
+    def __add__(self, other: Residue) -> Residue:
+        return Residue(self.value + other.value, self.p)
+
+    def __sub__(self, other: Residue) -> Residue:
+        return Residue(self.value - other.value, self.p)
+
+    def __mul__(self, other: Residue) -> Residue:
+        return Residue(self.value * other.value, self.p)
+
+    def __truediv__(self, other: Residue) -> Residue:
+        return Residue(self.value * pow(other.value, -1, self.p), self.p)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            return self.value == other % self.p
+        if not isinstance(other, Residue):
+            return NotImplemented
+        return (self.value, self.p) == (other.value, other.p)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.p))
+
+    def __repr__(self) -> str:
+        return f"{self.value} mod {self.p}"
 
 
 def row_echelon(

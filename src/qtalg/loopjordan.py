@@ -37,7 +37,7 @@ from fractions import Fraction as Q
 from itertools import permutations
 
 from .errors import NormalFormError
-from .linalg import is_integral, mat_solve, rank
+from .linalg import mat_mul, rank
 from .mlambda import Character, isotropy_group
 from .rootdata import LatticePair, RootSystem, WeylElement
 from .scalars import QPower, Scalar, _as_scalar
@@ -763,19 +763,10 @@ def constants_equivalent(pair: LatticePair, s1, s2) -> TorusWitness:
     """Search W exhaustively and Y exactly for s2 = w(s1) * q^y."""
     lam1 = character_on_x(pair, tuple(_as_qpower(c) for c in s1))
     lam2 = character_on_x(pair, tuple(_as_qpower(c) for c in s2))
-    n = pair.rank
     for w in pair.system.elements:
-        moved = lam1.weyl_act(pair, w)
-        exps = []
-        for target, base in zip(lam2.values, moved.values):
-            e = (target / base).plain_q_exponent()
-            if e is None:
-                break
-            exps.append(e)
-        else:
-            y = mat_solve(pair.pairing, exps)
-            if is_integral(y):
-                return TorusWitness(True, w, y)
+        y = lam1.weyl_act(pair, w).q_shift_to(pair, lam2)
+        if y is not None:
+            return TorusWitness(True, w, y)
     return TorusWitness(False, None, None)
 
 
@@ -823,17 +814,6 @@ def diagonal_twist_match(d1, d2):
     return tuple(perm), tuple(shifts)
 
 
-def _scalar_mat_mul(a, b):
-    n = len(a)
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(n)), Scalar.zero())
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
 def _jordan_type(u) -> tuple[int, ...]:
     """Rank sequence of the powers of u - 1, a complete unipotent invariant."""
     n = len(u)
@@ -851,7 +831,7 @@ def _jordan_type(u) -> tuple[int, ...]:
         ranks.append(r)
         if r == 0:
             break
-        power = _scalar_mat_mul(power, nil)
+        power = mat_mul(power, nil)
     while len(ranks) < n:
         ranks.append(0)
     return tuple(ranks)

@@ -21,8 +21,6 @@ isotropy group carry the full Weyl action.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-
 from .errors import WindowOverflowError
 from .linalg import is_integral, mat_solve, nullspace
 from .qtorus import HWElement, TorusElement
@@ -75,6 +73,19 @@ class Character:
                 acc = acc * self.values[j] ** m[j][i]
             vals.append(acc)
         return Character(tuple(vals))
+
+    def q_shift_to(self, pair: LatticePair, other: Character) -> tuple[int, ...] | None:
+        """The y in Y with other = self * q^y, or None when there is none:
+        the coordinate ratios must be plain q-powers whose exponents d
+        solve <b_i, y> = d_i integrally."""
+        exps = []
+        for new, old in zip(other.values, self.values):
+            e = (new / old).plain_q_exponent()
+            if e is None:
+                return None
+            exps.append(e)
+        y = mat_solve(pair.pairing, exps)
+        return tuple(int(v) for v in y) if is_integral(y) else None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Character):
@@ -132,27 +143,13 @@ class IsotropyGroup:
 
 
 def isotropy_group(pair: LatticePair, lam: Character) -> IsotropyGroup:
-    """All w with w(lambda)/lambda in q^Y, found by exact coordinate
-    comparison: the ratios must be pure integer-free q-powers whose
-    exponent vector solves <b_i, y> = d_i integrally."""
-    system = pair.system
-    n = pair.rank
-    pairing = [[Q(x) for x in row] for row in pair.pairing]
+    """All w with w(lambda) = lambda * q^{y_w} for some y_w in Y, each
+    shift found exactly by ``Character.q_shift_to``."""
     shifts: dict[WeylElement, tuple[int, ...]] = {}
-    for w in system.elements:
-        moved = lam.weyl_act(pair, w)
-        exps = []
-        for new, old in zip(moved.values, lam.values):
-            ratio = new / old
-            if ratio.rot != 0 or ratio.mag != 1:
-                exps = None
-                break
-            exps.append(ratio.qexp)
-        if exps is None:
-            continue
-        y = mat_solve(pairing, exps)
-        if is_integral(y):
-            shifts[w] = tuple(int(v) for v in y)
+    for w in pair.system.elements:
+        y = lam.q_shift_to(pair, lam.weyl_act(pair, w))
+        if y is not None:
+            shifts[w] = y
     return IsotropyGroup(pair, shifts)
 
 

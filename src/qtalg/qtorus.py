@@ -371,7 +371,25 @@ def _elementary_symmetric(vals: list[LaurentPoly]) -> list[LaurentPoly]:
     return es
 
 
-def simplicity_witness(h: TorusElement, radii=(1, 2, 4, 8, 16)) -> Witness:
+def _separating_vector(torus: QuantumTorus, support) -> tuple:
+    """First v, in boxes of radius 1, 2, 4, 8, ..., whose values
+    -omega(v, u) on the support are distinct, with those values.
+
+    The search ends once no support difference d lies in the radical:
+    each omega(., d) is then a nonzero linear form, so along
+    v = (1, t, t^2, ...) it is a nonzero polynomial in t of degree below
+    dim, and some integer t keeps all of them from vanishing.
+    """
+    radius = 1
+    while True:
+        for v in _separating_vectors(torus, radius):
+            exps = [-torus.omega(v, u) for u in support]
+            if len(set(exps)) == len(support):
+                return v, exps
+        radius *= 2
+
+
+def simplicity_witness(h: TorusElement) -> Witness:
     """Find a monomial conjugator separating the support of h, then isolate
     each monomial of h from the conjugates u_k = e^{kv} h e^{-kv} by
     Lagrange interpolation at the nodes z_i = q^{-omega(v, v_i)}.
@@ -392,20 +410,7 @@ def simplicity_witness(h: TorusElement, radii=(1, 2, 4, 8, 16)) -> Witness:
                 raise DegenerateFormError(
                     f"support difference {d} lies in the radical of the skew form"
                 )
-    found = None
-    for radius in radii:
-        for v in _separating_vectors(torus, radius):
-            exps = [-torus.omega(v, u) for u in support]
-            if len(set(exps)) == s:
-                found = (v, exps)
-                break
-        if found:
-            break
-    if found is None:
-        raise DegenerateFormError(
-            "no separating conjugator found within the search box"
-        )
-    v, exps = found
+    v, exps = _separating_vector(torus, support)
     zmono = [LaurentPoly.q(e) for e in exps]
     rows = []
     cleared = []

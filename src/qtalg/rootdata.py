@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from .errors import EnumerationBoundError
-from .linalg import mat_det, mat_inv
+from .linalg import is_integral, mat_det, mat_inv, mat_mul
 
 Coords = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -130,9 +130,7 @@ class WeylElement:
         )
 
     def inverse(self) -> WeylElement:
-        inv = mat_inv(self.mat_root)
-        key = tuple(tuple(int(x) for x in row) for row in inv)
-        return self.system.element_by_matrix(key)
+        return self.system.element_by_word(reversed(self.word))
 
     def is_identity(self) -> bool:
         return self.length == 0
@@ -362,27 +360,10 @@ class LatticePair:
         if change is None:
             return mat
         if mat not in cache:
-            n = len(mat)
-            prod = [
-                [
-                    sum(
-                        change[i][k] * mat[k][l] * change_inv[l][j]
-                        for k in range(n)
-                        for l in range(n)
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            out = []
-            for row in prod:
-                orow = []
-                for x in row:
-                    if Q(x).denominator != 1:
-                        raise ValueError("lattice is not stable under the action")
-                    orow.append(int(x))
-                out.append(tuple(orow))
-            cache[mat] = tuple(out)
+            prod = mat_mul(mat_mul(change, mat), change_inv)
+            if not all(is_integral(row) for row in prod):
+                raise ValueError("lattice is not stable under the action")
+            cache[mat] = tuple(tuple(int(x) for x in row) for row in prod)
         return cache[mat]
 
     def x_matrix(self, w: WeylElement) -> Mat:

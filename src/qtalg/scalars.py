@@ -546,15 +546,19 @@ def _gcd(
     first variable either side has, take the gcd of the images by recursion
     (an integer gcd once no variable is left), rebuild a polynomial from
     the symmetric xi-adic digits of its coefficients and accept its
-    primitive part if it has no monomial content and divides both sides.
-    With xi >= 2 * min(|f|, |g|) + 2 (largest coefficient sizes) an
-    accepted candidate is the gcd.  The monomial check is needed because
-    ``divide_exact`` divides Laurent polynomials, where every monomial is a
-    unit.  A candidate is rejected only while xi is below twice the gcd's
-    coefficients or the images share more than the image of the gcd: a
-    nonconstant factor for finitely many xi, otherwise an integer bounded
-    independently of xi, which the digits separate once xi is large enough.
-    So growing xi ends the loop; there is no try budget.
+    primitive part if it divides both sides.  With xi >= 2 * min(|f|, |g|)
+    + 2 (largest coefficient sizes) an accepted candidate is the gcd.  A
+    candidate has no monomial content, so ``divide_exact``, which divides
+    Laurent polynomials, tests divisibility of polynomials: the side with
+    the smaller coefficients has a term free of the substituted variable
+    and coefficients below xi, so xi divides neither every coefficient of
+    its image nor every coefficient of the images' gcd, and the recursion
+    returns gcds free of monomials in the other variables.  A candidate is
+    rejected only while xi is below twice the gcd's coefficients or the
+    images share more than the image of the gcd: a nonconstant factor for
+    finitely many xi, otherwise an integer bounded independently of xi,
+    which the digits separate once xi is large enough.  So growing xi ends
+    the loop; there is no try budget.
     """
     if not f.terms or not g.terms:  # gcd(p, 0) = p
         p, c = _primitive(f if f.terms else g)
@@ -569,13 +573,11 @@ def _gcd(
         xi = 2 * min(max(map(abs, p.terms.values())) for p in (f, g)) + 2
         while True:
             h = _gcd(_evaluate(f, ax, xi), _evaluate(g, ax, xi))[0]
-            h = _interpolate(h, ax, xi)
-            if h.min_exponents() == _ZERO_KEY:
-                h = _primitive(h)[0]
-                a = f.divide_exact(h)
-                b = None if a is None else g.divide_exact(h)
-                if b is not None:
-                    break
+            h = _primitive(_interpolate(h, ax, xi))[0]
+            a = f.divide_exact(h)
+            b = None if a is None else g.divide_exact(h)
+            if b is not None:
+                break
             xi = xi * 73794 // 27011  # CGG's growth factor, about e
     return h.scale(content), a.scale(cf // content), b.scale(cg // content)
 

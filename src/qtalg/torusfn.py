@@ -307,20 +307,6 @@ class TorusFraction:
             self.pair, {x: c * v for x, v in self.num.items()}, self.factors, False
         )
 
-    def __truediv__(self, other: TorusFraction) -> TorusFraction:
-        """Division by a fraction whose numerator is a single monomial."""
-        if not isinstance(other, TorusFraction):
-            return NotImplemented
-        [(x, c)] = other.num.items()
-        inv_num = {tuple(-v for v in x): c.inverse()}
-        flipped = TorusFraction(self.pair, inv_num)
-        result = self * flipped
-        return TorusFraction(
-            self.pair,
-            _num_mul(result.num, _factors_poly(other.factors, self.pair.rank)),
-            result.factors,
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusFraction):
             return NotImplemented

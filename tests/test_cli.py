@@ -345,6 +345,30 @@ PINNED_DOCUMENTS = {
         ),
         "dd1e7102ee1a54635baea7a5eea12fbe4a87023b20a64b937bdbe5c565f3a4a6",
     ),
+    # recorded before the GF(p) kernels, the inverse and the isotropy shift
+    # solve went through the one generic elimination of qtalg.linalg
+    "clifford-table-s3-wreath": (
+        (
+            "clifford", "table", "--json", "--group",
+            '{"degree": 6, "generators": [[1,0,2,3,4,5],[1,2,0,3,4,5],'
+            '[0,1,2,4,3,5],[0,1,2,4,5,3],[3,4,5,0,1,2]]}',
+        ),
+        "1a120ab4eaf2ca4d7013b053b87e410ccf0020031065e8dbc53e796aa666b1ea",
+    ),
+    "module-zchi-a2-sign": (
+        (
+            "module", "zchi", "--json", "--root-system", "A2",
+            "--lambda", "(q^1/2,1)", "--window", "(-3:2,0:0)", "--chi", "sign",
+        ),
+        "5d1ccc389fa4aaa6eb8002225dd2da38fca597bb85be7e94cd1f33fd784645bd",
+    ),
+    "loop-centralizer-d4": (
+        (
+            "loop", "centralizer", "--json", "--root-system", "D4",
+            "--point", "(-1, q^1/2, -1, -q^1/2)",
+        ),
+        "4a5e8e28ab2e334c5d76389a9a34bcfaff1e76ed7aa469877e7f02599ac1eb03",
+    ),
 }
 
 

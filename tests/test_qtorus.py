@@ -1,6 +1,7 @@
 """Tests for the quantum torus layer."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from qtalg.errors import DegenerateFormError
 from qtalg.qtorus import (
     HWElement,
     QuantumTorus,
+    _separating_vector,
     is_w_invariant,
     simplicity_witness,
     w_project_invariants,
@@ -129,6 +131,22 @@ def test_witness_random_elements():
     for _ in range(25):
         h = rand_element(torus, rng, nterms=rng.randint(2, 4))
         assert simplicity_witness(h).verified
+
+
+def test_separating_search_has_no_radius_budget():
+    # one support point per direction of the box of radius 16, plus the
+    # origin: every vector of that box is parallel to a support difference
+    torus = QuantumTorus(pairing=[[1]])
+    support = [(0, 0)] + [
+        (a, b)
+        for a in range(17)
+        for b in range(-16, 17)
+        if gcd(a, b) == 1 and (a > 0 or b > 0)
+    ]
+    v, exps = _separating_vector(torus, support)
+    assert max(map(abs, v)) > 16
+    assert len(set(exps)) == len(support)
+    assert exps == [-torus.omega(v, u) for u in support]
 
 
 def test_witness_degenerate_form():

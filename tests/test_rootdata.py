@@ -82,6 +82,13 @@ def test_group_laws():
     assert sum(1 for w in elts if w.length == 1) == rs.rank
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
+def test_inverse_is_two_sided(name):
+    for w in SYSTEMS[name].elements:
+        assert (w * w.inverse()).is_identity()
+        assert (w.inverse() * w).is_identity()
+
+
 def test_reduced_words_are_reduced():
     rs = SYSTEMS["A3"]
     for w in rs.elements:

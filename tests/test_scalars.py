@@ -1,6 +1,7 @@
 """Tests for exact scalar arithmetic."""
 
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -13,6 +14,8 @@ from qtalg.scalars import (
     QPower,
     Scalar,
     _div,
+    _gcd,
+    _interpolate,
     _residue,
     _root_index,
     nth_root,
@@ -182,6 +185,32 @@ def test_stored_sides_are_coprime_by_an_independent_gcd(a, b, c):
         grid = _root_index([s])
         g = sympy.gcd(sympy_poly(s.num, grid, syms), sympy_poly(s.den, grid, syms))
         assert len(sympy.Poly(g, *syms).terms()) == 1, (s, g)
+
+
+int_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-9, 9).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(LaurentPoly)
+
+
+@given(int_polys, int_polys, int_polys)
+@settings(max_examples=80, deadline=None)
+def test_gcd_candidates_have_no_monomial_content(a, b, c):
+    # so the Laurent division that accepts a candidate tests divisibility of
+    # polynomials, which the acceptance argument of GCDHEU needs
+    candidates = []
+
+    def recording(h, ax, xi):
+        candidates.append(_interpolate(h, ax, xi))
+        return candidates[-1]
+
+    f, g = a * c, b * c
+    with mock.patch("qtalg.scalars._interpolate", recording):
+        h = _gcd(f, g)[0]
+    assert all(k.min_exponents() == (0, 0, 0) for k in candidates)
+    assert f.divide_exact(h) is not None and g.divide_exact(h) is not None
 
 
 @given(scalars, scalars, scalars)

@@ -53,17 +53,10 @@ def test_field_identities():
     c = frac({(-1,): 1})
     assert (a + b) * c == a * c + b * c
     assert (a - a).is_zero()
-    assert a / a == TorusFraction.one(A1)
     # cross-form equality
     assert frac({(2,): 1, (0,): -Scalar.q(2)}, [((1,), Scalar.q(1))]) == frac(
         {(1,): 1, (0,): Scalar.q(1)}
     )
-
-
-def test_division_by_monomial_fraction():
-    f = frac({(1,): 1, (0,): 1}, [((1,), Scalar.t(2))])
-    g = frac({(1,): Scalar.q(1)}, [((1,), 1)])
-    assert (f / g) * g == f
 
 
 def test_shift_mu_on_adjoint_chart():
