@@ -286,6 +286,7 @@ class PermGroup:
         if self._classes is not None:
             return self._classes
         unseen = set(self.elements)
+        conjugators = [(g, _invert(g)) for g in self.generators]
         classes = []
         for x in self.elements:
             if x not in unseen:
@@ -296,8 +297,8 @@ class PermGroup:
             while frontier:
                 nxt = []
                 for y in frontier:
-                    for g in self.generators:
-                        z = _compose(_compose(g, y), _invert(g))
+                    for g, ginv in conjugators:
+                        z = _compose(_compose(g, y), ginv)
                         if z in unseen:
                             unseen.discard(z)
                             members.append(z)

@@ -584,9 +584,10 @@ def _gcd(
 
 def _cancel_common(
     p: LaurentPoly, r: LaurentPoly
-) -> tuple[LaurentPoly, LaurentPoly] | None:
-    """(p / h, r / h) for h the gcd of p and r, or None when they have no
-    common factor but monomials."""
+) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly] | None:
+    """(h, p / h, r / h) for h the gcd of p and r, or None when they have no
+    common factor but monomials.  h has no monomial content and both
+    quotients are exact: p == h * (p / h) and r == h * (r / h)."""
     if len(p.terms) < 2 or len(r.terms) < 2:
         return None
     grid = lcm(p.root_index(), r.root_index())
@@ -596,7 +597,11 @@ def _cancel_common(
     h, a, b = _gcd(f, g)
     if len(h.terms) == 1:
         return None
-    return _off_grid(a, grid, sf, mf), _off_grid(b, grid, sg, mg)
+    return (
+        _off_grid(h, grid, 1, _ZERO_KEY),
+        _off_grid(a, grid, sf, mf),
+        _off_grid(b, grid, sg, mg),
+    )
 
 
 class Scalar:
@@ -624,7 +629,7 @@ class Scalar:
         num, den = _strip_common(num, den)
         cancelled = _cancel_common(num, den)
         if cancelled is not None:
-            num, den = _strip_common(*cancelled)
+            num, den = _strip_common(*cancelled[1:])
         self.num = num
         self.den = den
 
@@ -707,7 +712,7 @@ class Scalar:
             return Scalar._from_coprime(
                 self.num * other.den + other.num * self.den, self.den * other.den
             )
-        b, d = split
+        _, b, d = split
         return Scalar(self.num * d + other.num * b, self.den * d)
 
     def __neg__(self) -> Scalar:
@@ -728,8 +733,8 @@ class Scalar:
             return Scalar(self.num, other.den)
         # Henrici: with a/b and c/d in lowest terms, (a/gcd(a, d)) (c/gcd(c, b))
         # over (b/gcd(c, b)) (d/gcd(a, d)) is in lowest terms.
-        a, d = _cancel_common(self.num, other.den) or (self.num, other.den)
-        c, b = _cancel_common(other.num, self.den) or (other.num, self.den)
+        _, a, d = _cancel_common(self.num, other.den) or (None, self.num, other.den)
+        _, c, b = _cancel_common(other.num, self.den) or (None, other.num, self.den)
         return Scalar._from_coprime(a * c, b * d)
 
     def __truediv__(self, other: Scalar) -> Scalar:
@@ -798,20 +803,15 @@ def _as_scalar(c) -> Scalar:
 # -- evaluation modulo a prime ----------------------------------------------
 #
 # Reduction modulo _P at one fixed point (q^(1/grid), t, v) -> _POINT is a
-# ring homomorphism on the scalars it is defined on: those whose rational
-# coefficients have denominators prime to _P and whose denominator does not
-# vanish at the point.  A nonzero residue of an expression built from such
-# scalars by ring operations therefore proves the expression nonzero
-# (Schwartz 1980; Zippel 1979); a zero residue proves nothing.  The point is
-# fixed so that runs are deterministic; any nonzero residues would do.
+# ring homomorphism on the Laurent polynomials it is defined on: those whose
+# rational coefficients have denominators prime to _P.  A nonzero residue of
+# an expression built from such polynomials by ring operations therefore
+# proves the expression nonzero (Schwartz 1980; Zippel 1979); a zero residue
+# proves nothing.  The point is fixed so that runs are deterministic; any
+# nonzero residues would do.
 
 _P = (1 << 61) - 1
 _POINT = (1_234_567_890_123_457, 987_654_321_098_767, 271_828_182_845_905)
-
-
-def _root_index(scalars) -> int:
-    """Smallest grid n with every q-exponent of the scalars in (1/n)Z."""
-    return lcm(1, *(poly.root_index() for s in scalars for poly in (s.num, s.den)))
 
 
 def _terms_residue(terms, grid: int) -> int | None:
@@ -835,21 +835,6 @@ def _terms_residue(terms, grid: int) -> int | None:
             term *= pow(d, -1, _P)
         total += term
     return total % _P
-
-
-def _residue(s: Scalar, grid: int) -> int | None:
-    """Residue of s at the fixed point with q^(1/grid) -> _POINT[0], or None
-    when s is undefined there: a coefficient denominator is divisible by _P,
-    or the denominator of s vanishes at the point."""
-    num = _terms_residue(s.num.terms.items(), grid)
-    if num is None:
-        return None
-    if s.den.terms == {_ZERO_KEY: 1}:
-        return num
-    den = _terms_residue(s.den.terms.items(), grid)
-    if not den:
-        return None
-    return num * pow(den, -1, _P) % _P
 
 
 class QPower:

@@ -1,12 +1,26 @@
 """Rational functions on the character torus of a lattice X.
 
 A :class:`TorusFraction` is a fraction whose numerator is a finite
-combination of torus monomials e^x with :class:`~qtalg.scalars.Scalar`
-coefficients (x may lie in one half of the lattice), and whose
-denominator is a multiset of canonical binomials e^beta - c, with beta
-a nonzero integer vector whose first nonzero coordinate is positive and
-c a nonzero monomial scalar.  The X-part of a quantum torus is
-commutative, so this is ordinary fraction arithmetic.
+combination of torus monomials e^x with scalar coefficients (x may lie in
+one half of the lattice), and whose denominator is a multiset of canonical
+binomials e^beta - c, with beta a nonzero integer vector whose first
+nonzero coordinate is positive and c a nonzero monomial scalar.  The
+X-part of a quantum torus is commutative, so this is ordinary fraction
+arithmetic.
+
+The coefficients share one scalar denominator.  A fraction stores a
+:class:`~qtalg.scalars.LaurentPoly` numerator in q, t, v for each torus
+monomial and one polynomial ``den`` for all of them: den is
+integer-primitive, has a positive leading coefficient and no monomial
+content, and gcd(den, every numerator) is a monomial.  Monomials are units,
+so this is the lowest-terms form of a common-denominator fraction (Geddes,
+Czapor & Labahn, *Algorithms for Computer Algebra*, 1992), and it costs one
+gcd chain per fraction where a lowest-terms scalar per coefficient would
+cost a gcd per term: products, sums, divisions and substitutions are
+polynomial arithmetic.  :attr:`TorusFraction.num` divides each numerator
+by den as a canonical :class:`~qtalg.scalars.Scalar`, so that view, the
+display and the JSON form are those of a fraction with one lowest-terms
+scalar per coefficient.
 
 The binomial shape is closed under every operation used here — Weyl
 substitutions and translation twists send binomials to unit multiples
@@ -15,24 +29,27 @@ poles readable: the stored denominator is the pole divisor.
 
 Fractions cancel on construction: a denominator binomial is dropped
 whenever it divides the numerator exactly (classwise synthetic division
-along beta).  Most candidate binomials do not divide, so each is first
-screened modulo a prime at one fixed point: a class remainder that is
-nonzero there is nonzero exactly, and the binomial is rejected without
-any exact arithmetic.  Every other case, including a coefficient that is
-undefined at the point, goes to the exact division, so the screen can
-only reject and the result is exact.
+along beta; u - c is monic in u, so no scalar is divided).  Most candidate
+binomials do not divide, so each is first screened modulo a prime at one
+fixed point: a class remainder that is nonzero there is nonzero exactly,
+and the binomial is rejected without any exact arithmetic.  Every other
+case, including a coefficient that is undefined at the point, goes to the
+exact division, so the screen can only reject and the result is exact.
 
-Substitutions e^x -> q^{phi.x} e^{Mx} skip that reduction.  For M
+Substitutions e^x -> q^{phi.x} e^{Mx} skip both reductions.  For M
 invertible such a map is a ring automorphism, so a factor divides the
 image of the numerator exactly when it divided the numerator, and a
-reduced fraction maps to a reduced one.  Every caller passes a
+reduced fraction maps to a reduced one; the numerators only gain
+q-monomials, so den stays coprime to them.  Every caller passes a
 Weyl-group or identity matrix.
 
 Sums are reduced once.  :meth:`TorusFraction.sum` puts any number of
-fractions over the least common multiple of their factor multisets and
-reduces the result, and operator composition hands it partial products
-left unreduced (:meth:`TorusFraction.mul_unreduced`).  A binomial is
-only cancelled after an exact division, so one late reduction is exact.
+fractions over the least common multiple of their factor multisets and of
+their scalar denominators (Henrici's rule; parts that share a denominator,
+as the partial products of an operator square do, need only an equality
+test) and reduces the result, and operator composition hands it partial
+products left unreduced (:meth:`TorusFraction.mul_unreduced`).  A binomial
+is only cancelled after an exact division, so one late reduction is exact.
 When no two stored directions are proportional, as for roots, the
 reduced denominator depends on the value alone, so it is also the form
 that reducing every product and partial sum would store.
@@ -43,25 +60,28 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction as Q
 from math import gcd, lcm
+from operator import add
 
 from .errors import PoleError
 from .linalg import mat_det, unimodular_completion
 from .rootdata import LatticePair, WeylElement
 from .scalars import (
     _P,
+    LaurentPoly,
     Rat,
     Scalar,
     _as_scalar,
+    _cancel_common,
     _div,
     _norm,
-    _residue,
-    _root_index,
     _terms_residue,
 )
 
 # exponent of a torus monomial; each entry an int when integral, else a
 # Fraction (half-lattice points), as in scalars
 XKey = tuple[Rat, ...]
+# numerator polynomials over the shared scalar denominator, by exponent
+Num = dict[XKey, LaurentPoly]
 # denominator binomial e^beta - c, with c stored by monomial data
 Factor = tuple[tuple[int, ...], tuple[Rat, int, int], Q]
 
@@ -118,22 +138,38 @@ def _scalar_frac_power(tau: Scalar, k: Rat) -> Scalar:
 
 
 class TorusFraction:
-    """Rational function on the torus of X, with binomial denominator."""
+    """Rational function on the torus of X, with binomial denominator.
 
-    __slots__ = ("pair", "num", "factors")
+    Stored as ``polys`` (exponent -> nonzero LaurentPoly numerator), one
+    scalar denominator ``den`` and the sorted binomial ``factors``; see the
+    module docstring for the invariants.  Fractions never change after
+    construction.
+    """
 
-    def __init__(self, pair: LatticePair, num: dict, factors=(), reduce: bool = True):
+    __slots__ = ("pair", "polys", "den", "factors")
+
+    def __init__(self, pair: LatticePair, num, factors=(), reduce: bool = True):
+        """num is a dict exponent -> scalar (or int, Fraction), or a pair
+        (numerator polynomials, scalar denominator) as the arithmetic below
+        builds it.  The scalar part is always put in lowest terms; reduce
+        also cancels the binomial factors that divide the numerator."""
         self.pair = pair
-        clean: dict[XKey, Scalar] = {}
-        for x, c in num.items():
-            c = _as_scalar(c)
-            if not c.is_zero():
-                clean[_xkey(x)] = c
-        self.num = clean
+        polys, den = num if isinstance(num, tuple) else _over_common_den(num)
+        self.polys, self.den = _lowest_terms(polys, den)
         # zero has no poles, whatever the factors were
-        self.factors = tuple(sorted(factors)) if clean else ()
+        self.factors = tuple(sorted(factors)) if self.polys else ()
         if reduce and self.factors:
             self._reduce()
+
+    @classmethod
+    def _stored(cls, pair: LatticePair, polys: Num, den, factors) -> TorusFraction:
+        """A fraction from parts the caller vouches for: nothing is
+        cancelled, only the factors are sorted."""
+        out = cls.__new__(cls)
+        out.pair, out.polys = pair, polys
+        out.den = den if polys else _ONE
+        out.factors = tuple(sorted(factors)) if polys else ()
+        return out
 
     # -- constructors --------------------------------------------------------
 
@@ -157,12 +193,12 @@ class TorusFraction:
     def ratio(cls, pair: LatticePair, num: dict, den_binomials=()) -> TorusFraction:
         """num / prod (e^beta - c) for the given (beta, c) pairs."""
         factors = []
-        unit: dict[XKey, Scalar] = {_xkey((0,) * pair.rank): Scalar.one()}
+        unit: Num = {_xkey((0,) * pair.rank): _ONE}
         for beta, c in den_binomials:
             f = _make_factor(beta, _as_scalar(c))
-            f, unit = _canonicalize_factor(f, unit, pair.rank)
+            f, unit = _canonicalize_factor(f, unit)
             factors.append(f)
-        return cls(pair, num) * cls(pair, unit, tuple(factors))
+        return cls(pair, num) * cls(pair, (unit, _ONE), tuple(factors))
 
     @classmethod
     def from_two_term_den(cls, pair: LatticePair, num: dict, den: dict) -> TorusFraction:
@@ -183,8 +219,15 @@ class TorusFraction:
 
     # -- structure -------------------------------------------------------------
 
+    @property
+    def num(self) -> dict[XKey, Scalar]:
+        """The numerator as exponent -> lowest-terms scalar coefficient (a
+        fresh dict: changing it does not change the fraction)."""
+        den = self.den
+        return {x: Scalar(p, den) for x, p in self.polys.items()}
+
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.polys
 
     def is_polynomial(self) -> bool:
         return not self.factors
@@ -193,12 +236,12 @@ class TorusFraction:
         """The value of a constant fraction (no factors, exponent zero)."""
         if self.factors:
             raise ValueError("fraction has a nontrivial denominator")
-        if not self.num:
+        if not self.polys:
             return Scalar.zero()
-        [(x, c)] = self.num.items()
+        [(x, p)] = self.polys.items()
         if any(x):
             raise ValueError("fraction is not constant")
-        return c
+        return Scalar(p, self.den)
 
     def pole_list(self) -> list[tuple[tuple[int, ...], Scalar, int]]:
         """Distinct denominator binomials with multiplicities."""
@@ -211,16 +254,16 @@ class TorusFraction:
         """Cancel, one at a time, every denominator factor that divides the
         numerator exactly.
 
-        Each pass evaluates the numerator's coefficients once modulo the
-        prime p of :mod:`qtalg.scalars`, at its fixed point with q^(1/grid)
-        for the lcm grid of the pass.  A factor e^beta - c whose division
-        has a single-member class, or a class remainder P(c) that is
-        nonzero mod p, does not divide: reduction mod p is a ring
-        homomorphism on the values involved, so a nonzero residue is a
+        Each pass evaluates the numerator polynomials once modulo the prime
+        p of :mod:`qtalg.scalars`, at its fixed point with q^(1/grid) for
+        the lcm grid of the pass.  The scalar denominator is a nonzero
+        constant for this question and is left out.  A factor e^beta - c
+        whose division has a single-member class, or a class remainder P(c)
+        that is nonzero mod p, does not divide: reduction mod p is a ring
+        homomorphism on the polynomials involved, so a nonzero residue is a
         nonzero exact remainder.  Any other factor, including one whose
         value or class coefficients are undefined mod p (a coefficient
-        denominator divisible by p, or a scalar denominator vanishing at
-        the point), goes to the exact division.
+        denominator divisible by p), goes to the exact division.
         """
         factors = list(self.factors)
         changed = True
@@ -228,19 +271,21 @@ class TorusFraction:
             changed = False
             distinct = sorted(set(factors))
             grid = lcm(
-                _root_index(self.num.values()),
+                *(p.root_index() for p in self.polys.values()),
                 *(f[1][0].denominator for f in distinct),
             )
-            values = {x: _residue(c, grid) for x, c in self.num.items()}
+            values = {
+                x: _terms_residue(p.terms.items(), grid) for x, p in self.polys.items()
+            }
             classes: dict[tuple[int, ...], list] = {}
             for f in distinct:
                 if f[0] not in classes:
-                    classes[f[0]] = _beta_classes(self.num, f[0])
+                    classes[f[0]] = _beta_classes(self.polys, f[0])
                 if _indivisible(classes[f[0]], values, _terms_residue([f[1:]], grid)):
                     continue
-                quotient = _divide_num(self.num, f)
+                quotient = _divide_num(self.polys, f)
                 if quotient is not None:
-                    self.num = quotient
+                    self.polys = quotient
                     factors.remove(f)
                     changed = True
                     break
@@ -253,25 +298,14 @@ class TorusFraction:
         """The sum of the fractions in parts, reduced once.
 
         The denominator is the least common multiple of the parts' factor
-        multisets.  Each numerator is multiplied by the binomials its own
+        multisets and of their scalar denominators.  Each numerator is
+        multiplied by the binomials and the scalar cofactor its own
         denominator lacks, the numerators are added, and the result is
         reduced.  Parts may be unreduced (see :meth:`mul_unreduced`): the
         value is the same, and the one reduction cancels what it can.
         """
-        parts = [p for p in parts if p.num]
-        owned = [Counter(p.factors) for p in parts]
-        lcm_factors: Counter = Counter()
-        for counts in owned:
-            lcm_factors |= counts
-        num: dict[XKey, Scalar] = {}
-        for p, counts in zip(parts, owned):
-            missing = lcm_factors - counts
-            terms = p.num
-            if missing:
-                terms = _num_mul(terms, _factors_poly(missing.elements(), pair.rank))
-            for x, c in terms.items():
-                num[x] = num[x] + c if x in num else c
-        return cls(pair, num, tuple(lcm_factors.elements()))
+        num, den, factors = _common_form(pair.rank, parts)
+        return cls(pair, (num, den), factors)
 
     def __add__(self, other: TorusFraction) -> TorusFraction:
         if not isinstance(other, TorusFraction):
@@ -279,11 +313,8 @@ class TorusFraction:
         return TorusFraction.sum(self.pair, (self, other))
 
     def __neg__(self) -> TorusFraction:
-        out = TorusFraction.__new__(TorusFraction)
-        out.pair = self.pair
-        out.num = {x: -c for x, c in self.num.items()}
-        out.factors = self.factors
-        return out
+        polys = {x: -p for x, p in self.polys.items()}
+        return TorusFraction._stored(self.pair, polys, self.den, self.factors)
 
     def __sub__(self, other: TorusFraction) -> TorusFraction:
         return self + (-other)
@@ -291,26 +322,37 @@ class TorusFraction:
     def __mul__(self, other: TorusFraction) -> TorusFraction:
         if not isinstance(other, TorusFraction):
             return NotImplemented
-        return TorusFraction(
-            self.pair, _num_mul(self.num, other.num), self.factors + other.factors
-        )
+        num = (_num_mul(self.polys, other.polys), self.den * other.den)
+        return TorusFraction(self.pair, num, self.factors + other.factors)
 
     def mul_unreduced(self, other: TorusFraction) -> TorusFraction:
-        """The product with the factor multisets concatenated and nothing
-        cancelled, for :meth:`sum` to reduce."""
-        num = _num_mul(self.num, other.num)
-        return TorusFraction(self.pair, num, self.factors + other.factors, False)
+        """The product with nothing cancelled: the factor multisets
+        concatenated and the scalar denominators multiplied, for
+        :meth:`sum` to reduce."""
+        return TorusFraction._stored(
+            self.pair,
+            _num_mul(self.polys, other.polys),
+            self.den * other.den,
+            self.factors + other.factors,
+        )
 
     def scale(self, c) -> TorusFraction:
         c = _as_scalar(c)
-        return TorusFraction(
-            self.pair, {x: c * v for x, v in self.num.items()}, self.factors, False
-        )
+        if c.is_zero():
+            return TorusFraction.zero(self.pair)
+        if c.is_monomial():
+            key, coeff = c.as_monomial()
+            polys = {x: _times_monomial(p, key, coeff) for x, p in self.polys.items()}
+            return TorusFraction._stored(self.pair, polys, self.den, self.factors)
+        polys = {x: p * c.num for x, p in self.polys.items()}
+        return TorusFraction(self.pair, (polys, self.den * c.den), self.factors, False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusFraction):
             return NotImplemented
-        return (self - other).is_zero()
+        # the difference over the common denominator, left unreduced
+        num, _, _ = _common_form(self.pair.rank, (self, -other))
+        return not num
 
     __hash__ = None
 
@@ -325,8 +367,10 @@ class TorusFraction:
         binomial to a unit times a binomial.  A factor therefore divides
         the image of the numerator exactly when it divided the numerator,
         so a reduced fraction maps to a reduced one and the result is built
-        without a second reduction.  Every caller passes a Weyl-group or an
-        identity matrix; a singular M raises ValueError.
+        without a second reduction.  The scalar denominator is unchanged:
+        the numerators only gain q-monomials, units of the scalar ring.
+        Every caller passes a Weyl-group or an identity matrix; a singular
+        M raises ValueError.
         """
         phi = _xkey(phi)
         n = self.pair.rank
@@ -344,27 +388,25 @@ class TorusFraction:
         def qform(x) -> Rat:
             return _norm(sum(p * v for p, v in zip(phi, x)))
 
-        num = {}
-        for x, c in self.num.items():
-            key = x if ident else apply_mat(x)
+        # M is injective, so no two exponents meet
+        polys: Num = {}
+        for x, p in self.polys.items():
             e = qform(x)
-            coeff = c * Scalar.q(e) if e else c
-            num[key] = num[key] + coeff if key in num else coeff
-        unit: dict[XKey, Scalar] = {_xkey((0,) * n): Scalar.one()}
+            polys[x if ident else apply_mat(x)] = p.shift(e) if e else p
+        unit: Num = {_xkey((0,) * n): _ONE}
         factors = []
-        for f in self.factors:
-            beta, c = f[0], _factor_value(f)
+        for beta, (qe, te, ve), coeff in self.factors:
             new_beta = tuple(int(v) for v in apply_mat(beta))
             shift = qform(beta)
             if shift:
                 # e^beta - c  ->  q^shift (e^{M beta} - q^{-shift} c)
-                unit = _num_scale(unit, Scalar.q(-shift))
-                c = c * Scalar.q(-shift)
-            nf, unit = _canonicalize_factor(_make_factor(new_beta, c), unit, n)
+                unit = {x: p.shift(-shift) for x, p in unit.items()}
+                qe = _norm(qe - shift)
+            nf, unit = _canonicalize_factor((new_beta, (qe, te, ve), coeff), unit)
             factors.append(nf)
-        return TorusFraction(
-            self.pair, _num_mul(num, unit), tuple(factors), reduce=False
-        )
+        if factors:
+            polys = _num_mul(polys, unit)
+        return TorusFraction._stored(self.pair, polys, self.den, factors)
 
     def transport(self, w: WeylElement, mu) -> TorusFraction:
         """Move the fraction left through D^mu [w]: the plain action
@@ -412,7 +454,11 @@ class TorusFraction:
     def evaluate_at(self, alpha, tau) -> TorusFraction:
         """Substitute e^alpha = tau (alpha a primitive integer vector, tau a
         nonzero monomial scalar).  Raises PoleError if a denominator factor
-        vanishes there."""
+        vanishes there.
+
+        A factor e^beta - c with beta a multiple k alpha becomes the scalar
+        tau^k - c, which moves into the scalar denominator; the result is
+        put in lowest terms once."""
         tau = _divisor_value(tau)
         alpha = tuple(int(a) for a in alpha)
         if not any(alpha):
@@ -426,13 +472,17 @@ class TorusFraction:
         def coordinate(x) -> Rat:
             return _norm(sum(r * v for r, v in zip(row, x)))
 
-        num = {}
-        for x, c in self.num.items():
+        powers: dict[Rat, tuple] = {}
+        acc: dict[XKey, dict] = {}
+        for x, p in self.polys.items():
             k = coordinate(x)
+            if k not in powers:
+                powers[k] = _scalar_frac_power(tau, k).as_monomial()
             key = tuple(_norm(v - k * a) for v, a in zip(x, alpha))
-            coeff = c * _scalar_frac_power(tau, k)
-            num[key] = num[key] + coeff if key in num else coeff
-        unit: dict[XKey, Scalar] = {_xkey((0,) * self.pair.rank): Scalar.one()}
+            _add_into(acc, key, _times_monomial(p, *powers[k]).terms)
+        zero = _xkey((0,) * self.pair.rank)
+        unit: Num = {zero: _ONE}
+        den = self.den
         factors = []
         for f in self.factors:
             beta, c = f[0], _factor_value(f)
@@ -441,13 +491,17 @@ class TorusFraction:
             new_beta = tuple(b - k * a for b, a in zip(beta, alpha))
             if not any(new_beta):
                 value = tau**k - c  # nonzero: no matching factor
-                unit = _num_scale(unit, value.inverse())
+                unit = {x: p * value.den for x, p in unit.items()}
+                den = den * value.num
                 continue
-            unit = _num_scale(unit, tau ** -k)
-            nf = _make_factor(new_beta, c * tau ** -k)
-            nf, unit = _canonicalize_factor(nf, unit, self.pair.rank)
+            shift = tau**-k
+            key, coeff = shift.as_monomial()
+            unit = {x: _times_monomial(p, key, coeff) for x, p in unit.items()}
+            nf = _make_factor(new_beta, c * shift)
+            nf, unit = _canonicalize_factor(nf, unit)
             factors.append(nf)
-        return TorusFraction(self.pair, _num_mul(num, unit), tuple(factors))
+        num = _num_mul(_collect(acc), unit)
+        return TorusFraction(self.pair, (num, den), tuple(factors))
 
     def pole_order(self, alpha, tau) -> int:
         tau = _divisor_value(tau)
@@ -482,7 +536,7 @@ class TorusFraction:
         [(f, k)] = matching
         remaining = list(self.factors)
         remaining.remove(f)
-        peeled = TorusFraction(self.pair, self.num, tuple(remaining), False)
+        peeled = TorusFraction._stored(self.pair, self.polys, self.den, remaining)
         value = peeled.evaluate_at(alpha, tau)
         # e^{k alpha} - tau^k = (e^alpha - tau) * S with S -> k tau^{k-1}
         if k != 1:
@@ -492,7 +546,7 @@ class TorusFraction:
     # -- display and JSON ------------------------------------------------------------
 
     def __repr__(self) -> str:
-        if not self.num:
+        if not self.polys:
             return "0"
         num = " + ".join(
             f"({c})*e[{', '.join(str(v) for v in x)}]"
@@ -530,54 +584,186 @@ class TorusFraction:
         return cls.ratio(pair, num, dens)
 
 
-# -- numerator-dict helpers -------------------------------------------------------
+# -- numerator polynomials over one scalar denominator ----------------------------
+
+_ONE = LaurentPoly.one()  # shared; nothing here changes a stored polynomial
 
 
-def _num_mul(a: dict, b: dict) -> dict:
-    out: dict[XKey, Scalar] = {}
-    for x, cx in a.items():
-        for y, cy in b.items():
-            key = tuple(p + r for p, r in zip(x, y))
-            c = cx * cy
-            if key in out:
-                s = out[key] + c
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = c
+def _poly(terms: dict) -> LaurentPoly:
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = terms
     return out
 
 
-def _num_scale(a: dict, c: Scalar) -> dict:
-    return {x: v * c for x, v in a.items()}
+def _times_monomial(p: LaurentPoly, key, coeff) -> LaurentPoly:
+    """p * coeff q^qe t^te v^ve for key = (qe, te, ve)."""
+    dq, dt, dv = key
+    coeff = _norm(coeff)
+    return _poly(
+        {(qe + dq, te + dt, ve + dv): c * coeff for (qe, te, ve), c in p.terms.items()}
+    )
 
 
-def _factors_poly(factors, rank: int) -> dict:
-    """Expand a factor multiset into a numerator dict."""
-    out: dict[XKey, Scalar] = {_xkey((0,) * rank): Scalar.one()}
-    for f in factors:
-        beta, c = f[0], _factor_value(f)
-        binom = {_xkey(beta): Scalar.one(), _xkey((0,) * rank): -c}
-        out = _num_mul(out, binom)
+def _add_into(acc: dict, x: XKey, terms: dict) -> None:
+    """acc[x] += the polynomial with the given terms, on fresh term dicts."""
+    out = acc.get(x)
+    if out is None:
+        acc[x] = dict(terms)
+        return
+    for k, c in terms.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+
+
+def _collect(acc: dict) -> Num:
+    """The numerator of accumulated term dicts, zero polynomials dropped."""
+    return {_xkey(x): _poly(terms) for x, terms in acc.items() if terms}
+
+
+def _mul_into(acc: dict, a: Num, b: Num) -> None:
+    """acc[x + y] += a[x] * b[y] for every pair of exponents."""
+    for x, p in a.items():
+        pt = p.terms.items()
+        for y, r in b.items():
+            key = tuple(map(add, x, y))
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = {}
+            rt = r.terms.items()
+            for (qa, ta, va), ca in pt:
+                for (qb, tb, vb), cb in rt:
+                    k = (qa + qb, ta + tb, va + vb)
+                    s = out.get(k, 0) + ca * cb
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+
+
+def _num_mul(a: Num, b: Num) -> Num:
+    acc: dict = {}
+    _mul_into(acc, a, b)
+    return _collect(acc)
+
+
+def _lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """A least common multiple of two scalar denominators, up to units:
+    a shared one is returned as it is, else a * b / gcd(a, b)."""
+    if a is b or a.terms == b.terms or len(b.terms) == 1:
+        return a
+    if len(a.terms) == 1:
+        return b
+    split = _cancel_common(a, b)
+    return a * (b if split is None else split[2])
+
+
+def _over_common_den(num: dict) -> tuple[Num, LaurentPoly]:
+    """A numerator of scalars (or ints, Fractions) as polynomials over the
+    lcm of the scalars' denominators."""
+    coeffs: dict[XKey, Scalar] = {}
+    for x, c in num.items():
+        c = _as_scalar(c)
+        if not c.is_zero():
+            coeffs[_xkey(x)] = c
+    den = _ONE
+    for c in coeffs.values():
+        den = _lcm(den, c.den)
+    polys = {
+        x: c.num if c.den == den else c.num * den.divide_exact(c.den)
+        for x, c in coeffs.items()
+    }
+    return polys, den
+
+
+def _lowest_terms(num: Num, den: LaurentPoly) -> tuple[Num, LaurentPoly]:
+    """(num, den) over gcd(den, every numerator) and over the unit part of
+    den, which leaves den integer-primitive with a positive leading
+    coefficient and no monomial content.
+
+    One gcd chain: h starts at den and becomes gcd(h, p) only for a
+    numerator p that h does not divide, and the chain stops as soon as h is
+    a monomial.  Numerators are taken smallest first, where a coprimality
+    screen is cheapest; the quotients by h are kept, and rescaled when h
+    shrinks."""
+    if not num:
+        return {}, _ONE
+    if len(den.terms) > 1:
+        h, rest, quotients = den, _ONE, {}
+        for x, p in sorted(num.items(), key=lambda item: len(item[1].terms)):
+            quo = p.divide_exact(h) if quotients else None
+            if quo is None:
+                split = _cancel_common(h, p)
+                if split is None:
+                    break
+                h, cofactor, quo = split
+                rest = rest * cofactor
+                quotients = {y: r * cofactor for y, r in quotients.items()}
+            quotients[x] = quo
+        else:
+            num, den = quotients, rest
+    mq, mt, mv = den.min_exponents()
+    content = den.rational_content()
+    if (mq, mt, mv) == (0, 0, 0) and content == 1:
+        return num, den
+    unit_key, unit = (-mq, -mt, -mv), _div(1, content)
+    den = den.shift(*unit_key).scale(unit)  # both store ints where integral
+    return {x: _times_monomial(p, unit_key, unit) for x, p in num.items()}, den
+
+
+def _common_form(rank: int, parts) -> tuple[Num, LaurentPoly, tuple[Factor, ...]]:
+    """(numerator, scalar denominator, factors) of the sum of parts over
+    the lcm of their factor multisets and of their scalar denominators,
+    nothing cancelled."""
+    parts = [p for p in parts if p.polys]
+    den = _ONE
+    for p in parts:
+        den = _lcm(den, p.den)
+    owned = [Counter(p.factors) for p in parts]
+    lcm_factors: Counter = Counter()
+    for counts in owned:
+        lcm_factors |= counts
+    zero = _xkey((0,) * rank)
+    acc: dict = {}
+    for p, counts in zip(parts, owned):
+        missing = lcm_factors - counts
+        mult = _factors_poly(missing.elements(), rank) if missing else None
+        if p.den is not den and p.den != den:
+            cofactor = {zero: den.divide_exact(p.den)}
+            mult = cofactor if mult is None else _num_mul(mult, cofactor)
+        if mult is None:
+            for x, poly in p.polys.items():
+                _add_into(acc, x, poly.terms)
+        else:
+            _mul_into(acc, p.polys, mult)
+    return _collect(acc), den, tuple(lcm_factors.elements())
+
+
+def _factors_poly(factors, rank: int) -> Num:
+    """Expand a factor multiset into a numerator."""
+    zero = _xkey((0,) * rank)
+    out: Num = {zero: _ONE}
+    for beta, key, coeff in factors:
+        out = _num_mul(out, {_xkey(beta): _ONE, zero: LaurentPoly.monomial(*key, coeff=-coeff)})
     return out
 
 
-def _canonicalize_factor(f: Factor, unit: dict, rank: int):
+def _canonicalize_factor(f: Factor, unit: Num):
     """Flip e^beta - c so the first nonzero coordinate of beta is positive;
     1/(e^beta - c) = (-c^{-1} e^{-beta}) / (e^{-beta} - c^{-1})."""
-    beta = f[0]
+    beta, (qe, te, ve), coeff = f
     first = next(v for v in beta if v)
     if first > 0:
         return f, unit
-    c = _factor_value(f)
-    flipped = _make_factor(tuple(-b for b in beta), c.inverse())
-    mult = {_xkey(tuple(-b for b in beta)): -c.inverse()}
-    return flipped, _num_mul(unit, mult)
+    neg = tuple(-b for b in beta)
+    inv_key = (-qe, -te, -ve)
+    flipped = (neg, inv_key, 1 / coeff)
+    return flipped, _num_mul(unit, {neg: LaurentPoly.monomial(*inv_key, coeff=-1 / coeff)})
 
 
-def _beta_classes(num: dict, beta: tuple[int, ...]) -> list[list[tuple[int, XKey]]]:
+def _beta_classes(num: Num, beta: tuple[int, ...]) -> list[list[tuple[int, XKey]]]:
     """Split the exponents of num into the classes x + Z beta; each member
     comes with its offset m >= 0 above the lowest member of its class."""
     _, content, row = _beta_coordinate(beta)
@@ -618,31 +804,27 @@ def _indivisible(classes: list, values: dict, c: int | None) -> bool:
     return False
 
 
-def _divide_num(num: dict, f: Factor) -> dict | None:
-    """Exact quotient num / (e^beta - c), or None."""
-    beta, c = f[0], _factor_value(f)
-    quotient: dict[XKey, Scalar] = {}
+def _divide_num(num: Num, f: Factor) -> Num | None:
+    """Exact quotient num / (e^beta - c), or None: synthetic division of
+    each class polynomial sum_m P_m u^m by u - c, monic in u."""
+    beta, key, coeff = f
+    quotient: Num = {}
     for items in _beta_classes(num, beta):
         degree = max(m for m, _ in items)
-        coeffs = [Scalar.zero()] * (degree + 1)
-        base = None
+        if degree == 0:
+            return None
+        coeffs: list[LaurentPoly | None] = [None] * (degree + 1)
         for m, x in items:
-            coeffs[m] = coeffs[m] + num[x]
+            coeffs[m] = num[x]
             if m == 0:
                 base = x
-        # synthetic division of sum coeffs[m] u^m by (u - c)
-        qcoeffs = [Scalar.zero()] * degree
-        carry = Scalar.zero()
-        for m in range(degree, 0, -1):
-            carry = coeffs[m] + carry * c if m < degree else coeffs[m]
-            qcoeffs[m - 1] = carry
-        remainder = coeffs[0] + (carry * c if degree > 0 else Scalar.zero())
-        if degree == 0 or not remainder.is_zero():
+        carry = coeffs[degree]
+        for m in range(degree - 1, -1, -1):
+            if carry.terms:
+                # base is a stored key and m * b an int, so this is stored form
+                quotient[tuple(v + m * b for v, b in zip(base, beta))] = carry
+            shifted = _times_monomial(carry, key, coeff)
+            carry = shifted if coeffs[m] is None else shifted + coeffs[m]
+        if carry.terms:  # the remainder
             return None
-        for m, qc in enumerate(qcoeffs):
-            if qc.is_zero():
-                continue
-            # base is a stored key and m * b an int, so this is stored form
-            key = tuple(v + m * b for v, b in zip(base, beta))
-            quotient[key] = quotient.get(key, Scalar.zero()) + qc
-    return {x: c for x, c in quotient.items() if not c.is_zero()}
+    return quotient

@@ -119,6 +119,43 @@ def test_group_enumeration_and_classes():
     assert g.conjugacy_classes()[0][0] == g.identity
 
 
+def classes_by_orbit_search(group: PermGroup) -> list:
+    """Conjugacy classes as orbits of conjugation by the generators, in
+    enumeration order, each generator inverted where it is used."""
+    unseen = set(group.elements)
+    classes = []
+    for x in group.elements:
+        if x not in unseen:
+            continue
+        members, frontier = [x], [x]
+        unseen.discard(x)
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for g in group.generators:
+                    z = compose(compose(g, y), invert(g))
+                    if z in unseen:
+                        unseen.discard(z)
+                        members.append(z)
+                        nxt.append(z)
+            frontier = nxt
+        classes.append((x, tuple(members)))
+    return classes
+
+
+@pytest.mark.parametrize("label, count", [("D4", 13), ("B2", 5)])
+def test_weyl_conjugacy_classes_keep_representatives_members_and_order(label, count):
+    system = RootSystem(label)
+    group = weyl_permutation_group(system.elements, system)
+    classes = group.conjugacy_classes()
+    assert classes == classes_by_orbit_search(group)
+    assert len(classes) == count
+    assert sum(len(members) for _, members in classes) == group.order
+    for rep, members in classes:
+        for g in group.elements:
+            assert compose(compose(g, rep), invert(g)) in members
+
+
 def test_group_enumeration_bound():
     with pytest.raises(EnumerationBoundError):
         PermGroup(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)], bound=100)

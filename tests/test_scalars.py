@@ -1,6 +1,7 @@
 """Tests for exact scalar arithmetic."""
 
 from fractions import Fraction as Q
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -13,11 +14,11 @@ from qtalg.scalars import (
     LaurentPoly,
     QPower,
     Scalar,
+    _cancel_common,
     _div,
     _gcd,
     _interpolate,
-    _residue,
-    _root_index,
+    _terms_residue,
     nth_root,
 )
 
@@ -146,6 +147,19 @@ def test_common_factor_leaves_the_stored_form_unchanged(a, b, c):
     assert s.den.terms == t.den.terms
 
 
+@given(nonzero_polys, nonzero_polys, nonzero_polys)
+@settings(max_examples=60, deadline=None)
+def test_cancel_common_returns_the_gcd_with_exact_quotients(a, b, c):
+    p, r = a * c, b * c
+    split = _cancel_common(p, r)
+    if split is None:
+        assert len(c.terms) == 1  # a common factor c is found
+        return
+    h, x, y = split
+    assert h * x == p and h * y == r
+    assert h.min_exponents() == (0, 0, 0) and len(h.terms) > 1
+
+
 @given(scalars, scalars, nonzero_polys, points)
 @settings(
     max_examples=60,
@@ -182,7 +196,7 @@ def test_stored_sides_are_coprime_by_an_independent_gcd(a, b, c):
     sympy = pytest.importorskip("sympy")
     syms = sympy.symbols("y t v")  # y = q^(1/grid)
     for s in (a, a * b, a + b, Scalar(a.num * c, a.den * c)):
-        grid = _root_index([s])
+        grid = lcm(s.num.root_index(), s.den.root_index())
         g = sympy.gcd(sympy_poly(s.num, grid, syms), sympy_poly(s.den, grid, syms))
         assert len(sympy.Poly(g, *syms).terms()) == 1, (s, g)
 
@@ -281,22 +295,28 @@ def test_nth_root_is_exact_for_large_integers():
     assert nth_root(Q(1, 7**801), 2) is None
 
 
+def residue(p: LaurentPoly, grid: int) -> int | None:
+    return _terms_residue(p.terms.items(), grid)
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(scalars, scalars)
+@given(polys, polys)
 def test_residue_is_a_ring_homomorphism(a, b):
-    grid = _root_index([a, b])
-    ra, rb = _residue(a, grid), _residue(b, grid)
+    grid = lcm(a.root_index(), b.root_index())
+    ra, rb = residue(a, grid), residue(b, grid)
     assume(ra is not None and rb is not None)
-    assert _residue(a + b, grid) == (ra + rb) % _P
-    assert _residue(a * b, grid) == ra * rb % _P
-    assert _residue(Scalar.zero(), grid) == 0
+    assert residue(a + b, grid) == (ra + rb) % _P
+    assert residue(a * b, grid) == ra * rb % _P
+    assert residue(LaurentPoly.zero(), grid) == 0
 
 
 def test_residue_is_undefined_off_its_domain():
-    assert _residue(Scalar.const(Q(1, _P)), 1) is None
-    assert _residue(Scalar.const(Q(_P, 3)), 1) == 0
-    half = Scalar.q(Q(1, 2))
-    assert _residue(half * half, 2) == _residue(Scalar.q(), 2)
+    assert residue(LaurentPoly.const(Q(1, _P)), 1) is None
+    assert residue(LaurentPoly.const(Q(_P, 3)), 1) == 0
+    half = LaurentPoly.q(Q(1, 2))
+    assert residue(half * half, 2) == residue(LaurentPoly.q(), 2)
+    # an integral Fraction exponent reads like the int
+    assert residue(LaurentPoly({(Q(2, 2), 0, 0): 1}), 2) == residue(LaurentPoly.q(), 2)
 
 
 def test_scalar_monomial_access():

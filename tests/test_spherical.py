@@ -98,6 +98,9 @@ def test_e_v_idempotent_symbolic():
     for pair in (A1, A2):
         e = idempotent_e_v(pair)
         assert e * e == e
+    for build in (idempotent_e_v, idempotent_eps_v):
+        x = build(B2)
+        assert x * x == x
 
 
 def test_e_v_idempotent_b2_numeric():

@@ -1,22 +1,18 @@
 """Tests for rational functions on the character torus."""
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import percoefficient as ref
 from qtalg import torusfn
 from qtalg.errors import PoleError
 from qtalg.rootdata import LatticePair, RootSystem
 from qtalg.scalars import _P, _POINT, LaurentPoly, Scalar
-from qtalg.torusfn import (
-    TorusFraction,
-    _divide_num,
-    _factors_poly,
-    _make_factor,
-    _num_mul,
-)
+from qtalg.torusfn import TorusFraction, _make_factor
 
 A1 = LatticePair(RootSystem("A1"), "root")
 A1_ADJ = LatticePair(RootSystem("A1"), "adjoint")
@@ -230,25 +226,6 @@ def test_zero_fraction_has_no_poles():
 # -- the modular screen in front of factor cancellation ---------------------------
 
 
-def reference_reduce(num: dict, factors) -> tuple[dict, tuple]:
-    """The unscreened reduce loop: an exact trial division for every
-    distinct factor of every pass."""
-    factors = list(factors)
-    changed = True
-    while changed and num and factors:
-        changed = False
-        for f in sorted(set(factors)):
-            quotient = _divide_num(num, f)
-            if quotient is not None:
-                num = quotient
-                factors.remove(f)
-                changed = True
-                break
-    if not num:
-        factors = []
-    return num, tuple(sorted(factors))
-
-
 def stored(num: dict) -> dict:
     return {x: c.to_json() for x, c in num.items()}
 
@@ -303,11 +280,9 @@ def fractions_to_reduce(draw, lattices=(PAIRS,)):
         _make_factor(draw(st.sampled_from(betas)), draw(_monomials))
         for _ in range(draw(st.integers(1, 3)))
     ]
-    zero = (0,) * pair.rank
     for f in factors:
         if draw(st.booleans()):
-            c = torusfn._factor_value(f)
-            num = _num_mul(num, {f[0]: Scalar.one(), zero: -c})
+            num = ref.num_mul(num, ref.binomial(f, pair.rank))
     return pair, num, factors
 
 
@@ -321,7 +296,7 @@ _screen_settings = settings(
 def test_screened_reduce_matches_the_unscreened_loop(case):
     pair, num, factors = case
     raw = TorusFraction(pair, num, factors, reduce=False)
-    ref_num, ref_factors = reference_reduce(raw.num, raw.factors)
+    ref_num, ref_factors = ref.reduce(raw.num, raw.factors)
     screened = TorusFraction(pair, num, factors)
     assert screened.factors == ref_factors
     assert stored(screened.num) == stored(ref_num)
@@ -332,8 +307,7 @@ def test_screened_reduce_matches_the_unscreened_loop(case):
 def test_a_factor_of_the_numerator_always_cancels(case, data):
     pair, g, factors = case
     f = data.draw(st.sampled_from(factors))
-    zero = (0,) * pair.rank
-    num = _num_mul(g, {f[0]: Scalar.one(), zero: -torusfn._factor_value(f)})
+    num = ref.num_mul(g, ref.binomial(f, pair.rank))
     cancelled = TorusFraction(pair, num, (f,))
     assert cancelled.factors == ()
     assert cancelled == TorusFraction(pair, g)
@@ -353,11 +327,8 @@ def count_exact_divisions(monkeypatch) -> list:
 
 @pytest.mark.parametrize(
     "undefined",
-    [
-        Scalar.const(Q(1, _P)),  # coefficient denominator divisible by p
-        Scalar(LaurentPoly.one(), LaurentPoly.t() - LaurentPoly.const(_POINT[1])),
-    ],
-    ids=["coefficient-denominator-p", "denominator-vanishes-at-point"],
+    [Scalar.const(Q(1, _P))],  # coefficient denominator divisible by p
+    ids=["coefficient-denominator-p"],
 )
 def test_undefined_residues_fall_back_to_exact_division(monkeypatch, undefined):
     calls = count_exact_divisions(monkeypatch)
@@ -380,6 +351,26 @@ def test_undefined_residues_fall_back_to_exact_division(monkeypatch, undefined):
     assert len(calls) == 1
 
 
+def test_screen_reads_numerators_over_a_vanishing_denominator(monkeypatch):
+    # the scalar denominator vanishes at the screen's point, but the screen
+    # reads the numerator polynomials, which are defined there
+    calls = count_exact_divisions(monkeypatch)
+    vanishing = Scalar(LaurentPoly.one(), LaurentPoly.t() - LaurentPoly.const(_POINT[1]))
+    factor = ((1,), Scalar.q(2))
+    num = {
+        (2,): vanishing,
+        (1,): vanishing * (Scalar.one() - Scalar.q(2)),
+        (0,): -vanishing * Scalar.q(2),
+    }
+    divisible = frac(num, [factor])
+    assert divisible == frac({(1,): vanishing, (0,): vanishing})
+    assert divisible.is_polynomial() and len(calls) == 1
+    calls.clear()
+    kept = frac({(1,): vanishing, (0,): 1}, [factor])
+    assert kept.pole_list() == [((1,), Scalar.q(2), 1)]
+    assert calls == []
+
+
 def test_screen_rejects_without_exact_division(monkeypatch):
     calls = count_exact_divisions(monkeypatch)
     f = frac({(1,): Scalar.t(2), (0,): -1}, [((1,), Scalar.t(2)), ((2,), Scalar.q())])
@@ -391,10 +382,10 @@ def test_screen_rejects_without_exact_division(monkeypatch):
 
 
 def assert_stored_normalized(f: TorusFraction):
-    for x, c in f.num.items():
+    for x, p in f.polys.items():
         for v in x:
             assert type(v) is int or (type(v) is Q and v.denominator != 1), x
-        for poly in (c.num, c.den):
+        for poly in (p, f.den):
             for (qe, te, ve), coeff in poly.terms.items():
                 assert isinstance(qe, (int, Q)) and isinstance(coeff, (int, Q))
     for f_ in f.factors:
@@ -405,8 +396,8 @@ def assert_stored_normalized(f: TorusFraction):
 def fraction_keyed(f: TorusFraction) -> TorusFraction:
     """f with every exponent stored as a Fraction."""
     out = TorusFraction.__new__(TorusFraction)
-    out.pair, out.factors = f.pair, f.factors
-    out.num = {tuple(Q(v) for v in x): c for x, c in f.num.items()}
+    out.pair, out.den, out.factors = f.pair, f.den, f.factors
+    out.polys = {tuple(Q(v) for v in x): p for x, p in f.polys.items()}
     return out
 
 
@@ -448,25 +439,7 @@ def test_substitution_and_evaluation_store_ints_when_integral(case, other, data)
 
 def reference_substitute(f: TorusFraction, mat, phi) -> TorusFraction:
     """The substitution e^x -> q^{phi.x} e^{M x} with a reducing rebuild."""
-    n = f.pair.rank
-    num = {}
-    for x, c in f.num.items():
-        key = tuple(sum(mat[i][k] * x[k] for k in range(n)) for i in range(n))
-        coeff = c * Scalar.q(sum(p * v for p, v in zip(phi, x)))
-        num[key] = num[key] + coeff if key in num else coeff
-    unit = {(0,) * n: Scalar.one()}
-    factors = []
-    for beta, key, coeff in f.factors:
-        c = Scalar.monomial(qexp=key[0], texp=key[1], vexp=key[2], coeff=coeff)
-        new_beta = tuple(
-            int(sum(mat[i][k] * beta[k] for k in range(n))) for i in range(n)
-        )
-        shift = sum(p * v for p, v in zip(phi, beta))
-        unit = torusfn._num_scale(unit, Scalar.q(-shift))
-        nf = _make_factor(new_beta, c * Scalar.q(-shift))
-        nf, unit = torusfn._canonicalize_factor(nf, unit, n)
-        factors.append(nf)
-    return TorusFraction(f.pair, _num_mul(num, unit), tuple(factors))
+    return TorusFraction(f.pair, *ref.substitute(f.pair.rank, (f.num, f.factors), mat, phi))
 
 
 def reference_transport(f: TorusFraction, w, mu) -> TorusFraction:
@@ -522,8 +495,8 @@ def pairwise_add(a: TorusFraction, b: TorusFraction) -> TorusFraction:
             b_extra.append(f)
     a_extra = [f for f, m in counts.items() for _ in range(m)]
     rank = a.pair.rank
-    num = _num_mul(a.num, _factors_poly(b_extra, rank))
-    for x, c in _num_mul(b.num, _factors_poly(a_extra, rank)).items():
+    num = ref.num_mul(a.num, ref.factors_poly(b_extra, rank))
+    for x, c in ref.num_mul(b.num, ref.factors_poly(a_extra, rank)).items():
         num[x] = num[x] + c if x in num else c
     return TorusFraction(a.pair, num, common + a_extra + b_extra)
 
@@ -572,7 +545,6 @@ def parts_to_sum(draw):
     root-direction factors with half-lattice numerators, and sometimes a last
     part that cancels the sum down to another such fraction."""
     pair, betas = draw(st.sampled_from(ROOT_DIRECTIONS))
-    zero = (0,) * pair.rank
     xs = st.tuples(
         *[st.fractions(min_value=-1, max_value=1, max_denominator=2)] * pair.rank
     )
@@ -586,8 +558,7 @@ def parts_to_sum(draw):
         factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
         for f in factors:
             if draw(st.booleans()):
-                c = torusfn._factor_value(f)
-                num = _num_mul(num, {f[0]: Scalar.one(), zero: -c})
+                num = ref.num_mul(num, ref.binomial(f, pair.rank))
         return TorusFraction(pair, num, factors, reduce=False)
 
     parts = [
@@ -625,3 +596,188 @@ def test_proportional_directions_make_the_fold_depend_on_order():
     orders = ([a, b, c], [c, b, a], [b, c, a])
     forms = {str(TorusFraction.sum(A1, parts).to_json()) for parts in orders}
     assert len(forms) == 1
+
+
+# -- one scalar denominator: the per-coefficient store as an oracle ----------------
+
+
+def assert_matches(got: TorusFraction, expected: tuple) -> None:
+    num, factors = expected
+    assert got.factors == factors
+    assert stored(got.num) == stored(num)
+
+
+def fraction(case) -> TorusFraction:
+    pair, num, factors = case
+    return TorusFraction(pair, num, factors)
+
+
+_equivalence_cases = fractions_to_reduce(lattices=(PAIRS, WEIGHT_PAIRS))
+# for the tests whose oracle takes a gcd per coefficient or a sympy gcd
+_oracle_settings = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@_oracle_settings
+@given(_equivalence_cases, st.data())
+def test_products_and_sums_match_the_per_coefficient_store(case, data):
+    f = fraction(case)
+    pair = f.pair
+    others = [
+        TorusFraction(pair, num, factors)
+        for num, factors in data.draw(
+            st.lists(
+                fractions_to_reduce(lattices=(PAIRS, WEIGHT_PAIRS))
+                .filter(lambda c: c[0] is pair)
+                .map(lambda c: (c[1], c[2])),
+                min_size=1,
+                max_size=2,
+            )
+        )
+    ]
+    g = others[0]
+    a, b = (f.num, f.factors), (g.num, g.factors)
+    assert_matches(f * g, ref.product(a, b))
+    assert_matches(f.mul_unreduced(g), ref.product(a, b, reducing=False))
+    parts = [f.mul_unreduced(h) for h in others] + [f, -g]
+    ref_parts = [ref.product(a, (h.num, h.factors), False) for h in others]
+    ref_parts += [a, ref.scale(b, Scalar.const(-1))]
+    assert_matches(TorusFraction.sum(pair, parts), ref.fsum(pair.rank, ref_parts))
+    assert_matches(f - f, ({}, ()))
+
+
+@_screen_settings
+@given(_equivalence_cases, st.one_of(_scalars, _monomials))
+def test_scale_matches_the_per_coefficient_store(case, c):
+    f = fraction(case)
+    assert_matches(f.scale(c), ref.scale((f.num, f.factors), c))
+
+
+@_screen_settings
+@given(_equivalence_cases, st.data())
+def test_transport_matches_the_per_coefficient_store(case, data):
+    f = fraction(case)
+    pair, n = f.pair, f.pair.rank
+    w = pair.system.element_by_word(
+        data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    )
+    mu = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
+    assert_matches(f.transport(w, mu), ref.transport(pair, (f.num, f.factors), w, mu))
+    phi = data.draw(
+        st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=2)] * n)
+    )
+    mat = pair.x_matrix(w)
+    assert_matches(f.substitute(mat, phi), ref.substitute(n, (f.num, f.factors), mat, phi))
+
+
+def outcome(fn):
+    """fn's value, or the type of the error it raised: a pole on the divisor,
+    or a fractional power of tau that is not a monomial."""
+    try:
+        return fn()
+    except (PoleError, ValueError) as error:
+        return type(error)
+
+
+@_screen_settings
+@given(_equivalence_cases, st.data())
+def test_evaluation_and_residues_match_the_per_coefficient_store(case, data):
+    f = fraction(case)
+    pair, n = f.pair, f.pair.rank
+    alpha = data.draw(st.sampled_from(PAIRS[n][1][: 1 if n == 1 else 3]))
+    # a pole of f on the divisor, when it has one along alpha, or a random q-power
+    poles = [_factor_value_root(g, alpha) for g in f.factors]
+    taus = [t for t in poles if t is not None] + [Scalar.q(data.draw(_qexps))]
+    tau = data.draw(st.sampled_from(taus))
+    a = (f.num, f.factors)
+    for got, expected in (
+        (lambda: f.evaluate_at(alpha, tau), lambda: ref.evaluate_at(n, a, alpha, tau)),
+        (lambda: f.residue(alpha, tau), lambda: ref.residue(n, a, alpha, tau)),
+        (
+            lambda: f.residue(tuple(-v for v in alpha), tau.inverse()),
+            lambda: ref.residue(n, a, tuple(-v for v in alpha), tau.inverse()),
+        ),
+    ):
+        value, ref_value = outcome(got), outcome(expected)
+        if isinstance(ref_value, type):
+            assert value is ref_value
+        else:
+            assert_matches(value, ref_value)
+
+
+def _factor_value_root(f, alpha) -> Scalar | None:
+    """tau with tau^k = c when the factor is e^{k alpha} - c and c has a
+    k-th root among monomials with unit coefficient, else None."""
+    beta, (qe, te, ve), coeff = f
+    ratios = {Q(b, a) for a, b in zip(alpha, beta) if a} | {
+        None for a, b in zip(alpha, beta) if not a and b
+    }
+    if len(ratios) != 1 or None in ratios:
+        return None
+    k = ratios.pop()
+    if k.denominator != 1 or k <= 0:
+        return None
+    k = int(k)
+    if k == 1:
+        return torusfn._factor_value(f)
+    if coeff != 1 or te % k or ve % k:
+        return None
+    return Scalar.monomial(qexp=Q(qe) / k, texp=te // k, vexp=ve // k)
+
+
+# -- the stored form ------------------------------------------------------------------
+
+
+def laurent_to_sympy(p: LaurentPoly, grid: int, syms):
+    """p times a monomial, as a sympy polynomial expression in y = q^(1/grid),
+    t and v with nonnegative exponents."""
+    y, t, v = syms
+    mq, mt, mv = p.min_exponents()
+    return sum(
+        c.numerator * y ** int((qe - mq) * grid) * t ** (te - mt) * v ** (ve - mv)
+        / c.denominator
+        for (qe, te, ve), c in p.terms.items()
+    )
+
+
+def assert_stored_form(f: TorusFraction) -> None:
+    sympy = pytest.importorskip("sympy")
+    if f.is_zero():
+        assert f.den == LaurentPoly.one() and f.factors == ()
+        return
+    den = f.den
+    # integer-primitive with a positive leading coefficient, no monomial content
+    assert den.rational_content() == 1 and den.leading()[1] > 0
+    assert den.min_exponents() == (0, 0, 0)
+    assert all(type(c) is int for c in den.terms.values())
+    # coprime to the numerators, by an independent gcd
+    grid = 1
+    for p in (den, *f.polys.values()):
+        grid = grid * p.root_index() // gcd(grid, p.root_index())
+    syms = sympy.symbols("y t v")
+    g = laurent_to_sympy(den, grid, syms)
+    for p in f.polys.values():
+        g = sympy.gcd(g, laurent_to_sympy(p, grid, syms))
+    assert len(sympy.Poly(g, *syms).terms()) == 1, (f, g)
+
+
+@_oracle_settings
+@given(_equivalence_cases, _equivalence_cases, _scalars, st.data())
+def test_stored_form_is_lowest_terms_over_a_primitive_denominator(case, other, c, data):
+    f = fraction(case)
+    pair, n = f.pair, f.pair.rank
+    results = [f, f.scale(c), f.scale(Scalar.zero()), f - f]
+    w = pair.system.element_by_word(data.draw(st.lists(st.integers(0, n - 1), max_size=2)))
+    results.append(f.transport(w, data.draw(st.tuples(*[st.integers(-1, 1)] * n))))
+    if other[0] is pair:
+        g = fraction(other)
+        results += [f * g, f + g, TorusFraction.sum(pair, [f.mul_unreduced(g), g])]
+    alpha = PAIRS[n][1][0]
+    tau = Scalar.q(data.draw(_qexps))
+    try:
+        results.append(f.evaluate_at(alpha, tau))
+    except PoleError:
+        pass
+    for got in results:
+        assert_stored_form(got)
