@@ -26,7 +26,7 @@ from fractions import Fraction as Q
 from math import gcd, isqrt, lcm
 
 from .errors import EnumerationBoundError
-from .linalg import Residue, mat_vec, nullspace, row_echelon
+from .linalg import Residue, charpoly, mat_vec, nullspace, row_echelon
 
 
 # -- cyclotomic polynomials and numbers --------------------------------------
@@ -62,23 +62,29 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return out
 
 
+def _mod_phi(work: list, n: int) -> list:
+    """The remainder of a coefficient list (ascending, at least phi(n)
+    long, reduced in place) modulo Phi_n, over any ring holding the list."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    for k in range(len(work) - 1, deg - 1, -1):
+        c = work[k]
+        if c:
+            for i in range(deg + 1):
+                work[k - deg + i] -= c * phi[i]
+    return work[:deg]
+
+
 class Cyc:
     """Element of Q(zeta_n), a polynomial in zeta_n modulo Phi_n."""
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs):
-        phi = cyclotomic_poly(n)
-        deg = len(phi) - 1
-        work = [Q(c) for c in coeffs]
-        for k in range(len(work) - 1, deg - 1, -1):
-            c = work[k]
-            if c:
-                for i in range(deg + 1):
-                    work[k - deg + i] -= c * phi[i]
-        work = work[:deg] + [Q(0)] * (deg - len(work))
+        deg = len(cyclotomic_poly(n)) - 1
+        work = list(coeffs) + [0] * (deg - len(coeffs))
         self.n = n
-        self.coeffs = tuple(work[:deg])
+        self.coeffs = tuple(map(Q, _mod_phi(work, n)))
 
     @classmethod
     def const(cls, n: int, c) -> Cyc:
@@ -222,47 +228,75 @@ def _perm_order(a: tuple) -> int:
     return out
 
 
+def _closure(ident: tuple, gens, bound: int) -> list[tuple]:
+    """The group generated, breadth-first from the identity."""
+    elements = [ident]
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = _compose(g, x)
+                if y not in seen:
+                    if len(seen) >= bound:
+                        raise EnumerationBoundError(
+                            f"group enumeration exceeded the bound {bound}"
+                        )
+                    seen.add(y)
+                    elements.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return elements
+
+
+def _check_perms(degree: int, perms) -> list[tuple]:
+    perms = [tuple(g) for g in perms]
+    for g in perms:
+        if sorted(g) != list(range(degree)):
+            raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
+    return perms
+
+
 class PermGroup:
     """Finite permutation group enumerated breadth-first from generators."""
 
     __slots__ = ("degree", "generators", "elements", "index", "_classes", "_table")
 
     def __init__(self, degree: int, generators, bound: int = 2000):
+        gens = _check_perms(degree, generators)
+        self._set(degree, gens, _closure(tuple(range(degree)), gens, bound))
+
+    def _set(self, degree: int, gens, elements) -> None:
         self.degree = degree
-        gens = tuple(tuple(g) for g in generators)
-        for g in gens:
-            if sorted(g) != list(range(degree)):
-                raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
-        self.generators = gens
-        ident = tuple(range(degree))
-        elements = [ident]
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = _compose(g, x)
-                    if y not in seen:
-                        if len(seen) >= bound:
-                            raise EnumerationBoundError(
-                                f"group enumeration exceeded the bound {bound}"
-                            )
-                        seen.add(y)
-                        elements.append(y)
-                        nxt.append(y)
-            frontier = nxt
+        self.generators = tuple(gens)
         self.elements = tuple(elements)
-        self.index = {x: i for i, x in enumerate(elements)}
+        self.index = {x: i for i, x in enumerate(self.elements)}
         self._classes = None
         self._table = None
 
     @classmethod
     def from_elements(cls, degree: int, elements, bound: int = 2000) -> PermGroup:
-        elements = [tuple(e) for e in elements]
-        if not elements:
-            elements = [tuple(range(degree))]
-        return cls(degree, elements, bound=bound)
+        """The group of the listed elements, the identity first and then the
+        list in its order.
+
+        A closed list keeps that order, and a greedy subset generates it:
+        an element joins when it lies outside the span of those before it,
+        so there are at most log2 of the order.  A list that is not closed
+        generates the group, which is its breadth-first closure."""
+        listed = _check_perms(degree, elements)
+        ident = tuple(range(degree))
+        distinct = list(dict.fromkeys([ident] + listed))
+        gens, span = [], {ident}
+        for x in distinct:
+            if x not in span:
+                gens.append(x)
+                span = set(_closure(ident, gens, bound))
+        if len(span) != len(distinct):
+            return cls(degree, listed or [ident], bound=bound)
+        group = cls.__new__(cls)
+        group._set(degree, gens, distinct)
+        return group
 
     @property
     def order(self) -> int:
@@ -405,26 +439,45 @@ class CharacterTable:
         )
 
     def verify_orthogonality(self) -> bool:
+        """Both orthogonality relations and the degree sum, exactly.
+
+        The check runs in integers: the coordinates are scaled by their
+        common denominator den, each value is conjugated once, and each
+        inner product is summed as a polynomial in zeta with exponents
+        mod n, reduced modulo Phi_n once and compared with order * den^2
+        (rows) or (order / size) * den^2 (columns).
+        """
         n = self.conductor
-        order = Cyc.const(n, self.group.order)
-        for a, ra in enumerate(self.rows):
-            for b, rb in enumerate(self.rows):
-                acc = Cyc.zero(n)
-                for size, x, y in zip(self.sizes, ra, rb):
-                    acc = acc + Cyc.const(n, size) * x * y.conjugate()
-                if acc != (order if a == b else Cyc.zero(n)):
+        den = lcm(
+            *(c.denominator for row in self.rows for v in row for c in v.coeffs)
+        )
+        values = [
+            [[(k, int(c * den)) for k, c in enumerate(v.coeffs) if c] for v in row]
+            for row in self.rows
+        ]
+        conjugates = [[[(-k % n, c) for k, c in v] for v in row] for row in values]
+        want = self.group.order * den * den
+
+        def inner(xs, ys, weights) -> list[int]:
+            acc = [0] * n
+            for w, x, y in zip(weights, xs, ys):
+                for i, a in x:
+                    for k, b in y:
+                        acc[(i + k) % n] += w * a * b
+            return _mod_phi(acc, n)
+
+        for a, xs in enumerate(values):
+            for b, ys in enumerate(conjugates):
+                got = inner(xs, ys, self.sizes)
+                if got[0] != (want if a == b else 0) or any(got[1:]):
                     return False
-        for i in range(len(self.reps)):
-            for j in range(len(self.reps)):
-                acc = Cyc.zero(n)
-                for row in self.rows:
-                    acc = acc + row[i] * row[j].conjugate()
-                want = (
-                    Cyc.const(n, Q(self.group.order, self.sizes[i]))
-                    if i == j
-                    else Cyc.zero(n)
-                )
-                if acc != want:
+        ones = [1] * len(self.rows)
+        conjugate_columns = list(zip(*conjugates))
+        for i, (xs, size) in enumerate(zip(zip(*values), self.sizes)):
+            for j, ys in enumerate(conjugate_columns):
+                got = inner(xs, ys, ones)
+                constant_ok = got[0] * size == want if i == j else got[0] == 0
+                if not constant_ok or any(got[1:]):
                     return False
         return sum(d * d for d in self.degrees) == self.group.order
 
@@ -457,11 +510,9 @@ def character_table(group: PermGroup) -> CharacterTable:
     mats = []
     for i in range(r):
         mat = [[0] * r for _ in range(r)]
-        for k in range(r):
-            zk = reps[k]
-            for x in classes[i][1]:
-                j = class_of[_compose(_invert(x), zk)]
-                mat[j][k] += 1
+        for x in map(_invert, classes[i][1]):
+            for k, zk in enumerate(reps):
+                mat[class_of[_compose(x, zk)]][k] += 1
         mats.append([[Residue(c, p) for c in row] for row in mat])
 
     # split GF(p)^r into the joint eigenlines of the class sums
@@ -483,8 +534,13 @@ def character_table(group: PermGroup) -> CharacterTable:
                 raise AssertionError("class sum does not preserve its subspace")
             action = [row[d:] for row in rref[:d]]
             columns = list(zip(*basis))
+            # the eigenvalues are the roots of the characteristic polynomial,
+            # so the eigenspace search eliminates only at a root
+            values = [0] * p
+            for c in reversed(charpoly(action, zero, one)):
+                values = [(v * t + c.value) % p for t, v in enumerate(values)]
             found = 0
-            for t in range(p):
+            for t in (t for t, v in enumerate(values) if v == 0):
                 shift = Residue(t, p)
                 kern = nullspace(
                     [
@@ -494,11 +550,8 @@ def character_table(group: PermGroup) -> CharacterTable:
                     zero,
                     one,
                 )
-                if kern:
-                    refined.append([mat_vec(columns, kv) for kv in kern])
-                    found += len(kern)
-                    if found == d:
-                        break
+                refined.append([mat_vec(columns, kv) for kv in kern])
+                found += len(kern)
             if found != d:
                 raise AssertionError("class-sum matrix failed to diagonalize")
         spaces = refined

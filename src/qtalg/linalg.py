@@ -6,6 +6,8 @@ a zero test, so rationals, ``Scalar`` and residues modulo a prime
 (``Residue``) all go through it.  Kernels, ranks, inverses and solves are
 built on it; products need only a ring.  The determinant is separate: it
 eliminates without normalizing pivots and is used on rational matrices.
+The characteristic polynomial, through Hessenberg form, uses the same
+field operations.
 
 Plus a unimodular completion of a primitive integer vector, used to
 change coordinates so that a chosen lattice direction becomes the first
@@ -173,6 +175,55 @@ def nullspace(
             vec[pcol] = zero - prow[f]
         basis.append(vec)
     return basis
+
+
+def charpoly(
+    a: Sequence[Sequence],
+    zero,
+    one,
+    is_zero: Callable = lambda x: x == 0,
+) -> list:
+    """Characteristic polynomial det(x·I − a), ascending coefficients.
+
+    The matrix is brought to upper Hessenberg form by elementary
+    similarities, then the polynomials of its leading blocks follow by
+    the Hessenberg recurrence (Cohen, *A Course in Computational
+    Algebraic Number Theory*, Algorithms 2.2.9 and 2.2.10), in O(n^3)
+    field operations.
+    """
+    n = len(a)
+    h = [list(row) for row in a]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if not is_zero(h[i][m - 1])), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        lead = h[m][m - 1]
+        for i in range(m + 1, n):
+            if is_zero(h[i][m - 1]):
+                continue
+            u = h[i][m - 1] / lead
+            h[i] = [x - u * y for x, y in zip(h[i], h[m])]
+            for row in h:
+                row[m] = row[m] + u * row[i]
+    polys = [[one]]
+    for m in range(n):
+        prev = polys[m]
+        # (x - h[m][m]) * prev
+        cur = [zero - h[m][m] * prev[0]]
+        cur += [prev[k - 1] - h[m][m] * prev[k] for k in range(1, m + 1)]
+        cur.append(prev[m])
+        t = one
+        for i in range(1, m + 1):
+            t = t * h[m - i + 1][m - i]
+            c = t * h[m - i][m]
+            for k, y in enumerate(polys[m - i]):
+                cur[k] = cur[k] - c * y
+        polys.append(cur)
+    return polys[n]
 
 
 # -- unimodular completion --------------------------------------------------

@@ -283,7 +283,7 @@ class TorusFraction:
                     classes[f[0]] = _beta_classes(self.polys, f[0])
                 if _indivisible(classes[f[0]], values, _terms_residue([f[1:]], grid)):
                     continue
-                quotient = _divide_num(self.polys, f)
+                quotient = _divide_num(self.polys, f, classes[f[0]])
                 if quotient is not None:
                     self.polys = quotient
                     factors.remove(f)
@@ -804,12 +804,13 @@ def _indivisible(classes: list, values: dict, c: int | None) -> bool:
     return False
 
 
-def _divide_num(num: Num, f: Factor) -> Num | None:
+def _divide_num(num: Num, f: Factor, classes: list) -> Num | None:
     """Exact quotient num / (e^beta - c), or None: synthetic division of
-    each class polynomial sum_m P_m u^m by u - c, monic in u."""
+    each class polynomial sum_m P_m u^m by u - c, monic in u.  classes is
+    _beta_classes(num, beta)."""
     beta, key, coeff = f
     quotient: Num = {}
-    for items in _beta_classes(num, beta):
+    for items in classes:
         degree = max(m for m, _ in items)
         if degree == 0:
             return None

@@ -1,11 +1,17 @@
 """Tests for permutation groups, character tables and Clifford counting."""
 
+import cmath
 from fractions import Fraction as Q
+from functools import cache
 from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtalg.clifford import (
+    CharacterTable,
     Cyc,
     PermGroup,
     character_table,
@@ -19,7 +25,7 @@ from qtalg.clifford import (
 )
 from qtalg.errors import EnumerationBoundError
 from qtalg.loopjordan import component_weyl
-from qtalg.rootdata import LatticePair, RootSystem
+from qtalg.rootdata import BUILTIN_CARTAN, LatticePair, RootSystem
 from qtalg.scalars import QPower
 
 
@@ -326,3 +332,256 @@ def test_transversal_conjugation_matches_root_transport():
                 moved = tuple(-x for x in moved)
             lhs = t * pair.system.reflection(root) * t.inverse()
             assert lhs == pair.system.reflection(moved)
+
+
+# -- small generating sets ------------------------------------------------------
+
+
+def classes_as_sets(group: PermGroup) -> list:
+    return [(rep, frozenset(members)) for rep, members in group.conjugacy_classes()]
+
+
+def assert_same_group_data(group: PermGroup, reference: PermGroup):
+    """Elements, classes and table agree with those of the group that every
+    element generates, and the generators are a small subset."""
+    assert group.elements == reference.elements
+    assert classes_as_sets(group) == classes_as_sets(reference)
+    assert character_table(group).to_json() == character_table(reference).to_json()
+    assert set(group.generators) <= set(group.elements)
+    assert 2 ** len(group.generators) <= group.order
+
+
+def test_from_elements_keeps_identity_then_the_given_order():
+    elements = list(reversed(s3().elements))  # the identity comes last
+    group = PermGroup.from_elements(3, elements + elements[:2])
+    assert group.elements == (group.identity,) + tuple(elements[:-1])
+    assert group.order == 6
+
+
+@pytest.mark.parametrize("label", sorted(BUILTIN_CARTAN))
+def test_from_elements_matches_all_elements_as_generators_on_weyl_groups(label):
+    system = RootSystem(label)
+    group = weyl_permutation_group(system.elements, system)
+    assert_same_group_data(group, PermGroup(group.degree, group.elements))
+
+
+def test_from_elements_matches_all_elements_as_generators_on_stabilizers():
+    group, normal = wreath_pair()
+    for orbit in clifford_orbits(group, normal):
+        stab = orbit.stabilizer
+        assert_same_group_data(stab, PermGroup(stab.degree, stab.elements))
+
+
+def test_from_elements_closes_a_list_that_is_not_closed():
+    listed = [(1, 0, 2), (1, 2, 0)]
+    group = PermGroup.from_elements(3, listed)
+    assert group.order == 6
+    assert group.elements == PermGroup(3, listed).elements
+    assert group.elements[:3] == ((0, 1, 2), (1, 0, 2), (1, 2, 0))
+    with pytest.raises(EnumerationBoundError):
+        PermGroup.from_elements(3, listed, bound=5)
+
+
+def test_from_elements_of_nothing_is_the_trivial_group():
+    group = PermGroup.from_elements(4, [])
+    assert group.elements == ((0, 1, 2, 3),)
+    assert character_table(group).verify_orthogonality()
+
+
+# -- the orthogonality check: wrong tables, an older route, complex numbers -----
+
+
+def cyc_orthogonality(table: CharacterTable) -> bool:
+    """Both orthogonality relations as sums of Cyc products with Fraction
+    coefficients, each conjugate taken where it is used: an independent
+    route to the integer check of CharacterTable.verify_orthogonality."""
+    n = table.conductor
+    order = Cyc.const(n, table.group.order)
+    for a, ra in enumerate(table.rows):
+        for b, rb in enumerate(table.rows):
+            acc = Cyc.zero(n)
+            for size, x, y in zip(table.sizes, ra, rb):
+                acc = acc + Cyc.const(n, size) * x * y.conjugate()
+            if acc != (order if a == b else Cyc.zero(n)):
+                return False
+    for i in range(len(table.reps)):
+        for j in range(len(table.reps)):
+            acc = Cyc.zero(n)
+            for row in table.rows:
+                acc = acc + row[i] * row[j].conjugate()
+            want = Q(table.group.order, table.sizes[i]) if i == j else 0
+            if acc != Cyc.const(n, want):
+                return False
+    return sum(d * d for d in table.degrees) == table.group.order
+
+
+@cache
+def builtin_table(name: str) -> CharacterTable:
+    groups = {
+        "C2": lambda: PermGroup(2, [(1, 0)]),
+        "C3": c3,
+        "S3": s3,
+        "S3 wr S2": lambda: wreath_pair()[0],
+        "S3 x S3": lambda: wreath_pair()[1],
+        "Q8": lambda: quaternion_pair()[0],
+        "C4": lambda: quaternion_pair()[1],
+    }
+    if name in groups:
+        return character_table(groups[name]())
+    system = RootSystem(name[2:-1])
+    return character_table(weyl_permutation_group(system.elements, system))
+
+
+BUILTIN_TABLES = ["C2", "C3", "S3", "S3 wr S2", "S3 x S3", "Q8", "C4"] + [
+    f"W({label})" for label in sorted(BUILTIN_CARTAN)
+]
+
+
+def with_rows(table: CharacterTable, rows=None, sizes=None) -> CharacterTable:
+    return CharacterTable(
+        table.group, table.reps, table.sizes if sizes is None else sizes,
+        table.conductor, table.rows if rows is None else rows,
+    )
+
+
+def with_value(table: CharacterTable, a: int, j: int, value: Cyc) -> CharacterTable:
+    rows = [list(row) for row in table.rows]
+    rows[a][j] = value
+    return with_rows(table, rows)
+
+
+def first_nonzero(table: CharacterTable) -> tuple[int, int]:
+    """A nonzero value off the identity class, whose change breaks the
+    column relation with the identity class."""
+    return next(
+        (a, j) for a, row in enumerate(table.rows)
+        for j, v in enumerate(row) if j and not v.is_zero()
+    )
+
+
+def swapped_values(table: CharacterTable):
+    for a, row in enumerate(table.rows):
+        for j, k in product(range(1, len(row)), repeat=2):
+            if j < k and row[j] != row[k]:
+                rows = [list(r) for r in table.rows]
+                rows[a][j], rows[a][k] = row[k], row[j]
+                return with_rows(table, rows)
+    return None  # no two distinct values off the identity class
+
+
+def times_zeta(table: CharacterTable):
+    a, j = first_nonzero(table)
+    return with_value(table, a, j, table.rows[a][j] * Cyc.zeta(table.conductor))
+
+
+def non_integral(table: CharacterTable):
+    a, j = first_nonzero(table)
+    return with_value(table, a, j, table.rows[a][j] + Q(1, 2))
+
+
+def size_off_by_one(table: CharacterTable):
+    return with_rows(table, sizes=[s + (j == 1) for j, s in enumerate(table.sizes)])
+
+
+CORRUPTIONS = [swapped_values, times_zeta, non_integral, size_off_by_one]
+
+
+@pytest.mark.parametrize("name", BUILTIN_TABLES)
+def test_builtin_tables_pass_both_checks(name):
+    table = builtin_table(name)
+    assert table.verify_orthogonality()
+    assert cyc_orthogonality(table)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", BUILTIN_TABLES)
+def test_a_corrupted_table_fails_both_checks(name, corrupt):
+    table = builtin_table(name)
+    wrong = corrupt(table)
+    if wrong is None:  # a group of order 2 has one value off the identity
+        assert corrupt is swapped_values and table.group.order == 2
+        return
+    assert not wrong.verify_orthogonality()
+    assert not cyc_orthogonality(wrong)
+
+
+@pytest.mark.parametrize("name", BUILTIN_TABLES)
+def test_relabelled_and_conjugated_tables_pass_both_checks(name):
+    table = builtin_table(name)
+    n = table.conductor
+    variants = [
+        with_rows(table, list(reversed(table.rows))),
+        with_rows(table, [[v.galois(n - 1) for v in row] for row in table.rows]),
+    ]
+    for variant in variants:
+        assert variant.verify_orthogonality()
+        assert cyc_orthogonality(variant)
+
+
+def test_orthogonal_rows_with_non_integral_values_pass_both_checks():
+    """The relations alone admit values that are not algebraic integers:
+    these rows of the Klein four group, twice a rational orthogonal matrix
+    with first column 1/2, are no character table but satisfy both
+    relations exactly, so both checks compare against order * den^2 with
+    den = 25."""
+    klein = PermGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+    table = character_table(klein)
+    values = [
+        [1, -1, Q(31, 25), Q(-17, 25)],
+        [1, 1, Q(-17, 25), Q(-31, 25)],
+        [1, 1, Q(17, 25), Q(31, 25)],
+        [1, -1, Q(-31, 25), Q(17, 25)],
+    ]
+    rows = [[Cyc.const(table.conductor, x) for x in row] for row in values]
+    rotated = with_rows(table, rows)
+    assert rotated.verify_orthogonality()
+    assert cyc_orthogonality(rotated)
+
+
+def to_complex(v: Cyc) -> complex:
+    z = cmath.exp(2j * cmath.pi / v.n)
+    return sum(float(c) * z**k for k, c in enumerate(v.coeffs))
+
+
+@pytest.mark.parametrize("name", ["W(A3)", "W(B2)", "W(G2)", "W(D4)", "S3 wr S2"])
+def test_tables_are_orthogonal_in_complex_numbers(name):
+    table = builtin_table(name)
+    rows = [[to_complex(v) for v in row] for row in table.rows]
+    order = table.group.order
+    for a, ra in enumerate(rows):
+        for b, rb in enumerate(rows):
+            got = sum(s * x * y.conjugate() for s, x, y in zip(table.sizes, ra, rb))
+            assert abs(got - (order if a == b else 0)) < 1e-9
+    for i, size in enumerate(table.sizes):
+        for j in range(len(table.sizes)):
+            got = sum(row[i] * row[j].conjugate() for row in rows)
+            assert abs(got - (order / size if i == j else 0)) < 1e-9
+
+
+orders = st.integers(min_value=1, max_value=12)
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def cyclotomic_pairs(draw):
+    n = draw(orders)
+    x, y = (
+        Cyc(n, draw(st.lists(small, max_size=n + 2))) for _ in range(2)
+    )
+    return x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic_pairs(), st.data())
+def test_cyclotomic_arithmetic_matches_complex_evaluation(pair, data):
+    x, y = pair
+    n = x.n
+    assert abs(to_complex(x + y) - (to_complex(x) + to_complex(y))) < 1e-9
+    assert abs(to_complex(x * y) - to_complex(x) * to_complex(y)) < 1e-9
+    units = [t for t in range(1, 2 * n + 1) if gcd(t, n) == 1]
+    t = data.draw(st.sampled_from(units))
+    z_t = cmath.exp(2j * cmath.pi * t / n)
+    direct = sum(float(c) * z_t**k for k, c in enumerate(x.coeffs))
+    assert abs(to_complex(x.galois(t)) - direct) < 1e-9
+    m = data.draw(st.integers(min_value=1, max_value=4))
+    assert abs(to_complex(x.promote(n * m)) - to_complex(x)) < 1e-9

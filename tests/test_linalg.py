@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qtalg.linalg import (
     Residue,
+    charpoly,
     identity,
     is_integral,
     mat_det,
@@ -49,6 +50,37 @@ def test_solve(m, b):
     assume(mat_det(m) != 0)
     x = mat_solve(m, b)
     assert mat_vec(m, x) == b
+
+
+sparse_ints = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
+
+
+square_ints = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(sparse_ints, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@given(square_ints)
+@settings(max_examples=60, deadline=None)
+def test_charpoly_agrees_with_determinants_and_reduces_mod_p(rows):
+    """det(t·I - a) at n + 1 points fixes the monic degree-n polynomial; the
+    same integer matrix mod p has that polynomial mod p, whatever pivots
+    vanish there."""
+    n = len(rows)
+    poly = charpoly([[Q(x) for x in row] for row in rows], Q(0), Q(1))
+    assert len(poly) == n + 1 and poly[n] == 1
+    for t in range(n + 1):
+        shifted = [
+            [(t if i == j else 0) - x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+        assert sum(c * t**k for k, c in enumerate(poly)) == mat_det(shifted)
+    p = 5
+    residues = [[Residue(x, p) for x in row] for row in rows]
+    modp = charpoly(residues, Residue(0, p), Residue(1, p))
+    assert [c.value for c in modp] == [int(c) % p for c in poly]
 
 
 def test_rank_and_echelon():

@@ -317,9 +317,9 @@ def count_exact_divisions(monkeypatch) -> list:
     calls = []
     exact = torusfn._divide_num
 
-    def counted(num, f):
+    def counted(num, f, classes):
         calls.append(f)
-        return exact(num, f)
+        return exact(num, f, classes)
 
     monkeypatch.setattr(torusfn, "_divide_num", counted)
     return calls
