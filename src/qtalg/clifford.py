@@ -445,9 +445,12 @@ class CharacterTable:
         common denominator den, each value is conjugated once, and each
         inner product is summed as a polynomial in zeta with exponents
         mod n, reduced modulo Phi_n once and compared with order * den^2
-        (rows) or (order / size) * den^2 (columns).
+        (rows) or (order / size) * den^2 (columns).  Every value must lie
+        in Q(zeta_n) for the conductor n.
         """
         n = self.conductor
+        if any(v.n != n for row in self.rows for v in row):
+            raise ValueError("cyclotomic orders differ; promote first")
         den = lcm(
             *(c.denominator for row in self.rows for v in row for c in v.coeffs)
         )

@@ -177,12 +177,7 @@ def nullspace(
     return basis
 
 
-def charpoly(
-    a: Sequence[Sequence],
-    zero,
-    one,
-    is_zero: Callable = lambda x: x == 0,
-) -> list:
+def charpoly(a: Sequence[Sequence], zero, one) -> list:
     """Characteristic polynomial det(x·I − a), ascending coefficients.
 
     The matrix is brought to upper Hessenberg form by elementary
@@ -194,7 +189,7 @@ def charpoly(
     n = len(a)
     h = [list(row) for row in a]
     for m in range(1, n - 1):
-        pivot = next((i for i in range(m, n) if not is_zero(h[i][m - 1])), None)
+        pivot = next((i for i in range(m, n) if h[i][m - 1] != 0), None)
         if pivot is None:
             continue
         if pivot != m:
@@ -203,7 +198,7 @@ def charpoly(
                 row[m], row[pivot] = row[pivot], row[m]
         lead = h[m][m - 1]
         for i in range(m + 1, n):
-            if is_zero(h[i][m - 1]):
+            if h[i][m - 1] == 0:
                 continue
             u = h[i][m - 1] / lead
             h[i] = [x - u * y for x, y in zip(h[i], h[m])]

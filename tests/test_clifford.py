@@ -437,10 +437,13 @@ BUILTIN_TABLES = ["C2", "C3", "S3", "S3 wr S2", "S3 x S3", "Q8", "C4"] + [
 ]
 
 
-def with_rows(table: CharacterTable, rows=None, sizes=None) -> CharacterTable:
+def with_rows(
+    table: CharacterTable, rows=None, sizes=None, conductor=None
+) -> CharacterTable:
     return CharacterTable(
         table.group, table.reps, table.sizes if sizes is None else sizes,
-        table.conductor, table.rows if rows is None else rows,
+        table.conductor if conductor is None else conductor,
+        table.rows if rows is None else rows,
     )
 
 
@@ -536,6 +539,16 @@ def test_orthogonal_rows_with_non_integral_values_pass_both_checks():
     rotated = with_rows(table, rows)
     assert rotated.verify_orthogonality()
     assert cyc_orthogonality(rotated)
+
+
+def test_orthogonality_check_rejects_values_of_another_order():
+    table = builtin_table("C3")
+    promoted = [[v.promote(6) for v in row] for row in table.rows]
+    with pytest.raises(ValueError, match="promote first"):
+        with_rows(table, promoted).verify_orthogonality()
+    with pytest.raises(ValueError, match="promote first"):
+        with_value(table, 0, 0, Cyc.const(1, 1)).verify_orthogonality()
+    assert with_rows(table, promoted, conductor=6).verify_orthogonality()
 
 
 def to_complex(v: Cyc) -> complex:
