@@ -669,12 +669,16 @@ def clifford_orbits(group: PermGroup, normal: PermGroup) -> list[CliffordOrbit]:
             if image not in members:
                 members.append(image)
         assigned.update(members)
-        stab_elements = [
-            _compose(g, u) for g in stab_cosets for u in normal.elements
-        ]
-        stabilizer = PermGroup.from_elements(
-            group.degree, stab_elements, bound=group.order + 1
-        )
+        if len(stab_cosets) == len(reps):
+            stabilizer = group
+        elif len(stab_cosets) == 1:
+            stabilizer = normal
+        else:
+            stabilizer = PermGroup.from_elements(
+                group.degree,
+                [_compose(g, u) for g in stab_cosets for u in normal.elements],
+                bound=group.order + 1,
+            )
         orbits.append(CliffordOrbit(sorted(members), stabilizer))
     return orbits
 

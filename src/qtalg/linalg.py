@@ -4,10 +4,12 @@ Dense matrices as lists of row lists.  One generic elimination,
 ``row_echelon``, serves every field: it only uses ``-``, ``*``, ``/`` and
 a zero test, so rationals, ``Scalar`` and residues modulo a prime
 (``Residue``) all go through it.  Kernels, ranks, inverses and solves are
-built on it; products need only a ring.  The determinant is separate: it
-eliminates without normalizing pivots and is used on rational matrices.
-The characteristic polynomial, through Hessenberg form, uses the same
-field operations.
+built on it; products need only a ring.  Determinants come from the
+fraction-free elimination ``fraction_free`` instead, which needs only an
+integral domain with exact ``//``: ``mat_det`` runs it on integer rows,
+and loop determinants and inverses run it on Laurent polynomials.  The
+characteristic polynomial, through Hessenberg form, uses the field
+operations.
 
 Plus a unimodular completion of a primitive integer vector, used to
 change coordinates so that a chosen lattice direction becomes the first
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import reduce
+from math import lcm
 from operator import add, mul
 from typing import Callable, Sequence
 
@@ -42,24 +45,21 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
 
 
 def mat_det(a: Sequence[Sequence[Q]]) -> Q:
-    """Determinant by fraction elimination."""
-    n = len(a)
-    m = [[Q(x) for x in row] for row in a]
-    det = Q(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
+    """Determinant of a square rational matrix.
+
+    Each row is scaled to integers by the lcm of its denominators, so the
+    elimination divides integers exactly; the product of the scales is
+    divided out at the end.
+    """
+    rows, scale = [], 1
+    for row in a:
+        s = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    m, pivots, sign = fraction_free(rows)
+    if len(pivots) < len(rows):
+        return Q(0)
+    return Q(sign * m[-1][-1], scale) if m else Q(1)
 
 
 def mat_inv(a: Sequence[Sequence[Q]]) -> list[list[Q]]:
@@ -149,6 +149,41 @@ def row_echelon(
         if row == len(m):
             break
     return m, pivots
+
+
+def fraction_free(
+    rows: list[list], is_zero: Callable = lambda x: x == 0
+) -> tuple[list[list], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination over an integral domain.
+
+    Bareiss's method (Bareiss 1968): the pivot row is kept, and every
+    other row r becomes (p*r - r[c]*pivot row) // prev, where p is the
+    pivot at column c and prev the one before.  After step k every entry
+    is a (k+1)-minor of the input, so ``//`` must only divide exactly.
+    Returns (rows, pivot column indices, sign of the row swaps); a square
+    block of full rank ends as d*I with d = sign*det.  Input is not mutated.
+    """
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    sign, prev, row = 1, None, 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(row, len(m)) if not is_zero(m[r][col])), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            m[row], m[pivot] = m[pivot], m[row]
+            sign = -sign
+        top = m[row]
+        lead = top[col]
+        for r in range(len(m)):
+            if r != row:
+                f = m[r][col]
+                new = [lead * x - f * y for x, y in zip(m[r], top)]
+                m[r] = new if prev is None else [x // prev for x in new]
+        prev = lead
+        pivots.append(col)
+        row += 1
+    return m, pivots, sign
 
 
 def rank(rows: list[list], is_zero: Callable = lambda x: x == 0) -> int:

@@ -34,10 +34,9 @@ is the component group of the corresponding fixed-point centralizer.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from itertools import permutations
 
 from .errors import NormalFormError
-from .linalg import mat_mul, rank
+from .linalg import fraction_free, mat_mul, rank
 from .mlambda import Character, isotropy_group
 from .rootdata import LatticePair, RootSystem, WeylElement
 from .scalars import QPower, Scalar, _as_scalar
@@ -128,6 +127,22 @@ class ZPoly:
         res.coeffs = out
         return res
 
+    def __floordiv__(self, other: ZPoly) -> ZPoly:
+        """Exact quotient; ValueError when other does not divide self."""
+        if other.is_monomial():
+            m, c = other.as_monomial()
+            return self.scale(c.inverse()).shift_z(-m)
+        top = max(other.coeffs)
+        low = min(self.coeffs, default=0) - min(other.coeffs)
+        rem, quot = self, ZPoly()
+        while rem.coeffs:
+            e = max(rem.coeffs) - top
+            if e < low:
+                raise ValueError(f"{other} does not divide {self}")
+            term = ZPoly({e: rem.coeffs[e + top] / other.coeffs[top]})
+            quot, rem = quot + term, rem - term * other
+        return quot
+
     def scale(self, c) -> ZPoly:
         c = _as_scalar(c)
         return ZPoly({m: x * c for m, x in self.coeffs.items()})
@@ -176,16 +191,6 @@ class ZPoly:
     @classmethod
     def from_json(cls, data: dict) -> ZPoly:
         return cls({int(m): Scalar.from_json(c) for m, c in data.items()})
-
-
-def _perm_sign(perm) -> int:
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inv % 2 else 1
 
 
 class MatrixLoop:
@@ -244,20 +249,7 @@ class MatrixLoop:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("size mismatch in loop product")
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ZPoly.zero()
-                for k in range(n):
-                    e = self.rows[i][k]
-                    f = other.rows[k][j]
-                    if not (e.is_zero() or f.is_zero()):
-                        acc = acc + e * f
-                row.append(acc)
-            rows.append(row)
-        return MatrixLoop(rows)
+        return MatrixLoop(mat_mul(self.rows, other.rows))
 
     def at_qz(self) -> MatrixLoop:
         return MatrixLoop([[e.at_qz() for e in row] for row in self.rows])
@@ -266,50 +258,31 @@ class MatrixLoop:
         return tuple(tuple(e.eval_z1() for e in row) for row in self.rows)
 
     def det(self) -> ZPoly:
-        total = ZPoly.zero()
-        for perm in permutations(range(self.n)):
-            term = ZPoly.one()
-            for i, j in enumerate(perm):
-                e = self.rows[i][j]
-                if e.is_zero():
-                    term = None
-                    break
-                term = term * e
-            if term is None:
-                continue
-            total = total + (term if _perm_sign(perm) > 0 else -term)
-        return total
-
-    def _minor(self, i: int, j: int) -> MatrixLoop:
-        rows = [
-            [e for jj, e in enumerate(row) if jj != j]
-            for ii, row in enumerate(self.rows)
-            if ii != i
-        ]
-        return MatrixLoop(rows)
+        m, pivots, sign = fraction_free(self.rows, ZPoly.is_zero)
+        if len(pivots) < self.n:
+            return ZPoly.zero()
+        d = m[-1][-1] if m else ZPoly.one()
+        return d if sign > 0 else -d
 
     def inverse(self) -> MatrixLoop:
-        """Adjugate over determinant; the determinant must be a z-monomial."""
-        d = self.det()
-        if not d.is_monomial():
+        """Inverse from one fraction-free elimination of [g | 1].
+
+        The left block ends as d*1 and the right one as d*g^{-1}, so g is
+        invertible exactly when d is a z-monomial c*z^e.
+        """
+        n = self.n
+        one = MatrixLoop.identity(n).rows
+        m, pivots, _ = fraction_free(
+            [row + one[i] for i, row in enumerate(self.rows)], ZPoly.is_zero
+        )
+        d = m[-1][n - 1] if m else ZPoly.one()
+        if pivots != list(range(n)) or not d.is_monomial():
             raise ValueError(
                 "loop is not invertible: determinant is not a monomial in z"
             )
-        m, c = d.as_monomial()
+        e, c = d.as_monomial()
         cinv = c.inverse()
-        n = self.n
-        if n == 1:
-            return MatrixLoop([[ZPoly({-m: cinv})]])
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                cof = self._minor(j, i).det()
-                if (i + j) % 2:
-                    cof = -cof
-                row.append(cof.scale(cinv).shift_z(-m))
-            rows.append(row)
-        return MatrixLoop(rows)
+        return MatrixLoop([[x.scale(cinv).shift_z(-e) for x in row[n:]] for row in m])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixLoop):
@@ -464,42 +437,38 @@ def _block_classes(diag) -> list[int]:
     return labels
 
 
-def _order_is_valid(h, diag, labels, order) -> bool:
-    n = h.n
-    for i in range(n):
-        for j in range(i):
-            if not h.entry(order[i], order[j]).is_zero():
-                return False
-    seen: list[int] = []
-    for k in range(n):
-        lab = labels[order[k]]
-        if seen and seen[-1] != lab and lab in seen:
-            return False
-        if not seen or seen[-1] != lab:
-            seen.append(lab)
-        elif diag[order[k - 1]].qexp < diag[order[k]].qexp:
-            return False
-    return True
-
-
 def _block_order(h, diag, labels) -> tuple[int, ...]:
-    """First index order making blocks contiguous with falling q-exponents."""
+    """First index order making blocks contiguous with falling q-exponents.
+
+    Index a must precede b when h[a][b] is nonzero, or when both share a
+    class and a has the larger q-exponent.  A class starts once no index
+    of another class must precede it, and runs to its end; each step takes
+    the smallest index whose predecessors are all placed.  Every such step
+    extends to a valid order if one exists, so the result is the
+    lexicographically first valid order.
+    """
     n = h.n
-    if n > 4:
-        ident = tuple(range(n))
-        if _order_is_valid(h, diag, labels, ident):
-            return ident
-        raise NormalFormError(
-            "loops larger than 4 x 4 must be supplied with contiguous "
-            "blocks, falling q-exponents, and zeros below the diagonal"
-        )
-    for order in permutations(range(n)):
-        if _order_is_valid(h, diag, labels, order):
-            return order
-    raise NormalFormError(
-        "no ordering makes the loop upper-triangular with contiguous "
-        "blocks and falling q-exponents"
-    )
+    preds = [
+        {a for a in range(n) if a != b and not h.entry(a, b).is_zero()}
+        | {a for a in range(n) if labels[a] == labels[b] and diag[a].qexp > diag[b].qexp}
+        for b in range(n)
+    ]
+    order: list[int] = []
+    left = set(range(n))
+    while left:
+        pool = [x for x in left if order and labels[x] == labels[order[-1]]]
+        if not pool:
+            blocked = {labels[b] for b in left for a in preds[b] & left if labels[a] != labels[b]}
+            pool = [x for x in left if labels[x] not in blocked]
+        ready = [x for x in pool if not preds[x] & left]
+        if not ready:
+            raise NormalFormError(
+                "no ordering makes the loop upper-triangular with contiguous "
+                "blocks and falling q-exponents"
+            )
+        order.append(min(ready))
+        left.remove(order[-1])
+    return tuple(order)
 
 
 def _contiguous_blocks(labels) -> tuple[tuple[int, ...], ...]:
@@ -518,11 +487,11 @@ def q_normal_form(
     """Normalize h to s*b and return the pair with its conjugator f.
 
     The input (after the optional basis change) must have constant
-    monomial diagonal entries; an index order chosen exhaustively for
-    n <= 4 (supplied orderings only above that) must leave zeros below
-    the diagonal, group the diagonal into contiguous classes whose
+    monomial diagonal entries, and some index order must leave zeros
+    below the diagonal, group the diagonal into contiguous classes whose
     ratios are integral powers of q, and sort each class by falling
-    exponent.  Entries are then cleaned one superdiagonal at a time;
+    exponent; the lexicographically first such order is built directly,
+    for any n.  Entries are then cleaned one superdiagonal at a time;
     inside a class the resonant coefficient is absorbed into b, across
     classes the twisted equation is always solvable.  The returned
     conjugator satisfies q_conjugate(f, h) = s*b exactly.
@@ -541,18 +510,9 @@ def q_normal_form(
     ds = [x.as_scalar() for x in d]
     labels = [labels0[order[i]] for i in range(n)]
 
-    f = [
-        [ZPoly.one() if i == j else ZPoly.zero() for j in range(n)]
-        for i in range(n)
-    ]
-    b = [
-        [ZPoly.one() if i == j else ZPoly.zero() for j in range(n)]
-        for i in range(n)
-    ]
-    a = [
-        [ZPoly.const(ds[i]) if i == j else ZPoly.zero() for j in range(n)]
-        for i in range(n)
-    ]
+    f = [list(row) for row in MatrixLoop.identity(n).rows]
+    b = [list(row) for row in MatrixLoop.identity(n).rows]
+    a = [list(row) for row in MatrixLoop.diagonal(ds).rows]
     for span in range(1, n):
         for i in range(n - span):
             j = i + span

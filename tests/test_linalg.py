@@ -1,6 +1,8 @@
 """Tests for exact linear algebra."""
 
 from fractions import Fraction as Q
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,6 +35,24 @@ def test_det_known():
     assert mat_det([[Q(1), Q(2)], [Q(3), Q(4)]]) == -2
     assert mat_det(identity(4)) == 1
     assert mat_det([[Q(1), Q(2)], [Q(2), Q(4)]]) == 0
+
+
+def test_det_of_a_symmetrized_cartan_matrix_with_denominators():
+    # G2 with d = (1, 1/3): the leading minors are 2 and 1/3
+    sym = [[Q(2), Q(-1)], [Q(-1), Q(2, 3)]]
+    assert mat_det([row[:1] for row in sym[:1]]) == 2
+    assert mat_det(sym) == Q(1, 3)
+    assert mat_det([]) == 1
+
+
+@given(mats3)
+@settings(max_examples=50, deadline=None)
+def test_det_of_a_rational_matrix_matches_the_leibniz_sum(m):
+    def sign(p):
+        return (-1) ** sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
+
+    leibniz = sum(sign(p) * prod(m[i][p[i]] for i in range(3)) for p in permutations(range(3)))
+    assert mat_det(m) == leibniz
 
 
 @given(mats3)

@@ -3,8 +3,9 @@
 import random
 from fractions import Fraction as Q
 
+import leibniz as ref
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtalg.errors import NormalFormError
@@ -12,6 +13,9 @@ from qtalg.loopjordan import (
     MatrixLoop,
     QNormalForm,
     ZPoly,
+    _block_classes,
+    _block_order,
+    _diagonal_constants,
     character_on_x,
     component_weyl,
     constants_equivalent,
@@ -87,6 +91,83 @@ def test_matrix_loop_non_unit_determinant_rejects():
     g = MatrixLoop([[ZPoly.one(), ZPoly.zero()], [ZPoly.zero(), ZPoly.one() + ZPoly.z(1)]])
     with pytest.raises(ValueError):
         g.inverse()
+
+
+small = st.sampled_from([0, 0, 0, 1, -1, 2, Q(1, 2), -3]).map(Scalar.const)
+zpolys = st.dictionaries(st.integers(-1, 2), small, max_size=3).map(ZPoly)
+nonzero_zpolys = zpolys.filter(lambda p: not p.is_zero())
+
+
+@given(zpolys, nonzero_zpolys)
+def test_zpoly_floordiv_recovers_the_factor(a, b):
+    assert (a * b) // b == a
+
+
+def test_zpoly_floordiv_rejects_an_inexact_quotient():
+    one_plus_z = ZPoly.one() + ZPoly.z(1)
+    for num in (ZPoly.one() + ZPoly.z(2), ZPoly.z(1), one_plus_z * one_plus_z + ZPoly.z(-1)):
+        with pytest.raises(ValueError, match="does not divide"):
+            num // one_plus_z
+
+
+loops = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(zpolys, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+).map(MatrixLoop)
+
+
+@st.composite
+def invertible_loops(draw):
+    """Permutation times unitriangular times a diagonal of z-monomials."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(n)))
+    upper = MatrixLoop(
+        [
+            [ZPoly.one() if i == j else draw(zpolys) if i < j else ZPoly.zero() for j in range(n)]
+            for i in range(n)
+        ]
+    )
+    diag = MatrixLoop.diagonal(
+        [ZPoly.z(draw(st.integers(-2, 2)), draw(st.sampled_from([1, -2, Q(3, 2)]))) for _ in range(n)]
+    )
+    return MatrixLoop.permutation(order) * upper * diag
+
+
+@given(loops)
+@settings(max_examples=60, deadline=None)
+def test_det_and_inverse_match_leibniz_and_the_adjugate(g):
+    assert g.det() == ref.det(g)
+    try:
+        expected = ref.inverse(g)
+    except ValueError:
+        with pytest.raises(ValueError, match="not invertible"):
+            g.inverse()
+        return
+    assert g.inverse() == expected
+
+
+@given(invertible_loops())
+@settings(max_examples=40, deadline=None)
+def test_inverse_of_an_invertible_loop_matches_the_adjugate(g):
+    inv = g.inverse()
+    assert inv == ref.inverse(g)
+    assert g * inv == MatrixLoop.identity(g.n) == inv * g
+
+
+def test_six_by_six_inverse():
+    rng = random.Random(3)
+    upper = rand_unitriangular(rng, n=6, deg=2)
+    g = MatrixLoop.permutation((3, 0, 5, 1, 4, 2)) * upper
+    assert g * g.inverse() == MatrixLoop.identity(6)
+
+
+def test_empty_loop_has_unit_determinant_and_normal_form():
+    empty = MatrixLoop([])
+    assert empty.det() == ZPoly.one()
+    assert empty.inverse() == empty
+    nf, f = q_normal_form(empty)
+    assert nf.blocks == () and f == empty
 
 
 def test_matrix_loop_json_roundtrip():
@@ -267,13 +348,66 @@ def test_normal_form_rejects_untriangularizable_input():
         q_normal_form(h)
 
 
-def test_normal_form_large_sorted_input_passes_large_unsorted_fails():
+def reorder_loop_6x6() -> MatrixLoop:
+    """A 6 x 6 loop whose valid index order is not the given one."""
+    two, three = Scalar.const(2), Scalar.const(3)
+    diag = [zc(7), zc(three), ZPoly.const(Scalar.q(-1) * two), zc(5), zc(two), ZPoly.const(Scalar.q(1) * three)]
+    rows = [[diag[i] if i == j else ZPoly.zero() for j in range(6)] for i in range(6)]
+    rows[4][2] = ZPoly.one() + ZPoly.z(1, 3)
+    rows[5][1] = ZPoly.z(-1, 2)
+    rows[1][0] = ZPoly.one()
+    rows[3][0] = ZPoly.z(2)
+    return MatrixLoop(rows)
+
+
+def test_normal_form_reorders_loops_larger_than_four():
     entries = [zc(2), ZPoly.const(Scalar.q(-1) * Scalar.const(2)), zc(3), zc(5), zc(7)]
-    nf, _ = q_normal_form(MatrixLoop.diagonal(entries))
-    assert len(nf.blocks) == 4
-    shuffled = [entries[1], entries[2], entries[0], entries[3], entries[4]]
-    with pytest.raises(NormalFormError, match="larger than 4 x 4"):
-        q_normal_form(MatrixLoop.diagonal(shuffled))
+    shuffled = MatrixLoop.diagonal([entries[1], entries[2], entries[0], entries[3], entries[4]])
+    for h in (shuffled, reorder_loop_6x6()):
+        nf, f = q_normal_form(h)
+        assert q_conjugate(f, h) == nf.product()
+        assert nf.check_twist() and nf.check_position()
+    diag = _diagonal_constants(h)
+    assert _block_order(h, diag, _block_classes(diag)) == (3, 4, 2, 5, 1, 0)
+    assert nf.blocks == ((0,), (1, 2), (3, 4), (5,))
+
+
+def test_normal_form_rejects_classes_that_must_precede_each_other():
+    rows = [list(row) for row in reorder_loop_6x6().rows]
+    rows[2][5] = ZPoly.one()  # the class of 2 and 4 before that of 1 and 5
+    rows[1][4] = ZPoly.one()  # and after it
+    with pytest.raises(NormalFormError, match="no ordering"):
+        q_normal_form(MatrixLoop(rows))
+
+
+class_pool = st.sampled_from(
+    [zc(Scalar.q(k) * Scalar.const(c)) for c, k in ((2, 0), (2, -1), (2, 1), (3, 0), (3, 2), (-1, 0))]
+)
+
+
+@st.composite
+def patterned_loops(draw):
+    """Diagonals from a few q-classes and a sparse random zero pattern."""
+    n = draw(st.integers(1, 4))
+    diag = [draw(class_pool) for _ in range(n)]
+    nonzero = st.sampled_from([False, False, False, True])
+    return MatrixLoop(
+        [[diag[i] if i == j else ZPoly.one() if draw(nonzero) else ZPoly.zero() for j in range(n)] for i in range(n)]
+    )
+
+
+@given(patterned_loops())
+@settings(max_examples=200, deadline=None)
+def test_block_order_matches_the_exhaustive_search(h):
+    diag = _diagonal_constants(h)
+    labels = _block_classes(diag)
+    try:
+        expected = ref.block_order(h, diag, labels)
+    except NormalFormError:
+        with pytest.raises(NormalFormError, match="no ordering"):
+            _block_order(h, diag, labels)
+        return
+    assert _block_order(h, diag, labels) == expected
 
 
 def rand_normal_pair(rng, n=3):
