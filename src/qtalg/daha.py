@@ -31,6 +31,11 @@ from .scalars import Scalar, _as_scalar
 from .torusfn import TorusFraction
 
 
+def _as_v(v) -> Scalar:
+    """The deformation parameter: the symbolic variable v when None."""
+    return Scalar.v() if v is None else _as_scalar(v)
+
+
 def default_pair(system) -> LatticePair:
     """The lattice pair used by default: X = root lattice, Y = coweights."""
     if isinstance(system, str):
@@ -133,9 +138,7 @@ class DiffRefOperator:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffRefOperator):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -198,28 +201,22 @@ def node_reflection(pair: LatticePair, node: int) -> DiffRefOperator:
 
 
 def node_cocycle(pair: LatticePair, node: int, v) -> TorusFraction:
-    """c_i = v (t - 1/t) / (e^{alpha_i} - 1), with e^{alpha_0} = q^2 e^{-theta}."""
+    """c_i = v (t - 1/t) / (e^{alpha_i} - 1), with e^{alpha_0} = q^2 e^{-theta},
+    so that c_0 = -v (t - 1/t) e^theta / (e^theta - q^2)."""
     v = _as_scalar(v)
     t = Scalar.t()
     top = v * (t - t.inverse())
-    zero = (0,) * pair.rank
     if node == 0:
-        minus_theta = tuple(-a for a in pair.theta_x())
-        q2 = Scalar.q() * Scalar.q()
-        return TorusFraction.from_two_term_den(
-            pair, {zero: top}, {minus_theta: q2, zero: Scalar.const(-1)}
-        )
+        theta = pair.theta_x()
+        return TorusFraction.ratio(pair, {theta: -top}, [(theta, Scalar.q(2))])
     alpha = pair.simple_root_x(node - 1)
-    return TorusFraction.ratio(pair, {zero: top}, [(alpha, Scalar.one())])
+    return TorusFraction.ratio(pair, {(0,) * pair.rank: top}, [(alpha, Scalar.one())])
 
 
 def dl_operator(pair: LatticePair, node: int, v=None) -> DiffRefOperator:
     """T_i(v) = t [s_i] + c_i ([s_i] - 1); v defaults to the symbolic variable."""
-    v = Scalar.v() if v is None else _as_scalar(v)
     refl = node_reflection(pair, node)
-    if v.is_zero():
-        return refl.scale(Scalar.t())
-    c = node_cocycle(pair, node, v)
+    c = node_cocycle(pair, node, _as_v(v))
     [(w, mu)] = refl.terms.keys()
     terms = {
         (w, mu): TorusFraction.from_scalar(pair, Scalar.t()) + c,
@@ -230,7 +227,7 @@ def dl_operator(pair: LatticePair, node: int, v=None) -> DiffRefOperator:
 
 def quadratic_sides(pair: LatticePair, node: int, v=None):
     """Both sides of T^2 = v(t - 1/t) T + (v + t^2(1 - v))."""
-    v = Scalar.v() if v is None else _as_scalar(v)
+    v = _as_v(v)
     t = Scalar.t()
     op = dl_operator(pair, node, v)
     d = v * (t - t.inverse())

@@ -37,13 +37,9 @@ from fractions import Fraction as Q
 
 from .errors import NormalFormError
 from .linalg import fraction_free, mat_mul, rank
-from .mlambda import Character, isotropy_group
+from .mlambda import Character, _as_qpower, isotropy_group
 from .rootdata import LatticePair, RootSystem, WeylElement
 from .scalars import QPower, Scalar, _as_scalar
-
-
-def _as_qpower(c) -> QPower:
-    return c if isinstance(c, QPower) else QPower.of(c)
 
 
 class ZPoly:
@@ -564,34 +560,23 @@ def q_centralizer_roots(system: RootSystem, coords) -> tuple:
     with simple-root coordinates a_i evaluates to
     prod_j c_j^(sum_i a_i <alpha_i, alpha_j_vee>).
     """
-    coords = tuple(_as_qpower(c) for c in coords)
+    point = Character(coords)
     n = system.rank
-    cartan = system.cartan
     out = []
     for root in system.roots:
-        val = QPower.one()
-        for j in range(n):
-            e = sum(root[i] * cartan[i][j] for i in range(n))
-            val = val * coords[j] ** int(e)
-        if val.integral_q_exponent() is not None:
+        x = [sum(root[i] * system.cartan[i][j] for i in range(n)) for j in range(n)]
+        if point.value(x).integral_q_exponent() is not None:
             out.append(root)
     return tuple(sorted(out))
 
 
 def character_on_x(pair: LatticePair, coords) -> Character:
-    """Character values on the X basis of a point given on simple coroots."""
-    coords = tuple(_as_qpower(c) for c in coords)
+    """Character values on the X basis of a point given on simple coroots:
+    the basis vector with Cartan row a_i takes the value prod_j c_j^(a_ij)."""
+    point = Character(coords)
     if pair.kind == "weight":
-        return Character(coords)
-    n = pair.system.rank
-    cartan = pair.system.cartan
-    vals = []
-    for i in range(n):
-        acc = QPower.one()
-        for j in range(n):
-            acc = acc * coords[j] ** int(cartan[i][j])
-        vals.append(acc)
-    return Character(tuple(vals))
+        return point
+    return Character(tuple(point.value(row) for row in pair.system.cartan))
 
 
 def _reflection_closure(system: RootSystem, roots) -> tuple[WeylElement, ...]:
@@ -721,8 +706,8 @@ class TorusWitness:
 
 def constants_equivalent(pair: LatticePair, s1, s2) -> TorusWitness:
     """Search W exhaustively and Y exactly for s2 = w(s1) * q^y."""
-    lam1 = character_on_x(pair, tuple(_as_qpower(c) for c in s1))
-    lam2 = character_on_x(pair, tuple(_as_qpower(c) for c in s2))
+    lam1 = character_on_x(pair, s1)
+    lam2 = character_on_x(pair, s2)
     for w in pair.system.elements:
         y = lam1.weyl_act(pair, w).q_shift_to(pair, lam2)
         if y is not None:

@@ -28,18 +28,17 @@ from .rootdata import LatticePair, WeylElement
 from .scalars import QPower, Scalar, _as_scalar
 
 
+def _as_qpower(c) -> QPower:
+    return c if isinstance(c, QPower) else QPower.of(c)
+
+
 class Character:
     """Point of the character torus of X, by coordinates on the X basis."""
 
     __slots__ = ("values",)
 
     def __init__(self, values):
-        vals = []
-        for v in values:
-            if not isinstance(v, QPower):
-                v = QPower.of(v)
-            vals.append(v)
-        self.values = tuple(vals)
+        self.values = tuple(_as_qpower(v) for v in values)
 
     @property
     def rank(self) -> int:
@@ -49,7 +48,8 @@ class Character:
         """lambda(x) for integer X coordinates."""
         out = QPower.one()
         for v, e in zip(self.values, x):
-            out = out * v ** int(e)
+            if e:
+                out = out * v ** int(e)
         return out
 
     def times_q_y(self, pair: LatticePair, y) -> Character:
@@ -63,16 +63,10 @@ class Character:
         )
 
     def weyl_act(self, pair: LatticePair, w: WeylElement) -> Character:
-        """(w lambda)(x) = lambda(w^{-1} x)."""
-        m = pair.x_matrix(w.inverse())
-        n = self.rank
-        vals = []
-        for i in range(n):
-            acc = QPower.one()
-            for j in range(n):
-                acc = acc * self.values[j] ** m[j][i]
-            vals.append(acc)
-        return Character(tuple(vals))
+        """(w lambda)(x) = lambda(w^{-1} x), so the i-th coordinate is
+        lambda at the i-th column of w^{-1}."""
+        columns = zip(*pair.x_matrix(w.inverse()))
+        return Character(tuple(self.value(col) for col in columns))
 
     def q_shift_to(self, pair: LatticePair, other: Character) -> tuple[int, ...] | None:
         """The y in Y with other = self * q^y, or None when there is none:
@@ -455,32 +449,26 @@ class InducedModule:
         )
 
 
-def invariants_basis(module: InducedModule) -> list[dict]:
-    """Basis of the subspace of W-fixed vectors of an induced module.
-
-    Requires the window to be saturated: every generator image must stay
-    inside, otherwise the overflow is reported as a saturation failure.
-    """
-    system = module.pair.system
-    basis = module.basis
+def _fixed_space(basis: list, group, image) -> list[dict]:
+    """Basis of the vectors fixed by every g in group: the nullspace of the
+    stacked matrices of g - 1, where image(g, key) is the image of the basis
+    vector key as a dict.  A shift that leaves the window is reported as a
+    saturation failure."""
     index = {key: i for i, key in enumerate(basis)}
-    dim = len(basis)
     zero, one = Scalar.zero(), Scalar.one()
     rows: list[list[Scalar]] = []
-    for i in range(system.rank):
-        s = system.simple_reflection(i)
-        mat = [[zero] * dim for _ in range(dim)]
+    for g in group:
+        block = [[zero] * len(basis) for _ in basis]
         for key in basis:
             try:
-                image = module.act_w(s, {key: one})
+                moved = image(g, key)
             except WindowOverflowError as exc:
                 raise WindowOverflowError(
                     exc.y, f"window is not saturated: shift leaves it at y = {exc.y}"
                 ) from None
-            for target, c in image.items():
-                mat[index[target]][index[key]] = c
-        for r in range(dim):
-            row = list(mat[r])
+            for target, c in moved.items():
+                block[index[target]][index[key]] = c
+        for r, row in enumerate(block):
             row[r] = row[r] - one
             rows.append(row)
     if not rows:
@@ -492,41 +480,31 @@ def invariants_basis(module: InducedModule) -> list[dict]:
     ]
 
 
+def invariants_basis(module: InducedModule) -> list[dict]:
+    """Basis of the subspace of W-fixed vectors of an induced module.
+
+    Requires the window to be saturated: every generator image must stay
+    inside, otherwise the overflow is reported as a saturation failure.
+    """
+    system = module.pair.system
+    gens = [system.simple_reflection(i) for i in range(system.rank)]
+    one = Scalar.one()
+    return _fixed_space(module.basis, gens, lambda s, key: module.act_w(s, {key: one}))
+
+
 def tensor_invariants_dim(module: WeightModule, chi: WRep) -> int:
     """dim (M_lambda ⊗ chi)^{W^lambda} on the module's window."""
-    iso = module.isotropy
-    points = module.window.points()
-    index = {(y, k): i for i, (y, k) in enumerate(
-        (y, k) for y in points for k in range(chi.dim)
-    )}
-    dim = len(index)
-    zero, one = Scalar.zero(), Scalar.one()
-    rows: list[list[Scalar]] = []
-    for w in iso.shifts:
-        if w.is_identity():
-            continue
+    one = Scalar.one()
+
+    def image(w: WeylElement, key) -> dict:
+        y, k = key
+        [target] = module.w_act(w, {y: one})
         mat = chi.matrix(w)
-        block = [[zero] * dim for _ in range(dim)]
-        for y in points:
-            try:
-                moved = module.w_act(w, {y: one})
-            except WindowOverflowError as exc:
-                raise WindowOverflowError(
-                    exc.y, f"window is not saturated: shift leaves it at y = {exc.y}"
-                ) from None
-            [(target, _)] = moved.items()
-            for k in range(chi.dim):
-                for kp in range(chi.dim):
-                    entry = mat[kp][k]
-                    if not entry.is_zero():
-                        block[index[(target, kp)]][index[(y, k)]] = entry
-        for r in range(dim):
-            row = list(block[r])
-            row[r] = row[r] - one
-            rows.append(row)
-    if not rows:
-        return dim
-    return len(nullspace(rows, zero, one, lambda x: x.is_zero()))
+        return {(target, kp): mat[kp][k] for kp in range(chi.dim)}
+
+    basis = [(y, k) for y in module.window.points() for k in range(chi.dim)]
+    group = [w for w in module.isotropy.shifts if not w.is_identity()]
+    return len(_fixed_space(basis, group, image))
 
 
 def dimension_bookkeeping(module: WeightModule, chis: dict[str, WRep]) -> dict:

@@ -195,9 +195,7 @@ class TorusElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusElement):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[v] == other.terms[v] for v in self.terms)
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -261,9 +259,7 @@ class HWElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HWElement):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[w] == other.terms[w] for w in self.terms)
+        return self.terms == other.terms
 
     __hash__ = None
 

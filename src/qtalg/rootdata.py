@@ -104,7 +104,7 @@ def validate_cartan(cartan: list[list[int]]) -> None:
 class WeylElement:
     """Group element with exact actions on root and coroot coordinates."""
 
-    __slots__ = ("system", "mat_root", "mat_coroot", "word", "length")
+    __slots__ = ("system", "mat_root", "mat_coroot", "word", "length", "_inverse")
 
     def __init__(self, system, mat_root: Mat, mat_coroot: Mat, word: tuple[int, ...]):
         self.system = system
@@ -112,6 +112,7 @@ class WeylElement:
         self.mat_coroot = mat_coroot
         self.word = word
         self.length = len(word)
+        self._inverse = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylElement):
@@ -130,7 +131,10 @@ class WeylElement:
         )
 
     def inverse(self) -> WeylElement:
-        return self.system.element_by_word(reversed(self.word))
+        """The inverse, from the reversed word on first use."""
+        if self._inverse is None:
+            self._inverse = self.system.element_by_word(reversed(self.word))
+        return self._inverse
 
     def is_identity(self) -> bool:
         return self.length == 0

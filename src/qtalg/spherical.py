@@ -24,17 +24,13 @@ where R_i = (t^2 e^{a_i} - 1)/(e^{a_i} - t^2).
 
 from __future__ import annotations
 
-from .daha import DiffRefOperator, dl_operator
+from .daha import DiffRefOperator, _as_v, dl_operator
 from .rootdata import LatticePair, RootSystem, WeylElement
 from .scalars import Scalar, _as_scalar
 from .torusfn import TorusFraction
 
 _T = "T"
 _X = "X"
-
-
-def _as_v(v) -> Scalar:
-    return Scalar.v() if v is None else _as_scalar(v)
 
 
 def deformed_y(v=None) -> Scalar:
@@ -136,7 +132,7 @@ class HeckeExpression:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeckeExpression):
             return NotImplemented
-        return self.v == other.v and (self - other).is_zero()
+        return self.v == other.v and self.terms == other.terms
 
     __hash__ = None
 
@@ -207,8 +203,8 @@ def poincare_sum(system: RootSystem, ratio: Scalar) -> Scalar:
     return out
 
 
-def _word_weights(system: RootSystem, v: Scalar, sign: bool) -> dict:
-    """Idempotent coefficients per group element, sign=True for eps_v.
+def _idempotent_word(system: RootSystem, v, sign: bool) -> HeckeExpression:
+    """e_v, or eps_v for sign=True, as a generator-word expression.
 
     The weight of w is y^{-l(w)} / W(t, v) for e_v and (-t)^{-l(w)} / c
     for eps_v, with the normalizations of the module docstring.  Scalars
@@ -216,6 +212,7 @@ def _word_weights(system: RootSystem, v: Scalar, sign: bool) -> dict:
     vanishing normalization raises ValueError; for e_v a vanishing y
     raises first, when it is inverted.
     """
+    v = _as_v(v)
     y = deformed_y(v)
     if sign:
         norm = poincare_sum(system, y * Scalar.t().inverse())
@@ -226,7 +223,11 @@ def _word_weights(system: RootSystem, v: Scalar, sign: bool) -> dict:
     if norm.is_zero():
         raise ValueError(_NORM_ERROR[sign])
     norm_inv = norm.inverse()
-    return {w: norm_inv * base**w.length for w in system.elements}
+    terms = {
+        tuple((_T, i + 1) for i in w.word): norm_inv * base**w.length
+        for w in system.elements
+    }
+    return HeckeExpression(v, terms)
 
 
 _NORM_ERROR = {
@@ -237,22 +238,12 @@ _NORM_ERROR = {
 
 def symmetrizer_word(system: RootSystem, v=None) -> HeckeExpression:
     """e_v as a generator-word expression."""
-    v = _as_v(v)
-    weights = _word_weights(system, v, sign=False)
-    terms = {
-        tuple((_T, i + 1) for i in w.word): c for w, c in weights.items()
-    }
-    return HeckeExpression(v, terms)
+    return _idempotent_word(system, v, sign=False)
 
 
 def antisymmetrizer_word(system: RootSystem, v=None) -> HeckeExpression:
     """eps_v as a generator-word expression, normalized to be idempotent."""
-    v = _as_v(v)
-    weights = _word_weights(system, v, sign=True)
-    terms = {
-        tuple((_T, i + 1) for i in w.word): c for w, c in weights.items()
-    }
-    return HeckeExpression(v, terms)
+    return _idempotent_word(system, v, sign=True)
 
 
 def idempotent_e_v(pair: LatticePair, v=None) -> DiffRefOperator:
@@ -265,20 +256,24 @@ def idempotent_eps_v(pair: LatticePair, v=None) -> DiffRefOperator:
     return antisymmetrizer_word(pair.system, v).to_operator(pair)
 
 
+def _absorbs(pair: LatticePair, node: int, v, sign: bool) -> bool:
+    """T_{i,v} e = eigen * e for e = e_v (eigen t) or eps_v (sign=True,
+    eigen v(t - 1/t) - t), as a symbolic operator identity."""
+    v = _as_v(v)
+    t = Scalar.t()
+    e = _idempotent_word(pair.system, v, sign).to_operator(pair)
+    eigen = v * (t - t.inverse()) - t if sign else t
+    return dl_operator(pair, node, v) * e == e.scale(eigen)
+
+
 def check_absorption(pair: LatticePair, node: int, v=None) -> bool:
     """T_{i,v} e_v = t e_v as a symbolic operator identity."""
-    v = _as_v(v)
-    e = idempotent_e_v(pair, v)
-    return dl_operator(pair, node, v) * e == e.scale(Scalar.t())
+    return _absorbs(pair, node, v, sign=False)
 
 
 def check_sign_absorption(pair: LatticePair, node: int, v=None) -> bool:
     """T_{i,v} eps_v = (v(t - 1/t) - t) eps_v as a symbolic identity."""
-    v = _as_v(v)
-    t = Scalar.t()
-    eps = idempotent_eps_v(pair, v)
-    eigen = v * (t - t.inverse()) - t
-    return dl_operator(pair, node, v) * eps == eps.scale(eigen)
+    return _absorbs(pair, node, v, sign=True)
 
 
 def spherical_ratio(pair: LatticePair, node: int) -> TorusFraction:
@@ -357,29 +352,19 @@ def im_involution(expr: HeckeExpression) -> HeckeExpression:
     """The involution T_i -> v(t - 1/t) - T_i, e^mu -> e^{-mu} on words."""
     if not isinstance(expr, HeckeExpression):
         raise TypeError("the involution acts on generator-word expressions")
+    v = expr.v
     t = Scalar.t()
-    d = expr.v * (t - t.inverse())
-    minus_one = Scalar.const(-1)
-    out: dict[tuple, Scalar] = {}
+    d = v * (t - t.inverse())
+    out = HeckeExpression(v, {})
     for word, c in expr.terms.items():
-        partial: dict[tuple, Scalar] = {(): c}
-        for atom in word:
-            kind, payload = atom
+        image = HeckeExpression(v, {(): c})
+        for kind, payload in word:
             if kind == _T:
-                images = [((), d), ((atom,), minus_one)]
+                image = image * HeckeExpression(v, {(): d, ((_T, payload),): -1})
             else:
-                flipped = (_X, tuple(-m for m in payload))
-                images = [((flipped,), Scalar.one())]
-            nxt: dict[tuple, Scalar] = {}
-            for left, cl in partial.items():
-                for right, cr in images:
-                    key = left + right
-                    cc = cl * cr
-                    nxt[key] = nxt[key] + cc if key in nxt else cc
-            partial = nxt
-        for new_word, c2 in partial.items():
-            out[new_word] = out[new_word] + c2 if new_word in out else c2
-    return HeckeExpression(expr.v, out)
+                image = image * HeckeExpression.monomial(tuple(-m for m in payload), v)
+        out = out + image
+    return out
 
 
 def sign_rep_apply(

@@ -107,11 +107,24 @@ def _make_factor(beta, c: Scalar) -> Factor:
     return beta, key, coeff
 
 
-def _divisor_value(tau) -> Scalar:
+def _divisor(alpha, tau, what: str) -> tuple[tuple[int, ...], Scalar]:
+    """The divisor e^alpha = tau, checked: alpha as a nonzero integer
+    vector and tau as a nonzero scalar."""
     tau = _as_scalar(tau)
     if tau.is_zero():
         raise ValueError("divisor value must be nonzero")
-    return tau
+    alpha = tuple(int(a) for a in alpha)
+    if not any(alpha):
+        raise ValueError(f"{what} direction must be nonzero")
+    return alpha, tau
+
+
+def _positive(alpha: tuple[int, ...], tau: Scalar) -> tuple[tuple[int, ...], Scalar]:
+    """The same divisor with the first nonzero coordinate of alpha positive,
+    the orientation of stored factors: e^-alpha = 1/tau is e^alpha = tau."""
+    if next(a for a in alpha if a) > 0:
+        return alpha, tau
+    return tuple(-a for a in alpha), tau.inverse()
 
 
 def _beta_coordinate(beta: tuple[int, ...]):
@@ -199,23 +212,6 @@ class TorusFraction:
             f, unit = _canonicalize_factor(f, unit)
             factors.append(f)
         return cls(pair, num) * cls(pair, (unit, _ONE), tuple(factors))
-
-    @classmethod
-    def from_two_term_den(cls, pair: LatticePair, num: dict, den: dict) -> TorusFraction:
-        """num / den where den is an explicit two-monomial combination;
-        the denominator is rewritten as unit * (e^beta - c)."""
-        terms = [(x, _as_scalar(c)) for x, c in den.items() if not _as_scalar(c).is_zero()]
-        if len(terms) != 2:
-            raise ValueError("denominator must have exactly two monomials")
-        (x1, a), (x2, b) = terms
-        diff = tuple(Q(p) - Q(r) for p, r in zip(x1, x2))
-        if any(d.denominator != 1 for d in diff):
-            raise ValueError("denominator exponent difference must be integral")
-        # den = a e^{x2} (e^{x1-x2} - (-b/a))
-        beta = tuple(int(d) for d in diff)
-        c = -(b / a)
-        inv_unit = {tuple(-Q(v) for v in x2): a.inverse()}
-        return cls.ratio(pair, num, [(beta, c)]) * cls(pair, inv_unit)
 
     # -- structure -------------------------------------------------------------
 
@@ -432,9 +428,10 @@ class TorusFraction:
     # -- evaluation and residues ------------------------------------------------
 
     def _matching_factors(self, alpha, tau: Scalar) -> list[tuple[Factor, int]]:
-        """Factors (beta, c) vanishing on e^alpha = tau, i.e. beta = k alpha
-        with c = tau^k; returns (factor, k) pairs."""
-        alpha = tuple(int(a) for a in alpha)
+        """Factors (beta, c) vanishing on the divisor e^alpha = tau, in
+        either orientation of alpha: beta = k alpha with c = tau^k once
+        (alpha, tau) is positive; returns (factor, k) pairs."""
+        alpha, tau = _positive(alpha, tau)
         out = []
         for f in self.factors:
             beta = f[0]
@@ -452,17 +449,14 @@ class TorusFraction:
         return out
 
     def evaluate_at(self, alpha, tau) -> TorusFraction:
-        """Substitute e^alpha = tau (alpha a primitive integer vector, tau a
-        nonzero monomial scalar).  Raises PoleError if a denominator factor
-        vanishes there.
+        """Substitute e^alpha = tau (alpha a primitive integer vector of
+        either orientation, tau a nonzero monomial scalar).  Raises
+        PoleError if a denominator factor vanishes there.
 
         A factor e^beta - c with beta a multiple k alpha becomes the scalar
         tau^k - c, which moves into the scalar denominator; the result is
         put in lowest terms once."""
-        tau = _divisor_value(tau)
-        alpha = tuple(int(a) for a in alpha)
-        if not any(alpha):
-            raise ValueError("evaluation direction must be nonzero")
+        alpha, tau = _divisor(alpha, tau, "evaluation")
         if self._matching_factors(alpha, tau):
             raise PoleError(f"pole on the divisor e^{list(alpha)} = {tau}")
         prim, content, row = _beta_coordinate(alpha)
@@ -504,11 +498,8 @@ class TorusFraction:
         return TorusFraction(self.pair, (num, den), tuple(factors))
 
     def pole_order(self, alpha, tau) -> int:
-        tau = _divisor_value(tau)
-        alpha = tuple(int(a) for a in alpha)
-        if not any(alpha):
-            raise ValueError("pole direction must be nonzero")
-        return len(self._matching_factors(alpha, tau))
+        """The order of the pole on e^alpha = tau, in either orientation."""
+        return len(self._matching_factors(*_divisor(alpha, tau, "pole")))
 
     def residue(self, alpha, tau) -> TorusFraction:
         """Residue along e^alpha = tau: the value of (e^alpha - tau) * self
@@ -517,15 +508,11 @@ class TorusFraction:
 
         alpha may have either orientation; tau must be a nonzero monomial.
         """
-        tau = _divisor_value(tau)
-        alpha = tuple(int(a) for a in alpha)
-        first = next((a for a in alpha if a), None)
-        if first is None:
-            raise ValueError("residue direction must be nonzero")
-        if first < 0:
+        alpha, tau = _divisor(alpha, tau, "residue")
+        positive = _positive(alpha, tau)
+        if positive[0] != alpha:
             # e^alpha - tau = -tau e^alpha (e^{-alpha} - tau^{-1})
-            flipped = self.residue(tuple(-a for a in alpha), tau.inverse())
-            return flipped.scale(-(tau**2))
+            return self.residue(*positive).scale(-(tau**2))
         matching = self._matching_factors(alpha, tau)
         if not matching:
             return TorusFraction.zero(self.pair)

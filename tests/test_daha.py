@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as Q
 
+import handwritten as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from qtalg.daha import (
     check_quadratic,
     default_pair,
     dl_operator,
+    node_cocycle,
     node_reflection,
     relations_report,
 )
@@ -54,7 +56,7 @@ def test_shift_moves_denominator_factors():
     # D^mu (1/(e^a - 1)) = 1/(q^{2<a,mu>} e^a - 1)
     d = DiffRefOperator.shift_op(A1, (1,))
     f = frac(A1, {(0,): Scalar.one()}, [((1,), Scalar.one())])
-    expected = TorusFraction.from_two_term_den(
+    expected = ref.two_term_den(
         A1, {(0,): Scalar.one()}, {(1,): QV**2, (0,): Scalar.const(-1)}
     )
     assert d.apply(f) == expected
@@ -99,11 +101,41 @@ def test_compose_with_identity_and_power():
 
 
 def test_dl_collapses_at_v_zero():
-    op = dl_operator(A1, 1, 0)
+    # at v = 0 the family specialises to H[W]: T_i(0) = t [s_i], node 0 included
+    for name in ("A1", "A2", "B2", "G2"):
+        system = RootSystem(name)
+        for kind in LatticePair.KINDS:
+            pair = LatticePair(system, kind)
+            for node in range(system.rank + 1):
+                op = dl_operator(pair, node, 0)
+                expected = node_reflection(pair, node).scale(T)
+                assert op == expected, (name, kind, node)
+                assert op.to_json() == expected.to_json(), (name, kind, node)
     s = A1.system.simple_reflection(0)
-    assert op == DiffRefOperator.weyl_op(A1, s).scale(T)
-    op0 = dl_operator(A1, 0, 0)
-    assert list(op0.terms) == [(s, (-2,))]
+    assert dl_operator(A1, 1, 0) == DiffRefOperator.weyl_op(A1, s).scale(T)
+    assert list(dl_operator(A1, 0, 0).terms) == [(s, (-2,))]
+
+
+_COCYCLE_PAIRS = [
+    LatticePair(RootSystem(name), kind)
+    for name in ("A1", "A2", "B2", "G2")
+    for kind in LatticePair.KINDS
+]
+
+
+@given(
+    st.sampled_from(_COCYCLE_PAIRS),
+    st.one_of(
+        st.none(),
+        st.sampled_from([1, Q(1, 2), 0]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_node_zero_cocycle_matches_the_two_term_denominator(pair, v):
+    # c_0 over 1/(q^2 e^{-theta} - 1), rewritten by hand, has the same stored form
+    got = node_cocycle(pair, 0, Scalar.v() if v is None else v)
+    assert got.to_json() == ref.node_zero_cocycle(pair, v).to_json()
 
 
 def test_dl_finite_node_closed_forms():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as Q
 
+import handwritten
 import leibniz as ref
 import pytest
 from hypothesis import given, settings
@@ -534,6 +535,39 @@ def test_centralizer_roots_d4_point_is_empty():
     assert q_centralizer_roots(system, coords) == ()
     for q0 in (Q(9), Q(25)):
         assert scan_integral_roots(system, coords, q0) == []
+
+
+_POINT_PAIRS = {
+    (name, kind): LatticePair(RootSystem(name), kind)
+    for name in ("A1", "A2", "A3", "B2", "C2", "G2", "D4")
+    for kind in LatticePair.KINDS
+}
+_point_coordinates = st.one_of(
+    st.builds(
+        QPower,
+        rot=st.sampled_from([Q(0), Q(1, 2), Q(1, 3)]),
+        qexp=st.fractions(min_value=-2, max_value=2, max_denominator=2),
+        mag=st.sampled_from([Q(1), Q(2), Q(1, 3)]),
+    ),
+    st.sampled_from([1, -1, Q(-1, 2), 3]),
+)
+
+
+@given(st.sampled_from(sorted(_POINT_PAIRS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_point_products_match_the_hand_written_loops(key, data):
+    # lambda(x) through Character.value, against the earlier explicit loops
+    pair = _POINT_PAIRS[key]
+    system = pair.system
+    coords = data.draw(st.tuples(*[_point_coordinates] * system.rank))
+    lam = character_on_x(pair, coords)
+    assert lam.to_json() == handwritten.character_on_x(pair, coords).to_json()
+    assert q_centralizer_roots(system, coords) == handwritten.q_centralizer_roots(
+        system, coords
+    )
+    for w in system.elements:
+        moved = lam.weyl_act(pair, w)
+        assert moved.to_json() == handwritten.weyl_act(lam, pair, w).to_json()
 
 
 # -- component groups ---------------------------------------------------------

@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction as Q
 
+import handwritten as ref
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtalg.daha import DiffRefOperator, default_pair, dl_operator
 from qtalg.scalars import Scalar
@@ -204,7 +207,7 @@ def test_sl2_series_ratio():
     for n in (1, -2):
         shifted = spherical_ratio(A1, 1).shift_mu((n,))
         qn = q2**n
-        expected = TorusFraction.from_two_term_den(
+        expected = ref.two_term_den(
             A1, {(1,): t2 * qn, (0,): Scalar.const(-1)}, {(1,): qn, (0,): -t2}
         )
         assert shifted == expected
@@ -243,6 +246,43 @@ def test_xi_images_satisfy_braid():
     u1 = im_involution(HeckeExpression.generator(1, 1)).to_operator(A2)
     u2 = im_involution(HeckeExpression.generator(2, 1)).to_operator(A2)
     assert u1 * u2 * u1 == u2 * u1 * u2
+
+
+_v_values = st.one_of(
+    st.none(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+_atoms = st.one_of(
+    st.tuples(st.just("T"), st.integers(1, 3)),
+    st.tuples(st.just("X"), st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
+)
+_coeffs = st.builds(
+    lambda a, b, k: Scalar.const(a) + Scalar.const(b) * T**k,
+    st.integers(-3, 3),
+    st.integers(-2, 2),
+    st.integers(-1, 1),
+)
+
+
+@st.composite
+def expressions(draw, v):
+    words = draw(st.lists(st.lists(_atoms, max_size=4), min_size=1, max_size=3))
+    return HeckeExpression(v, {tuple(w): draw(_coeffs) for w in words})
+
+
+@given(st.data(), _v_values)
+@settings(max_examples=60, deadline=None)
+def test_xi_matches_the_atom_by_atom_expansion(data, v):
+    expr = data.draw(expressions(v))
+    assert im_involution(expr).to_json() == ref.im_involution(expr).to_json()
+
+
+@given(st.data(), _v_values)
+@settings(max_examples=40, deadline=None)
+def test_xi_is_multiplicative(data, v):
+    a, b = data.draw(expressions(v)), data.draw(expressions(v))
+    assert im_involution(a * b) == im_involution(a) * im_involution(b)
+    assert im_involution(a + b) == im_involution(a) + im_involution(b)
 
 
 def test_xi_rejects_operators():

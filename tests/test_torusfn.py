@@ -104,12 +104,13 @@ def test_substitute_composes():
 
 def test_half_lattice_display_form():
     # (q^{-1} e^{a/2} - q e^{-a/2}) / (q^{-1} e^{-a/2} - q e^{a/2})
+    # the denominator is q^{-1} e^{a/2} (e^{-a} - q^2)
     half = Q(1, 2)
-    display = TorusFraction.from_two_term_den(
+    display = TorusFraction.ratio(
         A1,
         {(half,): Scalar.q(-1), (-half,): -Scalar.q(1)},
-        {(-half,): Scalar.q(-1), (half,): -Scalar.q(1)},
-    )
+        [((-1,), Scalar.q(2))],
+    ) * TorusFraction.monomial(A1, (-half,), Scalar.q(1))
     normalized = TorusFraction.ratio(
         A1,
         {(1,): -Scalar.q(-2), (0,): 1},
@@ -158,6 +159,18 @@ def test_residue_flipped_orientation():
     f = TorusFraction.ratio(A1, {(0,): 1}, [((1,), Scalar.q(2))])
     res = f.residue((-1,), Scalar.q(-2))
     assert res.as_scalar() == -Scalar.q(-4)
+    # e^{-a} = q^{-2} is the divisor e^a = q^2, where f has a simple pole
+    assert f.pole_order((-1,), Scalar.q(-2)) == 1
+    with pytest.raises(PoleError):
+        f.evaluate_at((-1,), Scalar.q(-2))
+    g = TorusFraction.ratio(A1, {(0,): 1}, [((1,), 1)])
+    assert g.pole_order((-1,), 1) == 1
+    with pytest.raises(PoleError):
+        g.evaluate_at((-1,), 1)
+    assert g.residue((-1,), 1).as_scalar() == Scalar.const(-1)
+    # away from the pole: e^a = 1/2, where 1/(e^a - 1) is -2
+    assert g.evaluate_at((-1,), 2).as_scalar() == Scalar.const(-2)
+    assert g.pole_order((-1,), 2) == 0
 
 
 def test_residue_cancellation_pair():
@@ -704,6 +717,21 @@ def test_evaluation_and_residues_match_the_per_coefficient_store(case, data):
             assert value is ref_value
         else:
             assert_matches(value, ref_value)
+
+
+@_screen_settings
+@given(_equivalence_cases, st.data())
+def test_pole_order_and_evaluation_read_either_orientation(case, data):
+    # e^{-alpha} = 1/tau names the divisor e^alpha = tau
+    f = fraction(case)
+    alpha = data.draw(st.sampled_from(PAIRS[f.pair.rank][1][:3]))
+    poles = [_factor_value_root(g, alpha) for g in f.factors]
+    taus = [t for t in poles if t is not None] + [Scalar.q(data.draw(_qexps))]
+    tau = data.draw(st.sampled_from(taus))
+    flipped = (tuple(-a for a in alpha), tau.inverse())
+    assert f.pole_order(*flipped) == f.pole_order(alpha, tau)
+    value = outcome(lambda: f.evaluate_at(alpha, tau))
+    assert outcome(lambda: f.evaluate_at(*flipped)) == value
 
 
 def _factor_value_root(f, alpha) -> Scalar | None:
