@@ -291,6 +291,17 @@ def _term_json(key) -> dict:
     return {"w": [i + 1 for i in w.word], "mu": list(mu)}
 
 
+def _violation(rule: str, detail: str, key, alpha, value: Scalar) -> dict:
+    """A violation record at the term key and the divisor e^alpha = value,
+    built only when a rule fails."""
+    return {
+        "rule": rule,
+        "detail": detail,
+        "term": _term_json(key),
+        "divisor": {"alpha": list(alpha), "value": str(value)},
+    }
+
+
 def _pure_even_q_power(value: Scalar):
     """The exponent a when value = q^a with a an even integer, else None."""
     if not value.is_monomial():
@@ -318,28 +329,17 @@ def check_membership(op: DiffRefOperator) -> dict:
     for key in order:
         h = op.terms[key]
         for beta, value, mult in h.pole_list():
-            where = {"term": _term_json(key), "divisor": {"alpha": list(beta), "value": str(value)}}
-            if beta not in pos_set:
-                violations.append(
-                    {"rule": "pole-location", "detail": "pole direction is not a root", **where}
-                )
-                continue
             a = _pure_even_q_power(value)
-            if a is None:
-                violations.append(
-                    {
-                        "rule": "pole-location",
-                        "detail": "pole value is not an even power of q",
-                        **where,
-                    }
-                )
+            if beta not in pos_set:
+                detail = "pole direction is not a root"
+            elif a is None:
+                detail = "pole value is not an even power of q"
+            elif mult > 1:
+                detail = f"pole order {mult} > 1"
+            else:
+                clean_poles.setdefault((beta, a), []).append(key)
                 continue
-            if mult > 1:
-                violations.append(
-                    {"rule": "pole-location", "detail": f"pole order {mult} > 1", **where}
-                )
-                continue
-            clean_poles.setdefault((beta, a), []).append(key)
+            violations.append(_violation("pole-location", detail, key, beta, value))
 
     # residue pairing: partner of (w, mu) on e^alpha = q^{-2k} is
     # (s_alpha w, k alpha_coroot + s_alpha mu)
@@ -350,7 +350,7 @@ def check_membership(op: DiffRefOperator) -> dict:
         root = pair.x_to_root(alpha)
         s_alpha = system.reflection(root)
         coroot_y = pair.coroot_to_y(system.coroot_of(root))
-        tau = Scalar.q() ** a
+        tau = Scalar.q(a)
         for key in keys:
             w, mu = key
             partner = (
@@ -377,7 +377,6 @@ def check_membership(op: DiffRefOperator) -> dict:
                 )
 
     # forced vanishing on t-shifted divisors
-    t2 = Scalar.t() ** 2
     for key in order:
         w, mu = key
         h = op.terms[key]
@@ -386,38 +385,17 @@ def check_membership(op: DiffRefOperator) -> dict:
             pairing = pair.pair(alpha, mu)
             moved = pair.x_to_root(pair.act_x(w_inv, alpha))
             eps = 0 if system.is_positive_root(moved) else 1
-            targets = []
-            if pairing > 0:
-                for k in range(0, pairing + eps):
-                    targets.append((Scalar.q() ** (-2 * k) * t2.inverse(), k))
-            elif pairing == 0 and eps == 1:
-                targets.append((t2.inverse(), 0))
-            elif pairing < 0:
-                for k in range(1, -pairing - eps + 1):
-                    targets.append((Scalar.q() ** (2 * k) * t2, k))
-            for tau, k in targets:
-                where = {
-                    "term": _term_json(key),
-                    "divisor": {"alpha": list(alpha), "value": str(tau)},
-                }
+            if pairing >= 0:
+                taus = [Scalar.monomial(-2 * k, -2) for k in range(pairing + eps)]
+            else:
+                taus = [Scalar.monomial(2 * k, 2) for k in range(1, -pairing - eps + 1)]
+            for tau in taus:
                 try:
-                    value = h.evaluate_at(alpha, tau)
+                    if h.evaluate_at(alpha, tau).is_zero():
+                        continue
+                    detail = "coefficient does not vanish"
                 except PoleError:
-                    violations.append(
-                        {
-                            "rule": "forced-vanishing",
-                            "detail": "pole where vanishing is required",
-                            **where,
-                        }
-                    )
-                    continue
-                if not value.is_zero():
-                    violations.append(
-                        {
-                            "rule": "forced-vanishing",
-                            "detail": "coefficient does not vanish",
-                            **where,
-                        }
-                    )
+                    detail = "pole where vanishing is required"
+                violations.append(_violation("forced-vanishing", detail, key, alpha, tau))
     return {"ok": not violations, "violations": violations}
 

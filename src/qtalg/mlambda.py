@@ -45,10 +45,13 @@ class Character:
         return len(self.values)
 
     def value(self, x) -> QPower:
-        """lambda(x) for integer X coordinates."""
+        """lambda(x) for integer X coordinates; a non-integral coordinate
+        raises ValueError."""
         out = QPower.one()
         for v, e in zip(self.values, x):
             if e:
+                if int(e) != e:
+                    raise ValueError(f"X coordinate {e} is not an integer")
                 out = out * v ** int(e)
         return out
 

@@ -651,34 +651,38 @@ class Scalar:
 
     @classmethod
     def one(cls) -> Scalar:
-        return cls(LaurentPoly.one())
+        return cls.monomial()
 
     @classmethod
     def const(cls, c) -> Scalar:
-        return cls(LaurentPoly.const(c))
+        return cls.monomial(coeff=c)
 
     @classmethod
     def q(cls, exp=1) -> Scalar:
-        exp = _as_q(exp)
-        if exp >= 0:
-            return cls(LaurentPoly.q(exp))
-        return cls(LaurentPoly.one(), LaurentPoly.q(-exp))
+        return cls.monomial(qexp=exp)
 
     @classmethod
     def t(cls, exp: int = 1) -> Scalar:
-        if exp >= 0:
-            return cls(LaurentPoly.t(exp))
-        return cls(LaurentPoly.one(), LaurentPoly.t(-exp))
+        return cls.monomial(texp=exp)
 
     @classmethod
     def v(cls, exp: int = 1) -> Scalar:
-        if exp >= 0:
-            return cls(LaurentPoly.v(exp))
-        return cls(LaurentPoly.one(), LaurentPoly.v(-exp))
+        return cls.monomial(vexp=exp)
 
     @classmethod
     def monomial(cls, qexp=0, texp: int = 0, vexp: int = 0, coeff=1) -> Scalar:
-        return cls(LaurentPoly.monomial(qexp, texp, vexp, coeff))
+        """coeff q^qexp t^texp v^vexp, built in stored form: the positive
+        exponents over the negative ones, with the coefficient on top."""
+        coeff = _norm(coeff)
+        if not coeff:
+            return cls.zero()
+        qexp = _norm(qexp)
+        out = cls.__new__(cls)
+        out.num = LaurentPoly.__new__(LaurentPoly)
+        out.num.terms = {(max(qexp, 0), max(texp, 0), max(vexp, 0)): coeff}
+        out.den = LaurentPoly.__new__(LaurentPoly)
+        out.den.terms = {(max(-qexp, 0), max(-texp, 0), max(-vexp, 0)): 1}
+        return out
 
     # -- structure ---------------------------------------------------------
 

@@ -53,6 +53,15 @@ is only cancelled after an exact division, so one late reduction is exact.
 When no two stored directions are proportional, as for roots, the
 reduced denominator depends on the value alone, so it is also the form
 that reducing every product and partial sum would store.
+
+Evaluation and residues on a divisor e^alpha = tau work on monomial data:
+tau is taken apart once into exponents and a coefficient, and its powers,
+the pole matching against stored factor values and the moved factors are
+exponent and coefficient arithmetic, with no scalar built.  A factor along
+alpha turns into the binomial tau^k - c of the scalar denominator.  A
+numerator that vanishes on the divisor gives zero at once, without
+reading the factors: every forced-vanishing test on a member operator
+ends there.
 """
 
 from __future__ import annotations
@@ -139,15 +148,18 @@ def _beta_coordinate(beta: tuple[int, ...]):
     return prim, content, row
 
 
-def _scalar_frac_power(tau: Scalar, k: Rat) -> Scalar:
-    """tau^k for monomial tau; fractional k needs unit coefficient."""
-    if k.denominator == 1:
-        return tau ** int(k)
-    (qe, te, ve), coeff = tau.as_monomial()
+def _mono_pow(key, coeff: Q, k: Rat) -> tuple[tuple[Rat, int, int], Q]:
+    """(key, coeff) of (coeff q^qe t^te v^ve)^k for key = (qe, te, ve) and
+    a Fraction coeff; a fractional k needs a unit coefficient and t- and
+    v-exponents that k keeps integral."""
+    qe, te, ve = key
+    if k.__class__ is int:
+        return (_norm(qe * k), te * k, ve * k), coeff**k
     texp, vexp = te * k, ve * k
     if texp.denominator != 1 or vexp.denominator != 1 or coeff != 1:
-        raise ValueError(f"cannot take power {k} of the monomial {tau}")
-    return Scalar.monomial(qexp=qe * k, texp=int(texp), vexp=int(vexp))
+        value = Scalar.monomial(qe, te, ve, coeff)
+        raise ValueError(f"cannot take power {k} of the monomial {value}")
+    return (_norm(qe * k), int(texp), int(vexp)), coeff
 
 
 class TorusFraction:
@@ -430,21 +442,20 @@ class TorusFraction:
     def _matching_factors(self, alpha, tau: Scalar) -> list[tuple[Factor, int]]:
         """Factors (beta, c) vanishing on the divisor e^alpha = tau, in
         either orientation of alpha: beta = k alpha with c = tau^k once
-        (alpha, tau) is positive; returns (factor, k) pairs."""
+        (alpha, tau) is positive; returns (factor, k) pairs.  A factor
+        value is a monomial, so a tau that is not one matches nothing."""
         alpha, tau = _positive(alpha, tau)
+        if not tau.is_monomial():
+            return []
+        key, coeff = tau.as_monomial()
+        i = next(i for i, a in enumerate(alpha) if a)
         out = []
         for f in self.factors:
             beta = f[0]
-            ratios = {Q(b, a) for a, b in zip(alpha, beta) if a != 0}
-            if len(ratios) != 1:
+            k, rest = divmod(beta[i], alpha[i])
+            if rest or k <= 0 or beta != tuple(k * a for a in alpha):
                 continue
-            k = ratios.pop()
-            if k.denominator != 1 or k <= 0:
-                continue
-            k = int(k)
-            if beta != tuple(k * a for a in alpha):
-                continue
-            if _factor_value(f) == tau**k:
+            if (f[1], f[2]) == _mono_pow(key, coeff, k):
                 out.append((f, k))
         return out
 
@@ -455,13 +466,17 @@ class TorusFraction:
 
         A factor e^beta - c with beta a multiple k alpha becomes the scalar
         tau^k - c, which moves into the scalar denominator; the result is
-        put in lowest terms once."""
+        put in lowest terms once.  A numerator that vanishes on the divisor
+        gives zero without reading the factors."""
         alpha, tau = _divisor(alpha, tau, "evaluation")
         if self._matching_factors(alpha, tau):
             raise PoleError(f"pole on the divisor e^{list(alpha)} = {tau}")
-        prim, content, row = _beta_coordinate(alpha)
+        _, content, row = _beta_coordinate(alpha)
         if content != 1:
             raise ValueError("evaluation direction must be primitive")
+        if not tau.is_monomial():
+            raise ValueError(f"evaluation value must be a monomial, not {tau}")
+        tkey, tcoeff = tau.as_monomial()
 
         def coordinate(x) -> Rat:
             return _norm(sum(r * v for r, v in zip(row, x)))
@@ -471,31 +486,34 @@ class TorusFraction:
         for x, p in self.polys.items():
             k = coordinate(x)
             if k not in powers:
-                powers[k] = _scalar_frac_power(tau, k).as_monomial()
+                powers[k] = _mono_pow(tkey, tcoeff, k)
             key = tuple(_norm(v - k * a) for v, a in zip(x, alpha))
             _add_into(acc, key, _times_monomial(p, *powers[k]).terms)
-        zero = _xkey((0,) * self.pair.rank)
-        unit: Num = {zero: _ONE}
+        num = _collect(acc)
+        if not num:
+            return TorusFraction.zero(self.pair)
+        unit: Num = {_xkey((0,) * self.pair.rank): _ONE}
         den = self.den
         factors = []
-        for f in self.factors:
-            beta, c = f[0], _factor_value(f)
+        for beta, key, coeff in self.factors:
             k = coordinate(beta)
-            assert k.denominator == 1
             new_beta = tuple(b - k * a for b, a in zip(beta, alpha))
             if not any(new_beta):
-                value = tau**k - c  # nonzero: no matching factor
-                unit = {x: p * value.den for x, p in unit.items()}
-                den = den * value.num
+                # tau^k - c, nonzero as no factor matches; the two keys
+                # meet when both are constants, so subtract
+                pkey, pcoeff = _mono_pow(tkey, tcoeff, k)
+                value = LaurentPoly.monomial(*pkey, coeff=pcoeff)
+                den = den * (value - LaurentPoly.monomial(*key, coeff=coeff))
                 continue
-            shift = tau**-k
-            key, coeff = shift.as_monomial()
-            unit = {x: _times_monomial(p, key, coeff) for x, p in unit.items()}
-            nf = _make_factor(new_beta, c * shift)
-            nf, unit = _canonicalize_factor(nf, unit)
+            if k:
+                # e^beta - c = tau^k (e^{new_beta} - c tau^-k) on the divisor
+                (sq, st, sv), sc = _mono_pow(tkey, tcoeff, -k)
+                unit = {x: _times_monomial(p, (sq, st, sv), sc) for x, p in unit.items()}
+                qe, te, ve = key
+                key, coeff = (_norm(qe + sq), te + st, ve + sv), coeff * sc
+            nf, unit = _canonicalize_factor((new_beta, key, coeff), unit)
             factors.append(nf)
-        num = _num_mul(_collect(acc), unit)
-        return TorusFraction(self.pair, (num, den), tuple(factors))
+        return TorusFraction(self.pair, (_num_mul(num, unit), den), tuple(factors))
 
     def pole_order(self, alpha, tau) -> int:
         """The order of the pole on e^alpha = tau, in either orientation."""
@@ -527,7 +545,8 @@ class TorusFraction:
         value = peeled.evaluate_at(alpha, tau)
         # e^{k alpha} - tau^k = (e^alpha - tau) * S with S -> k tau^{k-1}
         if k != 1:
-            value = value.scale((Scalar.const(k) * tau ** (k - 1)).inverse())
+            key, coeff = _mono_pow(*tau.as_monomial(), 1 - k)
+            value = value.scale(Scalar.monomial(*key, coeff=coeff / k))
         return value
 
     # -- display and JSON ------------------------------------------------------------

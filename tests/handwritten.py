@@ -2,18 +2,23 @@
 
 :mod:`qtalg` computes each of these objects once, through its general
 code: the node-0 cocycle through ``TorusFraction.ratio``, the involution
-Xi through ``HeckeExpression`` arithmetic, and every torus-point product
-through ``Character.value``.  This is the earlier code, which built them
-by hand: the cocycle over an explicit two-monomial denominator, Xi by
-expanding each word atom by atom, and the point products as explicit
-loops of coordinate powers.
+Xi through ``HeckeExpression`` arithmetic, every torus-point product
+through ``Character.value``, and evaluations and residues on a divisor
+e^alpha = tau on the monomial data of tau and of the stored factors.  This
+is the earlier code, which built them by hand: the cocycle over an
+explicit two-monomial denominator, Xi by expanding each word atom by atom,
+the point products as explicit loops of coordinate powers, and the divisor
+code through ``Scalar`` powers, products and differences of tau and of
+each factor value.
 """
 
 from fractions import Fraction as Q
 
+from qtalg import torusfn
 from qtalg.daha import _as_v
+from qtalg.errors import PoleError
 from qtalg.mlambda import Character
-from qtalg.scalars import QPower, Scalar, _as_scalar
+from qtalg.scalars import QPower, Scalar, _as_scalar, _norm
 from qtalg.spherical import HeckeExpression
 from qtalg.torusfn import TorusFraction
 
@@ -121,3 +126,105 @@ def q_centralizer_roots(system, coords) -> tuple:
         if val.integral_q_exponent() is not None:
             out.append(root)
     return tuple(sorted(out))
+
+
+# -- divisors through Scalar arithmetic ------------------------------------------
+
+
+def scalar_frac_power(tau: Scalar, k) -> Scalar:
+    """tau^k for monomial tau; fractional k needs unit coefficient."""
+    if k.denominator == 1:
+        return tau ** int(k)
+    (qe, te, ve), coeff = tau.as_monomial()
+    texp, vexp = te * k, ve * k
+    if texp.denominator != 1 or vexp.denominator != 1 or coeff != 1:
+        raise ValueError(f"cannot take power {k} of the monomial {tau}")
+    return Scalar.monomial(qexp=qe * k, texp=int(texp), vexp=int(vexp))
+
+
+def matching_factors(f: TorusFraction, alpha, tau: Scalar) -> list:
+    """(factor, k) for the factors e^{k alpha} - tau^k of f, k > 0, with
+    (alpha, tau) turned positive, found by the ratios beta_i / alpha_i."""
+    alpha, tau = torusfn._positive(alpha, tau)
+    out = []
+    for g in f.factors:
+        beta = g[0]
+        ratios = {Q(b, a) for a, b in zip(alpha, beta) if a != 0}
+        if len(ratios) != 1:
+            continue
+        k = ratios.pop()
+        if k.denominator != 1 or k <= 0:
+            continue
+        k = int(k)
+        if beta != tuple(k * a for a in alpha):
+            continue
+        if torusfn._factor_value(g) == tau**k:
+            out.append((g, k))
+    return out
+
+
+def evaluate_at(f: TorusFraction, alpha, tau) -> TorusFraction:
+    """f on e^alpha = tau, each power of tau and each moved factor value a
+    Scalar."""
+    alpha, tau = torusfn._divisor(alpha, tau, "evaluation")
+    if matching_factors(f, alpha, tau):
+        raise PoleError(f"pole on the divisor e^{list(alpha)} = {tau}")
+    _, content, row = torusfn._beta_coordinate(alpha)
+    if content != 1:
+        raise ValueError("evaluation direction must be primitive")
+
+    def coordinate(x):
+        return _norm(sum(r * v for r, v in zip(row, x)))
+
+    acc: dict = {}
+    for x, p in f.polys.items():
+        k = coordinate(x)
+        key = tuple(_norm(v - k * a) for v, a in zip(x, alpha))
+        power = scalar_frac_power(tau, k).as_monomial()
+        torusfn._add_into(acc, key, torusfn._times_monomial(p, *power).terms)
+    unit = {torusfn._xkey((0,) * f.pair.rank): torusfn._ONE}
+    den = f.den
+    factors = []
+    for g in f.factors:
+        beta, c = g[0], torusfn._factor_value(g)
+        k = coordinate(beta)
+        new_beta = tuple(b - k * a for b, a in zip(beta, alpha))
+        if not any(new_beta):
+            value = tau**k - c
+            unit = {x: p * value.den for x, p in unit.items()}
+            den = den * value.num
+            continue
+        shift = tau**-k
+        key, coeff = shift.as_monomial()
+        unit = {x: torusfn._times_monomial(p, key, coeff) for x, p in unit.items()}
+        nf = torusfn._make_factor(new_beta, c * shift)
+        nf, unit = torusfn._canonicalize_factor(nf, unit)
+        factors.append(nf)
+    num = torusfn._num_mul(torusfn._collect(acc), unit)
+    return TorusFraction(f.pair, (num, den), tuple(factors))
+
+
+def residue(f: TorusFraction, alpha, tau) -> TorusFraction:
+    """The value of (e^alpha - tau) f on e^alpha = tau, through Scalar
+    powers of tau."""
+    alpha, tau = torusfn._divisor(alpha, tau, "residue")
+    positive = torusfn._positive(alpha, tau)
+    if positive[0] != alpha:
+        return residue(f, *positive).scale(-(tau**2))
+    matching = matching_factors(f, alpha, tau)
+    if not matching:
+        return TorusFraction.zero(f.pair)
+    if len(matching) > 1:
+        raise PoleError(f"pole of order {len(matching)} on e^{list(alpha)} = {tau}")
+    [(g, k)] = matching
+    remaining = list(f.factors)
+    remaining.remove(g)
+    peeled = TorusFraction._stored(f.pair, f.polys, f.den, remaining)
+    value = evaluate_at(peeled, alpha, tau)
+    if k != 1:
+        value = value.scale((Scalar.const(k) * tau ** (k - 1)).inverse())
+    return value
+
+
+def pole_order(f: TorusFraction, alpha, tau) -> int:
+    return len(matching_factors(f, *torusfn._divisor(alpha, tau, "pole")))

@@ -12,15 +12,10 @@ every distinct factor of every pass, so no modular screen is involved.
 
 from collections import Counter
 
+from handwritten import scalar_frac_power
 from qtalg.errors import PoleError
 from qtalg.scalars import Scalar, _div, _norm
-from qtalg.torusfn import (
-    _beta_coordinate,
-    _factor_value,
-    _make_factor,
-    _scalar_frac_power,
-    _xkey,
-)
+from qtalg.torusfn import _beta_coordinate, _factor_value, _make_factor, _xkey
 
 
 def num_mul(a: dict, b: dict) -> dict:
@@ -220,7 +215,7 @@ def evaluate_at(rank: int, a, alpha, tau: Scalar):
     for x, c in a[0].items():
         k = coordinate(x)
         key = tuple(_norm(v - k * b) for v, b in zip(x, alpha))
-        coeff = c * _scalar_frac_power(tau, k)
+        coeff = c * scalar_frac_power(tau, k)
         num[key] = num[key] + coeff if key in num else coeff
     unit = {_xkey((0,) * rank): Scalar.one()}
     factors = []

@@ -330,6 +330,79 @@ def test_membership_rejects_missing_vanishing():
     assert rules == {"forced-vanishing"}
 
 
+def _violator(pair, num, den, mu=None) -> DiffRefOperator:
+    f = DiffRefOperator.from_function(pair, frac(pair, num, den))
+    return f if mu is None else f * DiffRefOperator.shift_op(pair, mu)
+
+
+def _where(mu, alpha, value) -> dict:
+    return {"term": {"w": [], "mu": mu}, "divisor": {"alpha": alpha, "value": value}}
+
+
+def _pole(detail, mu, alpha, value) -> dict:
+    return {"rule": "pole-location", "detail": detail, **_where(mu, alpha, value)}
+
+
+def _vanishing(detail, mu, alpha, value) -> dict:
+    return {"rule": "forced-vanishing", "detail": detail, **_where(mu, alpha, value)}
+
+
+def _residue_sum(mu, value) -> dict:
+    return {
+        "rule": "residue-sum",
+        "term": {"w": [], "mu": mu},
+        "partner": {"w": [1], "mu": [Q(0)]},
+        "divisor": {"alpha": [1], "value": value},
+        "detail": "residues do not cancel",
+    }
+
+
+_NOT_ZERO = "coefficient does not vanish"
+_NOT_EVEN = "pole value is not an even power of q"
+
+
+def test_membership_reports_are_pinned():
+    # the three violators of the acceptance check first, then one per
+    # remaining detail; each report as the Scalar-path check wrote it,
+    # compared by repr so that key order and value types count
+    cases = [
+        (
+            _violator(A1, {(0,): 1}, [((1,), T**4)]),
+            [_pole(_NOT_EVEN, [0], [1], "t^4")],
+        ),
+        (_violator(A1, {(0,): 1}, [((1,), 1)]), [_residue_sum([0], "q^0")]),
+        (
+            DiffRefOperator.shift_op(A1, (1,)),
+            [_vanishing(_NOT_ZERO, [1], [1], "(1)/(t^2)")],
+        ),
+        (
+            _violator(A2, {(0, 0): 1}, [((1, -1), 1)]),
+            [_pole("pole direction is not a root", [0, 0], [1, -1], "1")],
+        ),
+        (
+            _violator(A1, {(0,): 1}, [((1,), Scalar.q(2))] * 2),
+            [_pole("pole order 2 > 1", [0], [1], "q^2")],
+        ),
+        (
+            _violator(A1, {(0,): 1}, [((1,), T**-2)], mu=(1,)),
+            [
+                _pole(_NOT_EVEN, [1], [1], "(1)/(t^2)"),
+                _vanishing("pole where vanishing is required", [1], [1], "(1)/(t^2)"),
+            ],
+        ),
+        (
+            _violator(A1, {(1,): 1, (0,): -Scalar.q(-2)}, [((1,), Scalar.q(2))], mu=(-2,)),
+            [
+                _residue_sum([-2], "q^2"),
+                _vanishing(_NOT_ZERO, [-2], [1], "q^2*t^2"),
+                _vanishing(_NOT_ZERO, [-2], [1], "q^4*t^2"),
+            ],
+        ),
+    ]
+    for op, violations in cases:
+        assert repr(check_membership(op)) == repr({"ok": False, "violations": violations})
+
+
 def test_membership_residue_cancellation_is_exact():
     op = dl_operator(A1, 1, 1)
     s = A1.system.simple_reflection(0)

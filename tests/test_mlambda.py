@@ -48,6 +48,17 @@ def test_character_value_and_shift():
     assert shifted.value((1,)) == QPower.q(Q(7, 2))
 
 
+def test_character_value_rejects_a_non_integral_coordinate():
+    lam = Character((QPower.q(1),))
+    # an integral Fraction is an integer coordinate
+    assert lam.value((Q(2),)) == QPower.q(2)
+    for x in (Q(1, 2), Q(3, 2), Q(-1, 2)):
+        with pytest.raises(ValueError, match="not an integer"):
+            lam.value((x,))
+    with pytest.raises(ValueError, match="not an integer"):
+        lam_a2().value((1, Q(1, 2)))
+
+
 def test_weyl_act_on_character():
     s = A1.system.simple_reflection(0)
     moved = lam_a1().weyl_act(A1, s)

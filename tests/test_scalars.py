@@ -326,6 +326,31 @@ def test_scalar_monomial_access():
     assert key == (Q(0), 3, 0) and coeff == Q(-1, 2)
 
 
+def stored_terms(s: Scalar) -> tuple:
+    """The stored terms of both sides, with the type of every value."""
+    return tuple(
+        sorted((tuple((v, type(v)) for v in key), (c, type(c))) for key, c in p.terms.items())
+        for p in (s.num, s.den)
+    )
+
+
+@pytest.mark.parametrize("coeff", [1, -1, Q(2, 1), Q(-2, 3), 0])
+def test_scalar_monomial_is_built_in_stored_form(coeff):
+    # the direct build stores what the gcd path of Scalar() stores
+    qexps = [-2, Q(-3, 2), Q(-1, 3), Q(-4, 2), 0, Q(1, 2), 1, Q(6, 3)]
+    for qe in qexps:
+        for te in (-2, -1, 0, 1, 2):
+            for ve in (-1, 0, 1):
+                got = Scalar.monomial(qe, te, ve, coeff)
+                expected = Scalar(LaurentPoly.monomial(qe, te, ve, coeff))
+                assert stored_terms(got) == stored_terms(expected), (qe, te, ve)
+    for qe in qexps:
+        assert stored_terms(Scalar.q(qe)) == stored_terms(Scalar(LaurentPoly.q(qe)))
+    assert stored_terms(Scalar.const(coeff)) == stored_terms(Scalar(LaurentPoly.const(coeff)))
+    assert stored_terms(Scalar.t(-2)) == stored_terms(Scalar(LaurentPoly.t(-2)))
+    assert stored_terms(Scalar.v(-1)) == stored_terms(Scalar(LaurentPoly.v(-1)))
+
+
 def test_scalar_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Scalar.one() / Scalar.zero()

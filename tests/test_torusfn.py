@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import handwritten
 import percoefficient as ref
 from qtalg import torusfn
 from qtalg.errors import PoleError
@@ -752,6 +753,83 @@ def _factor_value_root(f, alpha) -> Scalar | None:
     if coeff != 1 or te % k or ve % k:
         return None
     return Scalar.monomial(qexp=Q(qe) / k, texp=te // k, vexp=ve // k)
+
+
+# -- divisors on monomial data: the Scalar-path code as an oracle --------------------
+
+B2 = LatticePair(RootSystem("B2"), "root")
+
+
+def _primitive(v) -> tuple[int, ...]:
+    v = tuple(int(a) for a in v)
+    g = gcd(*v)
+    return tuple(a // g for a in v)
+
+
+# primitive root directions of A1 in the root and weight lattices, A2 and B2
+_DIVISOR_PAIRS = [
+    (pair, sorted({_primitive(r) for r in pair.positive_roots_x()}))
+    for pair in (A1, LatticePair(RootSystem("A1"), "weight"), A2, B2)
+]
+# constants make tau^k and a constant factor value share a key
+_constants = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-2, 3)]).map(Scalar.const)
+_non_monomials = _scalars.filter(lambda s: not s.is_monomial())
+
+
+@st.composite
+def divisor_cases(draw):
+    """(fraction, alpha, tau): alpha a root direction of either orientation,
+    now and then doubled; factors along 1, 2 or 3 times a root direction,
+    some vanishing on e^alpha = tau; a numerator over half-lattice
+    exponents, sometimes vanishing on the divisor."""
+    pair, dirs = draw(st.sampled_from(_DIVISOR_PAIRS))
+    n = pair.rank
+    d = draw(st.sampled_from(dirs))
+    sign = draw(st.sampled_from([1, -1]))
+    alpha = tuple(sign * draw(st.sampled_from([1] * 5 + [2])) * a for a in d)
+    monomial_tau = draw(st.booleans()) or draw(st.booleans())
+    tau = draw(st.one_of(_constants, _monomials) if monomial_tau else _non_monomials)
+    dens = []
+    for _ in range(draw(st.integers(0, 3))):
+        direction = d if draw(st.booleans()) else draw(st.sampled_from(dirs))
+        m = draw(st.sampled_from([1, 2, 3])) * draw(st.sampled_from([1, -1]))
+        beta = tuple(m * a for a in direction)
+        if direction == d and monomial_tau and draw(st.booleans()):
+            c = tau ** (sign * m)  # e^d = tau^sign when alpha is primitive
+        else:
+            c = draw(st.one_of(_constants, _monomials))
+        dens.append((beta, c))
+    xs = st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=2)] * n)
+    num = draw(st.dictionaries(xs, _scalars, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        num = ref.num_mul(num, {alpha: Scalar.one(), (0,) * n: -tau})
+    return TorusFraction.ratio(pair, num, dens), alpha, tau
+
+
+def _same(got, expected) -> bool:
+    if isinstance(expected, TorusFraction):
+        return (
+            isinstance(got, TorusFraction)
+            and got.to_json() == expected.to_json()
+            and got.factors == expected.factors
+        )
+    return got == expected
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(divisor_cases())
+def test_divisor_code_matches_the_scalar_path(case):
+    f, alpha, tau = case
+    got = outcome(lambda: f._matching_factors(alpha, tau))
+    assert got == outcome(lambda: handwritten.matching_factors(f, alpha, tau))
+    for method in ("pole_order", "residue", "evaluate_at"):
+        got = outcome(lambda: getattr(f, method)(alpha, tau))
+        expected = outcome(lambda: getattr(handwritten, method)(f, alpha, tau))
+        if method == "evaluate_at" and not tau.is_monomial() and got is ValueError:
+            # the Scalar path also evaluated at a non-monomial tau where
+            # nothing but factors along alpha depends on e^alpha
+            continue
+        assert _same(got, expected), (method, got, expected)
 
 
 # -- the stored form ------------------------------------------------------------------
