@@ -150,6 +150,29 @@ def check_spherical_roundtrip(seed: int):
 # -- 4: operator-form membership --------------------------------------------------
 
 
+def membership_violators(pair) -> list[tuple[str, DiffRefOperator]]:
+    """Rank-one operators that each break one membership rule, by rule."""
+    return [
+        (
+            "pole-location",
+            DiffRefOperator.from_function(
+                pair,
+                TorusFraction.ratio(
+                    pair, {(0,): Scalar.one()}, [((1,), Scalar.t() ** 4)]
+                ),
+            ),
+        ),
+        (
+            "residue-sum",
+            DiffRefOperator.from_function(
+                pair,
+                TorusFraction.ratio(pair, {(0,): Scalar.one()}, [((1,), Scalar.one())]),
+            ),
+        ),
+        ("forced-vanishing", DiffRefOperator.shift_op(pair, (1,))),
+    ]
+
+
 def check_membership_suite(seed: int):
     """Generators and short products pass; violators fail the right clause."""
     pair = default_pair("A1")
@@ -177,26 +200,7 @@ def check_membership_suite(seed: int):
     if not (r_e + r_s).is_zero():
         return False, "generator residues do not cancel"
 
-    violators = [
-        (
-            "pole-location",
-            DiffRefOperator.from_function(
-                pair,
-                TorusFraction.ratio(
-                    pair, {(0,): Scalar.one()}, [((1,), Scalar.t() ** 4)]
-                ),
-            ),
-        ),
-        (
-            "residue-sum",
-            DiffRefOperator.from_function(
-                pair,
-                TorusFraction.ratio(pair, {(0,): Scalar.one()}, [((1,), Scalar.one())]),
-            ),
-        ),
-        ("forced-vanishing", DiffRefOperator.shift_op(pair, (1,))),
-    ]
-    for rule, bad in violators:
+    for rule, bad in membership_violators(pair):
         rep = check_membership(bad)
         if rep["ok"] or rule not in {v["rule"] for v in rep["violations"]}:
             return False, f"constructed violator missed the {rule} clause"

@@ -761,10 +761,11 @@ def clifford_count(group: PermGroup, normal: PermGroup) -> CliffordCount:
 
 
 def weyl_permutation_group(elements, system, bound: int = 2000) -> PermGroup:
-    """Weyl elements as permutations of the roots of the ambient system."""
-    roots = list(system.roots)
-    where = {r: i for i, r in enumerate(roots)}
-    perms = [
-        tuple(where[tuple(w.act_root(r))] for r in roots) for w in elements
-    ]
-    return PermGroup.from_elements(len(roots), perms, bound=bound)
+    """Weyl elements of the system as permutations of its roots."""
+    elements = list(elements)
+    foreign = (w for w in elements if w.system is not system)
+    if any(w.system.roots != system.roots for w in foreign):
+        raise ValueError("Weyl elements do not act on the roots of this system")
+    return PermGroup.from_elements(
+        len(system.roots), [w.perm for w in elements], bound=bound
+    )

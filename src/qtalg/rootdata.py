@@ -2,10 +2,20 @@
 
 Roots are stored by their coordinates on the simple roots, coroots by
 their coordinates on the simple coroots; ``cartan[i][j]`` is the pairing
-of the i-th simple root with the j-th simple coroot.  Weyl group
-elements carry exact integer matrices for both actions plus a reduced
-word, and a :class:`LatticePair` fixes which lattices (and hence which
-coordinate charts) a computation runs on:
+of the i-th simple root with the j-th simple coroot.
+
+A Weyl group element is stored as its permutation of ``roots``: W
+permutes the root system, and a linear map is fixed by its values on a
+basis, so the images of the simple roots determine the element.  The
+system keeps a dict from those images (as root indices) to the element,
+so a product needs ``rank`` lookups and an inverse one pass over the
+permutation; no matrix is multiplied.  Enumeration builds each
+permutation from its parent's with one more simple reflection.  The
+integer matrices of both actions, read off the images of the simple
+roots and coroots, and a reduced word come with each element.
+
+A :class:`LatticePair` fixes which lattices (and hence which coordinate
+charts) a computation runs on:
 
 * ``"root"``    — X = root lattice (simple-root basis),
                   Y = coroot lattice (simple-coroot basis), pairing = Cartan;
@@ -18,9 +28,10 @@ coordinate charts) a computation runs on:
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from operator import mul
 
 from .errors import EnumerationBoundError
-from .linalg import is_integral, mat_det, mat_inv, mat_mul
+from .linalg import mat_det, mat_inv, mat_mul
 
 Coords = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -49,16 +60,8 @@ def _identity_mat(n: int) -> Mat:
     return tuple(_unit(n, i) for i in range(n))
 
 
-def _mat_mul_int(a: Mat, b: Mat) -> Mat:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_vec_int(m: Mat, v: Coords) -> Coords:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+def _mat_vec_int(m: Mat, v) -> Coords:
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def validate_cartan(cartan: list[list[int]]) -> None:
@@ -102,38 +105,61 @@ def validate_cartan(cartan: list[list[int]]) -> None:
 
 
 class WeylElement:
-    """Group element with exact actions on root and coroot coordinates."""
+    """Group element, stored as its permutation of the system's roots.
 
-    __slots__ = ("system", "mat_root", "mat_coroot", "word", "length", "_inverse")
+    ``perm[k]`` is the index in ``system.roots`` of the image of the k-th
+    root, and ``images`` lists the indices of the images of the simple
+    roots, which fix the element.  Column j of ``mat_root`` is w(alpha_j)
+    on simple roots, column j of ``mat_coroot`` is w(alpha_j^vee), the
+    coroot of w(alpha_j), on simple coroots.
+    """
 
-    def __init__(self, system, mat_root: Mat, mat_coroot: Mat, word: tuple[int, ...]):
+    __slots__ = (
+        "system",
+        "perm",
+        "images",
+        "mat_root",
+        "mat_coroot",
+        "word",
+        "length",
+        "_hash",
+        "_inverse",
+    )
+
+    def __init__(self, system, perm: tuple[int, ...], images: tuple[int, ...], word):
         self.system = system
-        self.mat_root = mat_root
-        self.mat_coroot = mat_coroot
+        self.perm = perm
+        self.images = images
+        self.mat_root: Mat = tuple(zip(*[system.roots[k] for k in images]))
+        self.mat_coroot: Mat = tuple(zip(*[system._coroots[k] for k in images]))
         self.word = word
         self.length = len(word)
+        self._hash = hash(images)
         self._inverse = None
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.mat_root == other.mat_root
+        return self.images == other.images and self.system.cartan == other.system.cartan
 
     def __hash__(self) -> int:
-        return hash(self.mat_root)
+        return self._hash
 
     def __mul__(self, other: WeylElement) -> WeylElement:
         """Composition: (self * other) acts by other first, then self."""
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.system.element_by_matrix(
-            _mat_mul_int(self.mat_root, other.mat_root)
-        )
+        p = self.perm
+        return self.system._by_images[tuple([p[k] for k in other.images])]
 
     def inverse(self) -> WeylElement:
-        """The inverse, from the reversed word on first use."""
+        """The inverse: the simple roots' preimages under the permutation."""
         if self._inverse is None:
-            self._inverse = self.system.element_by_word(reversed(self.word))
+            images = tuple([self.perm.index(k) for k in self.system._simple_index])
+            inv = self.system._by_images[images]
+            self._inverse, inv._inverse = inv, self
         return self._inverse
 
     def is_identity(self) -> bool:
@@ -222,48 +248,40 @@ class RootSystem:
 
     # -- Weyl group -----------------------------------------------------------
 
-    def _simple_mats(self, i: int) -> tuple[Mat, Mat]:
-        n = self.rank
-        root = tuple(
-            tuple(
-                (1 if k == j else 0) - (self.cartan[j][i] if k == i else 0)
-                for j in range(n)
-            )
-            for k in range(n)
-        )
-        coroot = tuple(
-            tuple(
-                (1 if k == j else 0) - (self.cartan[i][j] if k == i else 0)
-                for j in range(n)
-            )
-            for k in range(n)
-        )
-        return root, coroot
-
     def _enumerate_weyl(self) -> None:
+        """Breadth-first over words: w s_i sends root k to w(s_i(root k)),
+        so its permutation is the parent's composed with that of s_i."""
         n = self.rank
-        simple = [self._simple_mats(i) for i in range(n)]
-        table: dict[Mat, WeylElement] = {}
-        ident = WeylElement(self, _identity_mat(n), _identity_mat(n), ())
-        table[ident.mat_root] = ident
+        index = {r: k for k, r in enumerate(self.roots)}
+        self._root_index = index
+        self._coroots = tuple(self._coroot_of[r] for r in self.roots)
+        self._simple_index = simple_index = tuple(index[_unit(n, i)] for i in range(n))
+        simple = [
+            tuple(index[self._reflect_root(i, r)] for r in self.roots) for i in range(n)
+        ]
+        ident = WeylElement(self, tuple(range(len(self.roots))), simple_index, ())
+        table: dict[tuple[int, ...], WeylElement] = {simple_index: ident}
         frontier = [ident]
         while frontier:
             nxt = []
             for w in frontier:
-                for i in range(n):
-                    mr = _mat_mul_int(w.mat_root, simple[i][0])
-                    if mr in table:
+                p = w.perm
+                for i, s in enumerate(simple):
+                    images = tuple([p[s[k]] for k in simple_index])
+                    if images in table:
                         continue
-                    mc = _mat_mul_int(w.mat_coroot, simple[i][1])
-                    elt = WeylElement(self, mr, mc, w.word + (i,))
-                    table[mr] = elt
+                    elt = WeylElement(self, tuple([p[k] for k in s]), images, w.word + (i,))
+                    table[images] = elt
                     nxt.append(elt)
                     if len(table) > WEYL_BOUND:
                         raise EnumerationBoundError(
                             f"Weyl group has more than {WEYL_BOUND} elements"
                         )
             frontier = nxt
-        self._table = table
+        self._by_images = table
+        self._simple_reflections = tuple(
+            table[tuple([s[k] for k in simple_index])] for s in simple
+        )
         self.elements: tuple[WeylElement, ...] = tuple(
             sorted(table.values(), key=lambda w: (w.length, w.word))
         )
@@ -272,35 +290,27 @@ class RootSystem:
         self.order = len(self.elements)
 
     def simple_reflection(self, i: int) -> WeylElement:
-        return self.element_by_matrix(self._simple_mats(i)[0])
-
-    def element_by_matrix(self, mat_root) -> WeylElement:
-        key = tuple(tuple(int(x) for x in row) for row in mat_root)
-        try:
-            return self._table[key]
-        except KeyError:
-            raise ValueError("matrix is not a Weyl group element") from None
+        return self._simple_reflections[i]
 
     def element_by_word(self, word) -> WeylElement:
         w = self.identity
         for i in word:
-            w = w * self.simple_reflection(i)
+            w = w * self._simple_reflections[i]
         return w
 
     def reflection(self, root) -> WeylElement:
-        """The reflection attached to any root, as a group element."""
-        root = tuple(root)
-        cor = self.coroot_of(root)
+        """The reflection attached to any root, as a group element:
+        s(alpha_j) = alpha_j - <alpha_j, root^vee> root."""
+        root = self.roots[self._root_index[tuple(root)]]
+        cor = self._coroot_of[root]
         n = self.rank
-        mat = tuple(
-            tuple(
-                (1 if k == j else 0)
-                - root[k] * sum(self.cartan[j][m] * cor[m] for m in range(n))
-                for j in range(n)
+        images = []
+        for j in range(n):
+            c = sum(self.cartan[j][m] * cor[m] for m in range(n))
+            images.append(
+                self._root_index[tuple((k == j) - c * root[k] for k in range(n))]
             )
-            for k in range(n)
-        )
-        return self.element_by_matrix(mat)
+        return self._by_images[tuple(images)]
 
     # -- affinization -------------------------------------------------------
 
@@ -331,7 +341,19 @@ class RootSystem:
 
 
 class LatticePair:
-    """W-stable lattices (X, Y) with an integral pairing, in fixed bases."""
+    """W-stable lattices (X, Y) with an integral pairing, in fixed bases.
+
+    On the weight and coweight charts W acts through the dual basis.  The
+    fundamental weights are dual to the simple coroots, so row i of the
+    matrix of w on weight coordinates is w^-1(alpha_i^vee) on simple
+    coroots; likewise row i on coweight coordinates is w^-1(alpha_i) on
+    simple roots.  Both are read from the root permutation in integers.
+    Conjugating the root (coroot) matrix by the change of basis gives the
+    same matrices: both sides are homomorphisms of W, so they agree once
+    they agree on the simple reflections, which generate W.  The
+    constructor checks this on the simple reflections, and with it that
+    the lattices are W-stable (the conjugates are integral).
+    """
 
     KINDS = ("root", "weight", "adjoint")
 
@@ -341,54 +363,48 @@ class LatticePair:
         self.system = system
         self.kind = kind
         n = system.rank
-        a = [[Q(x) for x in row] for row in system.cartan]
-        if kind == "root":
-            self.pairing = tuple(tuple(int(x) for x in row) for row in a)
-        else:
-            self.pairing = _identity_mat(n)
-        # coordinate change from root coords to X coords, coroot to Y coords
-        at = [[a[j][i] for j in range(n)] for i in range(n)]
-        self._x_change = at if kind == "weight" else None  # c = A^T r
+        a = system.cartan
+        self.pairing = a if kind == "root" else _identity_mat(n)
+        # coordinate change from root coords to X coords (c = A^T r) and from
+        # coroot coords to Y coords (d = A m); None stands for the identity
+        at = tuple(zip(*a))
+        self._x_change = at if kind == "weight" else None
         self._x_change_inv = mat_inv(at) if kind == "weight" else None
-        self._y_change = a if kind == "adjoint" else None  # d = A m
-        self._y_change_inv = mat_inv(a) if kind == "adjoint" else None
-        self._x_cache: dict[Mat, Mat] = {}
-        self._y_cache: dict[Mat, Mat] = {}
+        self._y_change = a if kind == "adjoint" else None
+        for s in map(system.simple_reflection, range(n)):
+            for change, mat, image in (
+                (self._x_change, s.mat_root, self.x_matrix(s)),
+                (self._y_change, s.mat_coroot, self.y_matrix(s)),
+            ):
+                if change is None:
+                    continue
+                conj = mat_mul(mat_mul(change, mat), mat_inv(change))
+                if conj != [list(row) for row in image]:
+                    raise ValueError("lattice is not stable under the action")
 
     @property
     def rank(self) -> int:
         return self.system.rank
 
-    @staticmethod
-    def _convert(mat: Mat, change, change_inv, cache: dict[Mat, Mat]) -> Mat:
-        if change is None:
-            return mat
-        if mat not in cache:
-            prod = mat_mul(mat_mul(change, mat), change_inv)
-            if not all(is_integral(row) for row in prod):
-                raise ValueError("lattice is not stable under the action")
-            cache[mat] = tuple(tuple(int(x) for x in row) for row in prod)
-        return cache[mat]
-
     def x_matrix(self, w: WeylElement) -> Mat:
         """Matrix of w on X coordinates."""
-        return self._convert(
-            w.mat_root, self._x_change, self._x_change_inv, self._x_cache
-        )
+        if self.kind != "weight":
+            return w.mat_root
+        coroots = self.system._coroots
+        return tuple([coroots[k] for k in w.inverse().images])
 
     def y_matrix(self, w: WeylElement) -> Mat:
         """Matrix of w on Y coordinates."""
-        return self._convert(
-            w.mat_coroot, self._y_change, self._y_change_inv, self._y_cache
-        )
+        if self.kind != "adjoint":
+            return w.mat_coroot
+        roots = self.system.roots
+        return tuple([roots[k] for k in w.inverse().images])
 
     def act_x(self, w: WeylElement, coords) -> tuple:
-        m = self.x_matrix(w)
-        return tuple(sum(row[k] * coords[k] for k in range(len(coords))) for row in m)
+        return _mat_vec_int(self.x_matrix(w), coords)
 
     def act_y(self, w: WeylElement, coords) -> tuple:
-        m = self.y_matrix(w)
-        return tuple(sum(row[k] * coords[k] for k in range(len(coords))) for row in m)
+        return _mat_vec_int(self.y_matrix(w), coords)
 
     def pair(self, x, y):
         """The pairing <x, y> of X and Y coordinates."""

@@ -365,6 +365,21 @@ def test_from_elements_matches_all_elements_as_generators_on_weyl_groups(label):
     assert_same_group_data(group, PermGroup(group.degree, group.elements))
 
 
+@pytest.mark.parametrize("label", sorted(BUILTIN_CARTAN))
+def test_weyl_permutations_follow_the_root_action(label):
+    system = RootSystem(label)
+    where = {r: k for k, r in enumerate(system.roots)}
+    expected = {tuple(where[w.act_root(r)] for r in system.roots) for w in system.elements}
+    assert set(weyl_permutation_group(system.elements, system).elements) == expected
+
+
+def test_weyl_permutations_reject_another_systems_elements():
+    with pytest.raises(ValueError, match="roots of this system"):
+        weyl_permutation_group(RootSystem("B2").elements, RootSystem("C2"))
+    a2 = RootSystem("A2")
+    assert weyl_permutation_group(a2.elements, RootSystem("A2")).order == 6
+
+
 def test_from_elements_matches_all_elements_as_generators_on_stabilizers():
     group, normal = wreath_pair()
     for orbit in clifford_orbits(group, normal):

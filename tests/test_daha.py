@@ -1,5 +1,6 @@
 """Tests for difference-reflection operators, relations and membership."""
 
+import json
 import random
 from fractions import Fraction as Q
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtalg.acceptance import membership_violators
 from qtalg.daha import (
     DiffRefOperator,
     check_braid,
@@ -330,6 +332,14 @@ def test_membership_rejects_missing_vanishing():
     assert rules == {"forced-vanishing"}
 
 
+def test_membership_reports_serialise():
+    # the residue-sum partner's mu is built from the coroot and act_y
+    for rule, bad in membership_violators(A1):
+        rep = check_membership(bad)
+        assert rule in {v["rule"] for v in rep["violations"]}
+        assert json.loads(json.dumps(rep)) == rep
+
+
 def _violator(pair, num, den, mu=None) -> DiffRefOperator:
     f = DiffRefOperator.from_function(pair, frac(pair, num, den))
     return f if mu is None else f * DiffRefOperator.shift_op(pair, mu)
@@ -351,7 +361,7 @@ def _residue_sum(mu, value) -> dict:
     return {
         "rule": "residue-sum",
         "term": {"w": [], "mu": mu},
-        "partner": {"w": [1], "mu": [Q(0)]},
+        "partner": {"w": [1], "mu": [0]},
         "divisor": {"alpha": [1], "value": value},
         "detail": "residues do not cancel",
     }

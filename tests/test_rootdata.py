@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import sympy
 
 from qtalg.linalg import mat_det
 from qtalg.rootdata import BUILTIN_CARTAN, LatticePair, RootSystem, validate_cartan
@@ -87,6 +88,90 @@ def test_inverse_is_two_sided(name):
     for w in SYSTEMS[name].elements:
         assert (w * w.inverse()).is_identity()
         assert (w.inverse() * w).is_identity()
+        assert w.inverse().inverse() is w
+
+
+# -- the permutation storage against integer matrices --------------------------
+
+
+def _int_mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _simple_mats(rs, i):
+    """s_i on simple-root and on simple-coroot coordinates, from the Cartan
+    matrix: s_i(alpha_j) = alpha_j - <alpha_j, alpha_i^vee> alpha_i and
+    s_i(alpha_j^vee) = alpha_j^vee - <alpha_i, alpha_j^vee> alpha_i^vee."""
+    n = rs.rank
+    root = tuple(
+        tuple(int(k == j) - (rs.cartan[j][i] if k == i else 0) for j in range(n))
+        for k in range(n)
+    )
+    coroot = tuple(
+        tuple(int(k == j) - (rs.cartan[i][j] if k == i else 0) for j in range(n))
+        for k in range(n)
+    )
+    return root, coroot
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
+def test_matrices_are_products_along_the_word(name):
+    rs = SYSTEMS[name]
+    simple = [_simple_mats(rs, i) for i in range(rs.rank)]
+    one = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+    for w in rs.elements:
+        root, coroot = one, one
+        for i in w.word:
+            root = _int_mat_mul(root, simple[i][0])
+            coroot = _int_mat_mul(coroot, simple[i][1])
+        assert (w.mat_root, w.mat_coroot) == (root, coroot)
+    for i in range(rs.rank):
+        assert rs.simple_reflection(i).word == (i,)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
+def test_products_match_integer_matrix_products(name):
+    rs = SYSTEMS[name]
+    by_matrix = {w.mat_root: w for w in rs.elements}
+    assert len(by_matrix) == rs.order
+    for w1 in rs.elements:
+        for w2 in rs.elements:
+            assert w1 * w2 is by_matrix[_int_mat_mul(w1.mat_root, w2.mat_root)]
+
+
+def _conjugated(change, mat):
+    """change * mat * change^-1 over the rationals, checked integral."""
+    c = sympy.Matrix(change)
+    m = c * sympy.Matrix(mat) * c.inv()
+    assert all(x.is_integer for x in m)
+    return tuple(tuple(int(m[i, j]) for j in range(m.cols)) for i in range(m.rows))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
+def test_chart_matrices_match_rational_conjugation(name):
+    # weight chart: x = A^T r on X; adjoint chart: d = A m on Y
+    rs = SYSTEMS[name]
+    a = [list(row) for row in rs.cartan]
+    at = [list(col) for col in zip(*a)]
+    weight, adjoint = LatticePair(rs, "weight"), LatticePair(rs, "adjoint")
+    for w in rs.elements:
+        assert weight.x_matrix(w) == _conjugated(at, w.mat_root)
+        assert weight.y_matrix(w) == w.mat_coroot
+        assert adjoint.x_matrix(w) == w.mat_root
+        assert adjoint.y_matrix(w) == _conjugated(a, w.mat_coroot)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
+def test_chart_vectors_are_ints(name):
+    rs = SYSTEMS[name]
+    for kind in LatticePair.KINDS:
+        pair = LatticePair(rs, kind)
+        vectors = [pair.theta_x(), pair.theta_coroot_y()]
+        vectors += [pair.simple_root_x(i) for i in range(rs.rank)]
+        vectors += [pair.simple_coroot_y(i) for i in range(rs.rank)]
+        vectors += [pair.root_to_x(r) for r in rs.roots]
+        vectors += [pair.coroot_to_y(rs.coroot_of(r)) for r in rs.roots]
+        assert all(type(c) is int for v in vectors for c in v), kind
 
 
 def test_reduced_words_are_reduced():
