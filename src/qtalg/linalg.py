@@ -73,11 +73,6 @@ def mat_inv(a: Sequence[Sequence[Q]]) -> list[list[Q]]:
     return [row[n:] for row in rref]
 
 
-def mat_solve(a: Sequence[Sequence[Q]], b: Sequence[Q]) -> list[Q]:
-    """Solve a·x = b for square invertible a."""
-    return mat_vec(mat_inv(a), list(b))
-
-
 def is_integral(v: Sequence[Q]) -> bool:
     return all(Q(x).denominator == 1 for x in v)
 

@@ -22,7 +22,7 @@ isotropy group carry the full Weyl action.
 from __future__ import annotations
 
 from .errors import WindowOverflowError
-from .linalg import is_integral, mat_solve, nullspace
+from .linalg import is_integral, mat_vec, nullspace
 from .qtorus import HWElement, TorusElement
 from .rootdata import LatticePair, WeylElement
 from .scalars import QPower, Scalar, _as_scalar
@@ -81,7 +81,7 @@ class Character:
             if e is None:
                 return None
             exps.append(e)
-        y = mat_solve(pair.pairing, exps)
+        y = mat_vec(pair.pairing_inv, exps)
         return tuple(int(v) for v in y) if is_integral(y) else None
 
     def __eq__(self, other) -> bool:
@@ -193,9 +193,7 @@ def _vec_add(acc: dict, key, coeff: Scalar) -> None:
 
 
 def vectors_equal(a: dict, b: dict) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(a[k] == b[k] for k in a)
+    return a == b
 
 
 class WeightModule:

@@ -365,6 +365,7 @@ class LatticePair:
         n = system.rank
         a = system.cartan
         self.pairing = a if kind == "root" else _identity_mat(n)
+        self.pairing_inv = mat_inv(self.pairing)
         # coordinate change from root coords to X coords (c = A^T r) and from
         # coroot coords to Y coords (d = A m); None stands for the identity
         at = tuple(zip(*a))

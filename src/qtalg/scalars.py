@@ -804,43 +804,6 @@ def _as_scalar(c) -> Scalar:
     return c if isinstance(c, Scalar) else Scalar.const(c)
 
 
-# -- evaluation modulo a prime ----------------------------------------------
-#
-# Reduction modulo _P at one fixed point (q^(1/grid), t, v) -> _POINT is a
-# ring homomorphism on the Laurent polynomials it is defined on: those whose
-# rational coefficients have denominators prime to _P.  A nonzero residue of
-# an expression built from such polynomials by ring operations therefore
-# proves the expression nonzero (Schwartz 1980; Zippel 1979); a zero residue
-# proves nothing.  The point is fixed so that runs are deterministic; any
-# nonzero residues would do.
-
-_P = (1 << 61) - 1
-_POINT = (1_234_567_890_123_457, 987_654_321_098_767, 271_828_182_845_905)
-
-
-def _terms_residue(terms, grid: int) -> int | None:
-    """Residue of sum coeff * q^qe t^te v^ve over (key, coeff) pairs, or None
-    when a coefficient denominator is divisible by _P.  grid must be a
-    multiple of every qe's denominator."""
-    rq, rt, rv = _POINT
-    total = 0
-    for (qe, te, ve), c in terms:
-        term = c.numerator
-        if qe:
-            term *= pow(rq, qe.numerator * (grid // qe.denominator), _P)
-        if te:
-            term *= pow(rt, te, _P)
-        if ve:
-            term *= pow(rv, ve, _P)
-        d = c.denominator
-        if d != 1:
-            if d % _P == 0:
-                return None
-            term *= pow(d, -1, _P)
-        total += term
-    return total % _P
-
-
 class QPower:
     """Exact torus coordinate zeta * q^qexp * mag.
 

@@ -28,13 +28,10 @@ of binomials, with the unit folded into the numerator — and it keeps
 poles readable: the stored denominator is the pole divisor.
 
 Fractions cancel on construction: a denominator binomial is dropped
-whenever it divides the numerator exactly (classwise synthetic division
-along beta; u - c is monic in u, so no scalar is divided).  Most candidate
-binomials do not divide, so each is first screened modulo a prime at one
-fixed point: a class remainder that is nonzero there is nonzero exactly,
-and the binomial is rejected without any exact arithmetic.  Every other
-case, including a coefficient that is undefined at the point, goes to the
-exact division, so the screen can only reject and the result is exact.
+exactly when it divides the numerator (classwise synthetic division along
+beta; u - c is monic in u, so no scalar is divided).  The division stops
+at the first class with a single member or a nonzero remainder, so a
+binomial that does not divide costs little.
 
 Substitutions e^x -> q^{phi.x} e^{Mx} skip both reductions.  For M
 invertible such a map is a ring automorphism, so a factor divides the
@@ -68,14 +65,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction as Q
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
 from .errors import PoleError
 from .linalg import mat_det, unimodular_completion
 from .rootdata import LatticePair, WeylElement
 from .scalars import (
-    _P,
     LaurentPoly,
     Rat,
     Scalar,
@@ -83,7 +79,6 @@ from .scalars import (
     _cancel_common,
     _div,
     _norm,
-    _terms_residue,
 )
 
 # exponent of a torus monomial; each entry an int when integral, else a
@@ -260,37 +255,16 @@ class TorusFraction:
 
     def _reduce(self) -> None:
         """Cancel, one at a time, every denominator factor that divides the
-        numerator exactly.
-
-        Each pass evaluates the numerator polynomials once modulo the prime
-        p of :mod:`qtalg.scalars`, at its fixed point with q^(1/grid) for
-        the lcm grid of the pass.  The scalar denominator is a nonzero
-        constant for this question and is left out.  A factor e^beta - c
-        whose division has a single-member class, or a class remainder P(c)
-        that is nonzero mod p, does not divide: reduction mod p is a ring
-        homomorphism on the polynomials involved, so a nonzero residue is a
-        nonzero exact remainder.  Any other factor, including one whose
-        value or class coefficients are undefined mod p (a coefficient
-        denominator divisible by p), goes to the exact division.
+        numerator: a factor is cancelled after its exact division succeeds.
         """
         factors = list(self.factors)
         changed = True
         while changed and factors:
             changed = False
-            distinct = sorted(set(factors))
-            grid = lcm(
-                *(p.root_index() for p in self.polys.values()),
-                *(f[1][0].denominator for f in distinct),
-            )
-            values = {
-                x: _terms_residue(p.terms.items(), grid) for x, p in self.polys.items()
-            }
             classes: dict[tuple[int, ...], list] = {}
-            for f in distinct:
+            for f in sorted(set(factors)):
                 if f[0] not in classes:
                     classes[f[0]] = _beta_classes(self.polys, f[0])
-                if _indivisible(classes[f[0]], values, _terms_residue([f[1:]], grid)):
-                    continue
                 quotient = _divide_num(self.polys, f, classes[f[0]])
                 if quotient is not None:
                     self.polys = quotient
@@ -784,30 +758,6 @@ def _beta_classes(num: Num, beta: tuple[int, ...]) -> list[list[tuple[int, XKey]
         kmin = min(k for k, _ in items)
         out.append([(int(k - kmin), x) for k, x in items])
     return out
-
-
-def _indivisible(classes: list, values: dict, c: int | None) -> bool:
-    """True when e^beta - c provably does not divide the numerator: a class
-    along beta has a single member, or a class polynomial P has P(c) != 0
-    mod p.  values maps exponents to coefficient residues and c is the
-    residue of the factor value, each None where undefined."""
-    if any(len(items) == 1 for items in classes):
-        return True
-    if c is None:
-        return False
-    for items in classes:
-        coeffs = [0] * (max(m for m, _ in items) + 1)
-        for m, x in items:
-            if values[x] is None:
-                break
-            coeffs[m] = values[x]
-        else:
-            remainder = 0
-            for a in reversed(coeffs):
-                remainder = (remainder * c + a) % _P
-            if remainder:
-                return True
-    return False
 
 
 def _divide_num(num: Num, f: Factor, classes: list) -> Num | None:

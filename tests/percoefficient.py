@@ -6,8 +6,8 @@ coefficient was a canonical :class:`~qtalg.scalars.Scalar` and every
 coefficient product and sum took its own gcd.  A fraction here is a pair
 (num, factors): num maps exponents to nonzero Scalars and factors is the
 sorted tuple of denominator binomials, in the factor format of torusfn.
-Binomial reduction is the unscreened loop, an exact trial division for
-every distinct factor of every pass, so no modular screen is involved.
+Binomial reduction is the reference loop, an exact trial division for
+every distinct factor of every pass.
 """
 
 from collections import Counter

@@ -16,7 +16,6 @@ from qtalg.linalg import (
     mat_det,
     mat_inv,
     mat_mul,
-    mat_solve,
     mat_vec,
     nullspace,
     rank,
@@ -55,21 +54,15 @@ def test_det_of_a_rational_matrix_matches_the_leibniz_sum(m):
     assert mat_det(m) == leibniz
 
 
-@given(mats3)
+@given(mats3, vecs3)
 @settings(max_examples=50, deadline=None)
-def test_inverse_round_trip(m):
+def test_inverse_round_trip(m, b):
     assume(mat_det(m) != 0)
     inv = mat_inv(m)
     assert mat_mul(m, inv) == identity(3)
     assert mat_mul(inv, m) == identity(3)
-
-
-@given(mats3, vecs3)
-@settings(max_examples=50, deadline=None)
-def test_solve(m, b):
-    assume(mat_det(m) != 0)
-    x = mat_solve(m, b)
-    assert mat_vec(m, x) == b
+    # inv solves m x = b
+    assert mat_vec(m, mat_vec(inv, b)) == b
 
 
 sparse_ints = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qtalg.errors import ScalarEmbeddingError, SpecializationError
 from qtalg.scalars import (
-    _P,
     LaurentPoly,
     QPower,
     Scalar,
@@ -18,7 +17,6 @@ from qtalg.scalars import (
     _div,
     _gcd,
     _interpolate,
-    _terms_residue,
     nth_root,
 )
 
@@ -293,30 +291,6 @@ def test_nth_root_is_exact_for_large_integers():
     assert nth_root(Q(3**201), 2) is None
     assert nth_root(Q(2**300 + 1), 3) is None
     assert nth_root(Q(1, 7**801), 2) is None
-
-
-def residue(p: LaurentPoly, grid: int) -> int | None:
-    return _terms_residue(p.terms.items(), grid)
-
-
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(polys, polys)
-def test_residue_is_a_ring_homomorphism(a, b):
-    grid = lcm(a.root_index(), b.root_index())
-    ra, rb = residue(a, grid), residue(b, grid)
-    assume(ra is not None and rb is not None)
-    assert residue(a + b, grid) == (ra + rb) % _P
-    assert residue(a * b, grid) == ra * rb % _P
-    assert residue(LaurentPoly.zero(), grid) == 0
-
-
-def test_residue_is_undefined_off_its_domain():
-    assert residue(LaurentPoly.const(Q(1, _P)), 1) is None
-    assert residue(LaurentPoly.const(Q(_P, 3)), 1) == 0
-    half = LaurentPoly.q(Q(1, 2))
-    assert residue(half * half, 2) == residue(LaurentPoly.q(), 2)
-    # an integral Fraction exponent reads like the int
-    assert residue(LaurentPoly({(Q(2, 2), 0, 0): 1}), 2) == residue(LaurentPoly.q(), 2)
 
 
 def test_scalar_monomial_access():

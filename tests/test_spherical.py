@@ -141,6 +141,14 @@ def test_sign_absorption():
     assert check_sign_absorption(A2, 2, 1)
 
 
+@pytest.mark.parametrize("label", ["B2", "G2"])
+def test_absorption_at_every_node_at_symbolic_v(label):
+    pair = default_pair(label)
+    for node in range(1, pair.rank + 1):
+        assert check_absorption(pair, node)
+        assert check_sign_absorption(pair, node)
+
+
 def test_generator_eigenvalues():
     # (T - t)(T - (v(t - 1/t) - t)) = 0, symbolically in v
     v = Scalar.v()
