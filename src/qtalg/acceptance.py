@@ -39,7 +39,7 @@ from .mlambda import (
     dimension_bookkeeping,
     vectors_equal,
 )
-from .qtorus import QuantumTorus, simplicity_witness
+from .qtorus import QuantumTorus, TorusElement, simplicity_witness
 from .rootdata import LatticePair, RootSystem
 from .scalars import QPower, Scalar
 from .spherical import check_absorption, check_spherical, idempotent_e_v
@@ -419,17 +419,24 @@ def check_clifford_count(seed: int):
 # -- 10: simplicity certificates ----------------------------------------------------
 
 
+def random_torus_element(torus: QuantumTorus, rng: random.Random) -> TorusElement:
+    """A random element of 2-4 terms, exponents in [-2, 2] and coefficients
+    c q^e with 1 <= c <= 5 and |e| <= 1; the term bound is redrawn after
+    every term, so each draw of rng is part of the result."""
+    terms = {}
+    while len(terms) < rng.randint(2, 4):
+        v = tuple(rng.randint(-2, 2) for _ in range(torus.dim))
+        terms[v] = Scalar.const(rng.randint(1, 5)) * Scalar.q(rng.randint(-1, 1))
+    return torus.element(terms)
+
+
 def check_simplicity(seed: int):
     """Witnesses on random elements; clean error on a degenerate form."""
     rng = _rng(seed, "simplicity-witness")
     torus = QuantumTorus(pairing=[[1, 0], [0, 1]])
     trials = 100
     for _ in range(trials):
-        terms = {}
-        while len(terms) < rng.randint(2, 4):
-            v = tuple(rng.randint(-2, 2) for _ in range(torus.dim))
-            terms[v] = Scalar.const(rng.randint(1, 5)) * Scalar.q(rng.randint(-1, 1))
-        witness = simplicity_witness(torus.element(terms))
+        witness = simplicity_witness(random_torus_element(torus, rng))
         if not (witness.verified and witness.verify()):
             return False, "a witness failed re-verification"
     degenerate = QuantumTorus(pairing=[[0]])

@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction as Q
 
-from .acceptance import CHECKS, run_suite
+from .acceptance import CHECKS, random_torus_element, run_suite
 from .clifford import PermGroup, character_table, clifford_count
 from .daha import DiffRefOperator, check_membership, dl_operator, relations_report
 from .errors import QtalgError
@@ -328,11 +328,7 @@ def cmd_qtorus_witness(args):
     verified = 0
     sample = None
     for _ in range(args.random):
-        terms = {}
-        while len(terms) < rng.randint(2, 4):
-            v = tuple(rng.randint(-2, 2) for _ in range(torus.dim))
-            terms[v] = Scalar.const(rng.randint(1, 5)) * Scalar.q(rng.randint(-1, 1))
-        witness = simplicity_witness(torus.element(terms))
+        witness = simplicity_witness(random_torus_element(torus, rng))
         if sample is None:
             sample = witness.to_json()
         verified += bool(witness.verified and witness.verify())
@@ -524,8 +520,7 @@ def cmd_loop_centralizer(args):
         f"isotropy order {cw.isotropy.order}",
         f"flagged roots: {[list(r) for r in cw.roots]}",
         f"reflection subgroup order {len(cw.reflection_subgroup)}",
-        f"component order {cw.component_order} "
-        f"({'split' if cw.is_split else 'coset representatives only'})",
+        f"component order {cw.component_order} (split)",
     ]
     return "component", payload, lines, 0
 

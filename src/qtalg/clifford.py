@@ -13,11 +13,10 @@ row and column orthogonality can be verified exactly.
 On top of the tables sits the counting layer for a group W_H with a
 normal subgroup W0: the conjugation action phi^g(x) = phi(g x g^{-1})
 partitions the irreducible characters of W0 into orbits with
-stabilizers W^phi, and when the orbit representative extends to an
-honest character of its stabilizer the characters of W_H lying over the
-orbit correspond to the irreducible characters of W^phi/W0.  Orbit
-representatives that fail to extend are flagged and left out of the
-predicted count rather than resolved.
+stabilizers W^phi, and by the Clifford correspondence the characters of
+W_H lying over an orbit correspond to the characters of W^phi lying over
+its representative.  Those are read off the table of W^phi, so no
+extension of phi is needed; whether phi extends is reported alongside.
 """
 
 from __future__ import annotations
@@ -428,15 +427,10 @@ class CharacterTable:
             int(row[0].rational()) for row in self.rows
         )
 
-    def value(self, row_index: int, element) -> Cyc:
-        return self.rows[row_index][self.group.class_map()[tuple(element)]]
-
     def restriction(self, row_index: int, subgroup: PermGroup) -> tuple:
         """The row restricted to the classes of a subgroup."""
-        return tuple(
-            self.value(row_index, rep)
-            for rep, _ in subgroup.conjugacy_classes()
-        )
+        row, class_of = self.rows[row_index], self.group.class_map()
+        return tuple(row[class_of[rep]] for rep, _ in subgroup.conjugacy_classes())
 
     def verify_orthogonality(self) -> bool:
         """Both orthogonality relations and the degree sum, exactly.
@@ -683,38 +677,26 @@ def clifford_orbits(group: PermGroup, normal: PermGroup) -> list[CliffordOrbit]:
     return orbits
 
 
-def quotient_group(group: PermGroup, normal: PermGroup) -> PermGroup:
-    """The quotient as a permutation group on the cosets."""
-    check_normal(group, normal)
-    cosets = [frozenset(_compose(r, u) for u in normal.elements)
-              for r in coset_representatives(group, normal)]
-    where = {x: i for i, coset in enumerate(cosets) for x in coset}
-    gens = [
-        tuple(where[_compose(g, min(coset))] for coset in cosets)
-        for g in group.generators
-    ]
-    return PermGroup(len(cosets), gens, bound=len(cosets) + 1)
-
-
 class CliffordCount:
     """Predicted character count over a normal subgroup, with the breakdown."""
 
-    __slots__ = ("orbits", "breakdown", "predicted", "direct", "flagged", "matches")
+    __slots__ = ("orbits", "breakdown", "predicted", "direct", "matches")
 
-    def __init__(self, orbits, breakdown, predicted, direct, flagged):
+    def __init__(self, orbits, breakdown, predicted, direct):
         self.orbits = orbits
         self.breakdown = tuple(breakdown)
         self.predicted = predicted
         self.direct = direct
-        self.flagged = tuple(flagged)
-        self.matches = not flagged and predicted == direct
+        self.matches = predicted == direct
 
     def to_json(self) -> dict:
         return {
             "predicted": self.predicted,
             "direct": self.direct,
             "matches": self.matches,
-            "flagged_orbits": list(self.flagged),
+            "flagged_orbits": [
+                pos for pos, b in enumerate(self.breakdown) if not b["extends"]
+            ],
             "breakdown": [dict(b) for b in self.breakdown],
         }
 
@@ -722,42 +704,46 @@ class CliffordCount:
 def clifford_count(group: PermGroup, normal: PermGroup) -> CliffordCount:
     """Count the characters of the group from the orbits over the subgroup.
 
-    Each orbit whose representative extends to an honest character of
-    its stabilizer contributes the class count of stabilizer/normal;
-    orbits that fail to extend are flagged and excluded.  The total is
-    compared with the directly computed table of the full group.
+    By the Clifford correspondence (Isaacs, *Character Theory of Finite
+    Groups*, Thm 6.11) induction is a bijection from the characters of
+    the stabilizer T lying over an orbit representative phi to those of
+    the group lying over its orbit.  T fixes phi, so psi in Irr(T) lies
+    over phi exactly when phi(1) Res psi = psi(1) phi; the orbit
+    contributes the number of such psi, and phi extends when one of them
+    has degree phi(1).  The total is compared with the directly computed
+    table of the full group.
     """
     orbits = clifford_orbits(group, normal)
     table_n = character_table(normal)
     predicted = 0
-    flagged = []
     breakdown = []
-    for pos, orbit in enumerate(orbits):
-        stab = orbit.stabilizer
-        table_s = character_table(stab)
+    for orbit in orbits:
+        table_s = character_table(orbit.stabilizer)
         phi = orbit.members[0]
-        target = tuple(
-            v.promote(table_s.conductor) for v in table_n.restriction(phi, normal)
+        d_phi = table_n.degrees[phi]
+        target = [
+            v.promote(table_s.conductor).coeffs
+            for v in table_n.restriction(phi, normal)
+        ]
+        over = [
+            d
+            for i, d in enumerate(table_s.degrees)
+            if all(
+                [c * d_phi for c in v.coeffs] == [c * d for c in t]
+                for v, t in zip(table_s.restriction(i, normal), target)
+            )
+        ]
+        breakdown.append(
+            {
+                "orbit": list(orbit.members),
+                "stabilizer_order": orbit.stabilizer.order,
+                "extends": d_phi in over,
+                "contribution": len(over),
+            }
         )
-        extends = any(
-            table_s.restriction(i, normal) == target
-            for i in range(len(table_s.rows))
-        )
-        entry = {
-            "orbit": list(orbit.members),
-            "stabilizer_order": stab.order,
-            "extends": extends,
-        }
-        if extends:
-            contribution = len(quotient_group(stab, normal).conjugacy_classes())
-            entry["contribution"] = contribution
-            predicted += contribution
-        else:
-            entry["contribution"] = None
-            flagged.append(pos)
-        breakdown.append(entry)
+        predicted += len(over)
     direct = len(character_table(group).rows)
-    return CliffordCount(orbits, breakdown, predicted, direct, flagged)
+    return CliffordCount(orbits, breakdown, predicted, direct)
 
 
 def weyl_permutation_group(elements, system, bound: int = 2000) -> PermGroup:

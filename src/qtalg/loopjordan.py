@@ -599,12 +599,14 @@ def _reflection_closure(system: RootSystem, roots) -> tuple[WeylElement, ...]:
 class ComponentWeyl:
     """Isotropy group of a torus point with its reflection subgroup.
 
-    The roots that evaluate on the point to integral powers of q
-    generate a reflection subgroup of the isotropy group; the quotient
-    is the component group, listed through a transversal.  When the
-    subgroup of isotropy elements preserving the positive half of those
-    roots is a complement, the extension splits and that complement is
-    the transversal.
+    The roots that evaluate on the point to integral powers of q form a
+    root system R_lambda stable under the isotropy group W_lambda, and
+    their reflections generate a normal subgroup W0.  W0 acts simply
+    transitively on the positive systems of R_lambda (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.8), so the isotropy
+    elements that keep its positive roots positive form a complement C
+    and W_lambda = W0 x| C always splits.  C is the transversal of the
+    component group, in isotropy order; |C| |W0| = |W_lambda| is checked.
     """
 
     __slots__ = (
@@ -614,8 +616,9 @@ class ComponentWeyl:
         "roots",
         "reflection_subgroup",
         "transversal",
-        "is_split",
     )
+
+    is_split = True  # always: see the class docstring
 
     def __init__(self, pair: LatticePair, coords):
         coords = tuple(_as_qpower(c) for c in coords)
@@ -623,44 +626,28 @@ class ComponentWeyl:
         self.point = coords
         self.isotropy = isotropy_group(pair, character_on_x(pair, coords))
         self.roots = q_centralizer_roots(pair.system, coords)
+        elements = self.isotropy.elements()
         root_set = set(self.roots)
-        for w in self.isotropy.elements():
+        for w in elements:
             for r in self.roots:
                 if tuple(w.act_root(r)) not in root_set:
                     raise NormalFormError(
                         "q-centralizer roots are not isotropy-stable"
                     )
         self.reflection_subgroup = _reflection_closure(pair.system, self.roots)
-        sub = set(self.reflection_subgroup)
-        if not sub <= set(self.isotropy.elements()):
+        if not all(u in self.isotropy for u in self.reflection_subgroup):
             raise NormalFormError(
                 "reflection subgroup escapes the isotropy group"
             )
-        pos = [r for r in self.roots if pair.system.is_positive_root(r)]
-        keepers = {
-            w
-            for w in self.isotropy.elements()
-            if all(
-                pair.system.is_positive_root(tuple(w.act_root(r)))
-                for r in pos
-            )
-        }
-        cosets: dict[frozenset, WeylElement] = {}
-        for w in sorted(
-            self.isotropy.elements(), key=lambda x: (x.length, x.word)
-        ):
-            cosets.setdefault(frozenset(w * u for u in sub), w)
-        closed = all(x * y in keepers for x in keepers for y in keepers)
-        one_per_coset = all(
-            len(keepers & coset) == 1 for coset in cosets
-        )
-        self.is_split = closed and one_per_coset
+        positive = pair.system.is_positive_root
+        pos = [r for r in self.roots if positive(r)]
         self.transversal = tuple(
-            sorted(
-                keepers if self.is_split else cosets.values(),
-                key=lambda w: (w.length, w.word),
-            )
+            w for w in elements if all(positive(tuple(w.act_root(r))) for r in pos)
         )
+        if len(self.transversal) * len(self.reflection_subgroup) != self.isotropy.order:
+            raise NormalFormError(
+                "positive-root stabilizer is no complement of the reflection subgroup"
+            )
 
     @property
     def component_order(self) -> int:

@@ -33,12 +33,12 @@ beta; u - c is monic in u, so no scalar is divided).  The division stops
 at the first class with a single member or a nonzero remainder, so a
 binomial that does not divide costs little.
 
-Substitutions e^x -> q^{phi.x} e^{Mx} skip both reductions.  For M
-invertible such a map is a ring automorphism, so a factor divides the
-image of the numerator exactly when it divided the numerator, and a
+The one substitution, :meth:`TorusFraction.transport` through D^mu [w],
+sends e^x -> q^{phi.x} e^{M_w x} and skips both reductions.  A Weyl
+matrix is invertible, so the map is a ring automorphism: a factor divides
+the image of the numerator exactly when it divided the numerator, and a
 reduced fraction maps to a reduced one; the numerators only gain
-q-monomials, so den stays coprime to them.  Every caller passes a
-Weyl-group or identity matrix.
+q-monomials, so den stays coprime to them.
 
 Sums are reduced once.  :meth:`TorusFraction.sum` puts any number of
 fractions over the least common multiple of their factor multisets and of
@@ -69,7 +69,7 @@ from math import gcd
 from operator import add
 
 from .errors import PoleError
-from .linalg import mat_det, unimodular_completion
+from .linalg import unimodular_completion
 from .rootdata import LatticePair, WeylElement
 from .scalars import (
     LaurentPoly,
@@ -168,17 +168,17 @@ class TorusFraction:
 
     __slots__ = ("pair", "polys", "den", "factors")
 
-    def __init__(self, pair: LatticePair, num, factors=(), reduce: bool = True):
+    def __init__(self, pair: LatticePair, num, factors=()):
         """num is a dict exponent -> scalar (or int, Fraction), or a pair
         (numerator polynomials, scalar denominator) as the arithmetic below
-        builds it.  The scalar part is always put in lowest terms; reduce
-        also cancels the binomial factors that divide the numerator."""
+        builds it.  The scalar part is put in lowest terms and the binomial
+        factors that divide the numerator are cancelled."""
         self.pair = pair
         polys, den = num if isinstance(num, tuple) else _over_common_den(num)
         self.polys, self.den = _lowest_terms(polys, den)
         # zero has no poles, whatever the factors were
         self.factors = tuple(sorted(factors)) if self.polys else ()
-        if reduce and self.factors:
+        if self.factors:
             self._reduce()
 
     @classmethod
@@ -326,8 +326,10 @@ class TorusFraction:
             key, coeff = c.as_monomial()
             polys = {x: _times_monomial(p, key, coeff) for x, p in self.polys.items()}
             return TorusFraction._stored(self.pair, polys, self.den, self.factors)
+        # a scalar is a unit for binomial divisibility: no factor cancels
         polys = {x: p * c.num for x, p in self.polys.items()}
-        return TorusFraction(self.pair, (polys, self.den * c.den), self.factors, False)
+        polys, den = _lowest_terms(polys, self.den * c.den)
+        return TorusFraction._stored(self.pair, polys, den, self.factors)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusFraction):
@@ -340,27 +342,31 @@ class TorusFraction:
 
     # -- substitutions -----------------------------------------------------------
 
-    def substitute(self, mat, phi) -> TorusFraction:
-        """Apply e^x -> q^{phi.x} e^{M x} (M integral and invertible, phi a
-        covector).
+    def transport(self, w: WeylElement, mu) -> TorusFraction:
+        """Move the fraction left through D^mu [w]: the plain action
+        e^x -> e^{wx} followed by the shift e^x -> q^{2<x,mu>} e^x, done as
+        one substitution e^x -> q^{phi.x} e^{M x} with M = M_w and the
+        covector phi = M_w^T phi_mu.
 
-        With M invertible this is a ring automorphism of the Laurent
-        polynomials with exponents in Q^n, and it sends each denominator
-        binomial to a unit times a binomial.  A factor therefore divides
-        the image of the numerator exactly when it divided the numerator,
-        so a reduced fraction maps to a reduced one and the result is built
-        without a second reduction.  The scalar denominator is unchanged:
-        the numerators only gain q-monomials, units of the scalar ring.
-        Every caller passes a Weyl-group or an identity matrix; a singular
-        M raises ValueError.
+        M is a Weyl matrix, so the substitution is a ring automorphism of
+        the Laurent polynomials with exponents in Q^n, and it sends each
+        denominator binomial to a unit times a binomial.  A factor
+        therefore divides the image of the numerator exactly when it
+        divided the numerator, so a reduced fraction maps to a reduced one
+        and the result is built without a second reduction.  The scalar
+        denominator is unchanged: the numerators only gain q-monomials,
+        units of the scalar ring.
         """
-        phi = _xkey(phi)
-        n = self.pair.rank
-        ident = all(mat[i][k] == (i == k) for i in range(n) for k in range(n))
+        pair = self.pair
+        n = pair.rank
+        mat = pair.x_matrix(w)
+        phi_mu = [
+            2 * sum(pair.pairing[i][j] * mu[j] for j in range(n)) for i in range(n)
+        ]
+        phi = _xkey(sum(mat[i][k] * phi_mu[i] for i in range(n)) for k in range(n))
+        ident = w.is_identity()
         if ident and not any(phi):
             return self  # fractions never change after construction
-        if not ident and mat_det(mat) == 0:
-            raise ValueError("substitution matrix must be invertible")
 
         def apply_mat(x) -> XKey:
             return tuple(
@@ -389,19 +395,6 @@ class TorusFraction:
         if factors:
             polys = _num_mul(polys, unit)
         return TorusFraction._stored(self.pair, polys, self.den, factors)
-
-    def transport(self, w: WeylElement, mu) -> TorusFraction:
-        """Move the fraction left through D^mu [w]: the plain action
-        e^x -> e^{wx} followed by the shift e^x -> q^{2<x,mu>} e^x, done as
-        one substitution with the covector M_w^T phi_mu."""
-        pair = self.pair
-        n = pair.rank
-        mat = pair.x_matrix(w)
-        phi_mu = [
-            2 * sum(pair.pairing[i][j] * mu[j] for j in range(n)) for i in range(n)
-        ]
-        phi = tuple(sum(mat[i][k] * phi_mu[i] for i in range(n)) for k in range(n))
-        return self.substitute(mat, phi)
 
     def weyl_act(self, w: WeylElement) -> TorusFraction:
         """The plain action e^x -> e^{wx}."""

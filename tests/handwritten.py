@@ -7,9 +7,10 @@ through ``Character.value``, and evaluations and residues on a divisor
 e^alpha = tau on the monomial data of tau and of the stored factors.  This
 is the earlier code, which built them by hand: the cocycle over an
 explicit two-monomial denominator, Xi by expanding each word atom by atom,
-the point products as explicit loops of coordinate powers, and the divisor
+the point products as explicit loops of coordinate powers, the divisor
 code through ``Scalar`` powers, products and differences of tau and of
-each factor value.
+each factor value, and the transversal of a component group by a search
+of the cosets of its reflection subgroup.
 """
 
 from fractions import Fraction as Q
@@ -228,3 +229,26 @@ def residue(f: TorusFraction, alpha, tau) -> TorusFraction:
 
 def pole_order(f: TorusFraction, alpha, tau) -> int:
     return len(matching_factors(f, *torusfn._divisor(alpha, tau, "pole")))
+
+
+def component_transversal(cw) -> tuple[bool, tuple]:
+    """(is_split, transversal) of a component group by the coset search:
+    the isotropy elements keeping the positive q-centralizer roots positive
+    when they are closed under products and meet every coset of the
+    reflection subgroup once, else the shortest element of each coset."""
+    system = cw.pair.system
+    sub = set(cw.reflection_subgroup)
+    pos = [r for r in cw.roots if system.is_positive_root(r)]
+    keepers = {
+        w
+        for w in cw.isotropy.elements()
+        if all(system.is_positive_root(tuple(w.act_root(r))) for r in pos)
+    }
+    cosets = {}
+    for w in sorted(cw.isotropy.elements(), key=lambda x: (x.length, x.word)):
+        cosets.setdefault(frozenset(w * u for u in sub), w)
+    closed = all(x * y in keepers for x in keepers for y in keepers)
+    one_per_coset = all(len(keepers & coset) == 1 for coset in cosets)
+    split = closed and one_per_coset
+    chosen = keepers if split else cosets.values()
+    return split, tuple(sorted(chosen, key=lambda w: (w.length, w.word)))

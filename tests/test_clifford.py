@@ -20,7 +20,6 @@ from qtalg.clifford import (
     clifford_orbits,
     coset_representatives,
     cyclotomic_poly,
-    quotient_group,
     weyl_permutation_group,
 )
 from qtalg.errors import EnumerationBoundError
@@ -60,8 +59,10 @@ def wreath_pair():
     return PermGroup(6, gens_n + [swap]), PermGroup(6, gens_n)
 
 
-def quaternion_pair():
-    """The eight-element quaternion group over its cyclic subgroup of order 4."""
+def quaternion_pair(normal: str = "i"):
+    """The eight-element quaternion group, in its regular representation,
+    over the cyclic subgroup generated by normal (of order 4 for i, the
+    centre for -1)."""
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     base = {
         ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
@@ -85,7 +86,7 @@ def quaternion_pair():
     def perm_of(g):
         return tuple(idx[mul(g, x)] for x in names)
 
-    return PermGroup(8, [perm_of("i"), perm_of("j")]), PermGroup(8, [perm_of("i")])
+    return PermGroup(8, [perm_of("i"), perm_of("j")]), PermGroup(8, [perm_of(normal)])
 
 
 # -- cyclotomic arithmetic ----------------------------------------------------
@@ -178,12 +179,6 @@ def test_check_normal_rejects_non_normal():
     c2 = PermGroup(3, [(1, 0, 2)])
     with pytest.raises(ValueError, match="not normal"):
         check_normal(g, c2)
-
-
-def test_quotient_group():
-    g, n = wreath_pair()
-    q = quotient_group(g, n)
-    assert q.order == 2
 
 
 # -- character tables ---------------------------------------------------------
@@ -297,7 +292,20 @@ def test_clifford_count_wreath():
     g, n = wreath_pair()
     out = clifford_count(g, n)
     assert out.predicted == out.direct == 9 and out.matches
-    assert not out.flagged
+    assert all(b["extends"] for b in out.breakdown)
+    assert out.to_json()["flagged_orbits"] == []
+
+
+def test_clifford_count_q8_over_its_centre():
+    """The sign character of the centre extends to no character of Q8; the
+    Clifford correspondence counts the one character of degree 2 over it."""
+    g, z = quaternion_pair("-1")
+    assert (g.order, z.order) == (8, 2)
+    out = clifford_count(g, z)
+    assert out.predicted == out.direct == 5 and out.matches
+    assert [b["contribution"] for b in out.breakdown] == [1, 4]
+    assert [b["extends"] for b in out.breakdown] == [False, True]
+    assert out.to_json()["flagged_orbits"] == [0]
 
 
 # -- the bridge from Weyl data --------------------------------------------------

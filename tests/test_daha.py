@@ -433,15 +433,18 @@ def test_node_zero_reflection_squares_to_identity():
 
 
 def test_node_zero_substitution_matches_operator():
-    # [s_0] acts by e^x -> q^{2<x, theta_coroot>} e^{s_theta x}
+    # [s_0] = D^{-theta_coroot} [s_theta] acts by
+    # e^x -> q^{2<x, theta_coroot>} e^{s_theta x}
     s0 = node_reflection(A2, 0)
-    system = A2.system
-    mat = A2.x_matrix(system.reflection(system.highest_root))
+    [(w, mu)] = s0.terms
+    assert w == A2.system.reflection(A2.system.highest_root)
     theta_y = A2.theta_coroot_y()
-    phi = tuple(2 * sum(p * c for p, c in zip(row, theta_y)) for row in A2.pairing)
     for mono in [(1, 0), (0, 1), (2, -1)]:
         f = TorusFraction.monomial(A2, mono)
-        assert s0.apply(f) == f.substitute(mat, phi)
+        moved = TorusFraction.monomial(
+            A2, A2.act_x(w, mono), Scalar.q(2 * A2.pair(mono, theta_y))
+        )
+        assert s0.apply(f) == f.transport(w, mu) == moved
 
 
 # -- JSON -----------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction as Q
+from itertools import product
 
 import handwritten
 import leibniz as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_torsion_sweep import torsion
 
 from qtalg.errors import NormalFormError
 from qtalg.loopjordan import (
@@ -617,6 +619,20 @@ def test_component_weyl_transversal_covers_the_quotient():
     cosets = {frozenset(t * u for u in sub) for t in cw.transversal}
     assert len(cosets) == cw.component_order
     assert sum(len(c) for c in cosets) == cw.isotropy.order
+
+
+@pytest.mark.parametrize(
+    "label, lattice",
+    [("A2", "weight"), ("B2", "weight"), ("G2", "weight"), ("A3", "weight"),
+     ("A2", "root"), ("B2", "root")],
+)
+def test_component_transversal_matches_the_coset_search(label, lattice):
+    """At every 2-torsion point the positive-root stabilizer is a complement,
+    and it is what the coset search of the reflection subgroup finds."""
+    pair = LatticePair(RootSystem(label), lattice)
+    for coords in product(torsion(2), repeat=pair.rank):
+        cw = component_weyl(pair, coords)
+        assert handwritten.component_transversal(cw) == (True, cw.transversal)
 
 
 # -- equivalence of constants -------------------------------------------------

@@ -1,16 +1,17 @@
-"""Every 2-torsion point of E = C*/q^Z on the weight lattice.
+"""Every 2- and 3-torsion point of E = C*/q^Z on the weight lattice.
 
-Each coordinate is one of 1, -1, q^(1/2), -q^(1/2).  A point's type is
-(|W_lambda|, |W0|, number of irreducibles): its isotropy group, the
-reflection subgroup of its q-centralizer roots, and the character count
-of W_lambda.  At every point the Clifford count over W0 must match the
-direct character-table count, |W_lambda| must be |W0| times the component
-order, the reflections in W_lambda must be those of the q-centralizer
-roots, found root by root, and a seeded conjugate point w(lambda) q^y must
-have the same type.
+An n-torsion coordinate is zeta_n^a q^(b/n) with 0 <= a, b < n: for n = 2
+one of 1, -1, q^(1/2), -q^(1/2).  A point's type is (|W_lambda|, |W0|,
+number of irreducibles): its isotropy group, the reflection subgroup of
+its q-centralizer roots, and the character count of W_lambda.  At every
+point the Clifford count over W0 must match the direct character-table
+count, |W_lambda| must be |W0| times the component order, the reflections
+in W_lambda must be those of the q-centralizer roots, found root by root,
+and a seeded conjugate point w(lambda) q^y must have the same type.
 
-Tier-1 sweeps A2, B2, G2 and A3.  The 256 points of D4 take about a
-minute, so CI runs them as a step of their own through ``sweep``.
+Tier-1 sweeps A2, B2, G2 and A3 at both orders.  The 256 2-torsion points
+of D4 take about a minute, so CI runs them as a step of their own through
+``sweep``.
 """
 
 import random
@@ -26,16 +27,33 @@ from qtalg.mlambda import Character
 from qtalg.rootdata import LatticePair, RootSystem
 from qtalg.scalars import QPower
 
-HALF = QPower.q(Q(1, 2))
-TORSION = (QPower.one(), QPower.of(-1), HALF, QPower.of(-1) * HALF)
 
-# how many points have each type
+def torsion(n: int) -> list[QPower]:
+    """The n-torsion coordinates zeta_n^a q^(b/n), a fastest."""
+    return [QPower(Q(a, n), Q(b, n)) for b in range(n) for a in range(n)]
+
+
+# how many points have each type, by torsion order
 TYPES = {
-    "A2": {(1, 1, 1): 6, (2, 2, 2): 9, (6, 6, 3): 1},
-    "B2": {(4, 4, 4): 12, (8, 8, 5): 4},
-    "G2": {(2, 1, 2): 6, (4, 4, 4): 9, (12, 12, 6): 1},
-    "A3": {(1, 1, 1): 24, (4, 4, 4): 36, (24, 24, 5): 4},
-    "D4": {(2, 1, 2): 96, (16, 16, 16): 144, (192, 192, 13): 16},
+    2: {
+        "A2": {(1, 1, 1): 6, (2, 2, 2): 9, (6, 6, 3): 1},
+        "B2": {(4, 4, 4): 12, (8, 8, 5): 4},
+        "G2": {(2, 1, 2): 6, (4, 4, 4): 9, (12, 12, 6): 1},
+        "A3": {(1, 1, 1): 24, (4, 4, 4): 36, (24, 24, 5): 4},
+        "D4": {(2, 1, 2): 96, (16, 16, 16): 144, (192, 192, 13): 16},
+    },
+    3: {
+        "A2": {(6, 6, 3): 9, (1, 1, 1): 72},
+        "B2": {(8, 8, 5): 1, (2, 2, 2): 32, (1, 1, 1): 48},
+        "G2": {(12, 12, 6): 1, (2, 2, 2): 24, (6, 6, 3): 8, (1, 1, 1): 48},
+        "A3": {
+            (24, 24, 5): 1,
+            (2, 2, 2): 336,
+            (6, 6, 3): 32,
+            (1, 1, 1): 336,
+            (4, 4, 4): 24,
+        },
+    },
 }
 
 
@@ -58,22 +76,28 @@ def point_type(pair: LatticePair, coords) -> tuple[int, int, int]:
     return cw.isotropy.order, w0, count.direct
 
 
-def sweep(label: str, seed: int = 0) -> Counter:
-    """Check every 2-torsion point and a conjugate of it; count the types."""
+def sweep(label: str, order: int = 2, seed: int = 0) -> Counter:
+    """Check every torsion point of the order and a conjugate of it; count
+    the types."""
     pair = LatticePair(RootSystem(label), "weight")
     rng = random.Random(f"{label}/{seed}")
     types = Counter()
-    for coords in product(TORSION, repeat=pair.rank):
+    for coords in product(torsion(order), repeat=pair.rank):
         kind = point_type(pair, coords)
         w = rng.choice(pair.system.elements)
         y = tuple(rng.randint(-2, 2) for _ in range(pair.rank))
         moved = Character(coords).weyl_act(pair, w).times_q_y(pair, y)
         assert point_type(pair, moved.values) == kind, f"{coords} and its conjugate differ"
         types[kind] += 1
-    assert types == TYPES[label]
+    assert types == TYPES[order][label]
     return types
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
 def test_two_torsion_sweep(label):
     sweep(label)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_three_torsion_sweep(label):
+    sweep(label, 3)

@@ -88,19 +88,19 @@ def test_weyl_action():
     assert m.weyl_act(s1) == TorusFraction.monomial(A2, (0, 1))
 
 
-def test_substitute_composes():
-    m1, phi1 = ((-1,),), (Q(1, 2),)
-    m2, phi2 = ((1,),), (2,)
-    f = frac({(1,): 1, (0,): Scalar.t(1)}, [((1,), Scalar.q(2))])
-    once = f.substitute(m2, phi2).substitute(m1, phi1)
-    # combined map: matrix m1 m2, covector phi2 + m2^T phi1
-    combined = f.substitute(((-1,),), (2 + Q(1, 2),))
-    assert once == combined
-    # a singular matrix is no automorphism: the result could keep a factor
-    # that divides its numerator
-    g = TorusFraction.ratio(A2, {(1, 0): 1, (0, 0): -1}, [((1, 1), 1)])
-    with pytest.raises(ValueError, match="invertible"):
-        g.substitute(((1, 0), (0, 0)), (0, 0))
+def test_transport_composes():
+    # D^mu1 [w1] D^mu2 [w2] = D^{mu1 + w1 mu2} [w1 w2]
+    f = frac({(1, 0): 1, (0, 1): Scalar.t(1)}, [((1, 1), Scalar.q(2))], pair=A2)
+    system = A2.system
+    for word1, word2, mu1, mu2 in [
+        ((0,), (1,), (1, 0), (0, 2)),
+        ((0, 1), (1, 0, 1), (-1, 1), (2, -1)),
+        ((), (0, 1), (0, 0), (1, 1)),
+    ]:
+        w1, w2 = system.element_by_word(word1), system.element_by_word(word2)
+        once = f.transport(w2, mu2).transport(w1, mu1)
+        mu = tuple(a + b for a, b in zip(mu1, A2.act_y(w1, mu2)))
+        assert once == f.transport(w1 * w2, mu)
 
 
 def test_half_lattice_display_form():
@@ -228,13 +228,18 @@ def test_pole_list_and_json():
     assert len(data["den"]) == 2 and data["num"]
 
 
+def unreduced(pair, num, factors) -> TorusFraction:
+    """num / factors with no factor cancelled."""
+    over = TorusFraction(pair, {(0,) * pair.rank: 1}, factors)
+    return TorusFraction(pair, num).mul_unreduced(over)
+
+
 def test_zero_fraction_has_no_poles():
     f = TorusFraction.ratio(A1, {(0,): 1}, [((1,), Scalar.q(2))])
     zero = f.scale(Scalar.zero())
     assert zero.is_zero() and zero.is_polynomial()
     assert zero.pole_list() == [] and zero.to_json()["den"] == []
-    unreduced = TorusFraction(A1, {(1,): Scalar.zero()}, f.factors, reduce=False)
-    assert unreduced.pole_list() == []
+    assert unreduced(A1, {(1,): Scalar.zero()}, f.factors).pole_list() == []
 
 
 # -- factor cancellation by exact division -----------------------------------------
@@ -309,7 +314,7 @@ _reduce_settings = settings(
 @given(fractions_to_reduce())
 def test_screened_reduce_matches_the_unscreened_loop(case):
     pair, num, factors = case
-    raw = TorusFraction(pair, num, factors, reduce=False)
+    raw = unreduced(pair, num, factors)
     ref_num, ref_factors = ref.reduce(raw.num, raw.factors)
     reduced = TorusFraction(pair, num, factors)
     assert reduced.factors == ref_factors
@@ -404,13 +409,11 @@ def test_substitution_and_evaluation_store_ints_when_integral(case, other, data)
     f = TorusFraction(pair, num, factors)
     ref = fraction_keyed(f)
     n = pair.rank
-    halves = st.fractions(min_value=-2, max_value=2, max_denominator=2)
-    phi = data.draw(st.tuples(*[halves] * n))
     mu = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    w = data.draw(st.sampled_from(pair.system.elements))
     results = [
         (f, ref),
-        (f.substitute(ident, phi), ref.substitute(ident, phi)),
+        (f.transport(w, mu), ref.transport(w, mu)),
         (f.shift_mu(mu), ref.shift_mu(mu)),
     ]
     for i in range(n):
@@ -555,7 +558,7 @@ def parts_to_sum(draw):
         for f in factors:
             if draw(st.booleans()):
                 num = ref.num_mul(num, ref.binomial(f, pair.rank))
-        return TorusFraction(pair, num, factors, reduce=False)
+        return unreduced(pair, num, factors)
 
     parts = [
         fraction().mul_unreduced(fraction()) for _ in range(draw(st.integers(1, 3)))
@@ -660,11 +663,6 @@ def test_transport_matches_the_per_coefficient_store(case, data):
     )
     mu = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
     assert_matches(f.transport(w, mu), ref.transport(pair, (f.num, f.factors), w, mu))
-    phi = data.draw(
-        st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=2)] * n)
-    )
-    mat = pair.x_matrix(w)
-    assert_matches(f.substitute(mat, phi), ref.substitute(n, (f.num, f.factors), mat, phi))
 
 
 def outcome(fn):
