@@ -260,7 +260,15 @@ def _check_perms(degree: int, perms) -> list[tuple]:
 class PermGroup:
     """Finite permutation group enumerated breadth-first from generators."""
 
-    __slots__ = ("degree", "generators", "elements", "index", "_classes", "_table")
+    __slots__ = (
+        "degree",
+        "generators",
+        "elements",
+        "index",
+        "_classes",
+        "_class_of",
+        "_table",
+    )
 
     def __init__(self, degree: int, generators, bound: int = 2000):
         gens = _check_perms(degree, generators)
@@ -272,6 +280,7 @@ class PermGroup:
         self.elements = tuple(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
         self._classes = None
+        self._class_of = None
         self._table = None
 
     @classmethod
@@ -342,10 +351,14 @@ class PermGroup:
         return classes
 
     def class_map(self) -> dict:
-        return {
-            y: i for i, (_, members) in enumerate(self.conjugacy_classes())
-            for y in members
-        }
+        """Element -> index of its conjugacy class, built once per group
+        (a shared dict: callers read it and do not change it)."""
+        if self._class_of is None:
+            self._class_of = {
+                y: i for i, (_, members) in enumerate(self.conjugacy_classes())
+                for y in members
+            }
+        return self._class_of
 
 
 def check_normal(group: PermGroup, normal: PermGroup) -> None:

@@ -23,6 +23,22 @@ the conjugator satisfies a scalar equation x(qz) - rho*x(z) = target
 whose only obstruction is the coefficient at the resonant degree (when
 rho = q^l), and that coefficient is absorbed into b.
 
+A ``ZPoly`` stores its coefficients as LaurentPoly numerators over one
+scalar denominator, in the lowest-terms form of torus fractions (see
+``ZPoly``), so equality compares stored terms and the arithmetic is
+polynomial arithmetic with at most one normalization per result.  Three
+facts let most results skip the gcd:
+
+* the lcm of lowest-terms denominators is already a lowest-terms common
+  denominator: each prime power of the lcm is carried whole by one
+  coefficient, whose numerator is coprime to it, so a polynomial built
+  from ``Scalar`` coefficients only normalizes the unit part of the lcm;
+* monomials are units, so negation, ``shift_z``, ``at_qz`` and scaling by
+  a monomial keep the denominator and take no gcd;
+* a sum first divides its numerators by the denominator exactly and runs
+  the gcd chain only when that fails: the shift check x(qz) - q^l x(z)
+  lands back on a target over 1.
+
 Constant diagonals are compared exactly: two are equivalent when one is
 a Weyl permutation of the other times integral powers of q.  For a
 point s of a torus attached to a root system (coordinates on the simple
@@ -39,22 +55,51 @@ from .errors import NormalFormError
 from .linalg import fraction_free, mat_mul, rank
 from .mlambda import Character, _as_qpower, isotropy_group
 from .rootdata import LatticePair, RootSystem, WeylElement
-from .scalars import QPower, Scalar, _as_scalar
+from .scalars import (
+    _ONE,
+    LaurentPoly,
+    QPower,
+    Scalar,
+    _add_into,
+    _add_terms,
+    _as_scalar,
+    _div,
+    _lcm,
+    _lowest_terms,
+    _mul_terms,
+    _over_common_den,
+    _poly,
+    _times_monomial,
+)
 
 
 class ZPoly:
-    """Laurent polynomial in z with ``Scalar`` coefficients."""
+    """Laurent polynomial in z with ``Scalar`` coefficients.
 
-    __slots__ = ("coeffs",)
+    Stored as ``polys`` (degree -> nonzero LaurentPoly numerator) over one
+    scalar denominator ``den``, in the lowest-terms form torus fractions
+    use: den is integer-primitive, has a positive leading coefficient and
+    no monomial content, and gcd(den, every numerator) is a monomial.  See
+    the module docstring for why the arithmetic keeps that form.
+    Polynomials never change after construction.
+    """
+
+    __slots__ = ("polys", "den")
 
     def __init__(self, coeffs: dict[int, Scalar] | None = None):
-        self.coeffs = {
-            int(m): c for m, c in (coeffs or {}).items() if not c.is_zero()
-        }
+        nonzero = {int(m): c for m, c in (coeffs or {}).items() if not c.is_zero()}
+        self.polys, self.den = _over_common_den(nonzero)
+
+    @classmethod
+    def _stored(cls, polys: dict[int, LaurentPoly], den: LaurentPoly) -> ZPoly:
+        """A polynomial from parts already in stored form."""
+        out = cls.__new__(cls)
+        out.polys, out.den = polys, den
+        return out
 
     @classmethod
     def zero(cls) -> ZPoly:
-        return cls()
+        return cls._stored({}, _ONE)
 
     @classmethod
     def const(cls, c) -> ZPoly:
@@ -62,115 +107,177 @@ class ZPoly:
 
     @classmethod
     def one(cls) -> ZPoly:
-        return cls.const(1)
+        return cls._stored({0: _ONE}, _ONE)
 
     @classmethod
     def z(cls, exp: int = 1, coeff=1) -> ZPoly:
         return cls({exp: _as_scalar(coeff)})
 
+    @property
+    def coeffs(self) -> dict[int, Scalar]:
+        """Degree -> lowest-terms scalar coefficient (a fresh dict:
+        changing it does not change the polynomial)."""
+        den = self.den
+        return {m: _coefficient(p, den) for m, p in self.polys.items()}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.polys
 
     def is_constant(self) -> bool:
-        return all(m == 0 for m in self.coeffs)
-
-    def constant_term(self) -> Scalar:
-        return self.coeffs.get(0, Scalar.zero())
+        return all(m == 0 for m in self.polys)
 
     def coeff(self, m: int) -> Scalar:
-        return self.coeffs.get(m, Scalar.zero())
+        p = self.polys.get(m)
+        return Scalar.zero() if p is None else _coefficient(p, self.den)
+
+    def constant_term(self) -> Scalar:
+        return self.coeff(0)
 
     def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self.polys) == 1
 
     def as_monomial(self) -> tuple[int, Scalar]:
         if not self.is_monomial():
             raise ValueError(f"not a monomial in z: {self}")
-        ((m, c),) = self.coeffs.items()
-        return m, c
+        ((m, p),) = self.polys.items()
+        return m, _coefficient(p, self.den)
 
     def __add__(self, other: ZPoly) -> ZPoly:
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            acc = out.get(m, Scalar.zero()) + c
-            if acc.is_zero():
-                out.pop(m, None)
+        if not other.polys:
+            return self
+        if not self.polys:
+            return other
+        a, b = self.den, other.den
+        den = a if a is b or a.terms == b.terms else _lcm(a, b)
+        acc: dict[int, dict] = {}
+        for part in (self, other):
+            if part.den is den or part.den.terms == den.terms:
+                for m, p in part.polys.items():
+                    _add_into(acc, m, p.terms)
             else:
-                out[m] = acc
-        res = ZPoly.__new__(ZPoly)
-        res.coeffs = out
-        return res
+                cofactor = den.divide_exact(part.den).terms
+                for m, p in part.polys.items():
+                    _mul_terms(acc.setdefault(m, {}), p.terms, cofactor)
+        polys = {m: _poly(t) for m, t in acc.items() if t}
+        return ZPoly._stored(*_sum_in_lowest_terms(polys, den))
 
     def __neg__(self) -> ZPoly:
-        res = ZPoly.__new__(ZPoly)
-        res.coeffs = {m: -c for m, c in self.coeffs.items()}
-        return res
+        return ZPoly._stored({m: -p for m, p in self.polys.items()}, self.den)
 
     def __sub__(self, other: ZPoly) -> ZPoly:
         return self + (-other)
 
     def __mul__(self, other: ZPoly) -> ZPoly:
-        out: dict[int, Scalar] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = m1 + m2
-                acc = out.get(m, Scalar.zero()) + c1 * c2
-                if acc.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
-        res = ZPoly.__new__(ZPoly)
-        res.coeffs = out
-        return res
+        if not self.polys:
+            return self
+        if not other.polys:
+            return other
+        acc: dict[int, dict] = {}
+        for m1, p1 in self.polys.items():
+            t1 = p1.terms
+            for m2, p2 in other.polys.items():
+                _mul_terms(acc.setdefault(m1 + m2, {}), t1, p2.terms)
+        polys = {m: _poly(t) for m, t in acc.items() if t}
+        a, b = self.den, other.den
+        if len(b.terms) == 1:
+            den = a
+        elif len(a.terms) == 1:
+            den = b
+        else:
+            den = a * b
+        if len(den.terms) == 1:  # both denominators are 1
+            return ZPoly._stored(polys, den)
+        return ZPoly._stored(*_lowest_terms(polys, den))
+
+    def _times(self, num: LaurentPoly, den: LaurentPoly) -> ZPoly:
+        """self * num/den for a nonzero num coprime to den."""
+        if len(num.terms) == 1 and len(den.terms) == 1:
+            # a unit: the denominator stays and nothing cancels
+            ((nk, nc),) = num.terms.items()
+            ((dk, dc),) = den.terms.items()
+            key = (nk[0] - dk[0], nk[1] - dk[1], nk[2] - dk[2])
+            coeff = _div(nc, dc)
+            polys = {m: _times_monomial(p, key, coeff) for m, p in self.polys.items()}
+            return ZPoly._stored(polys, self.den)
+        polys = {m: p * num for m, p in self.polys.items()}
+        return ZPoly._stored(*_lowest_terms(polys, self.den * den))
 
     def __floordiv__(self, other: ZPoly) -> ZPoly:
-        """Exact quotient; ValueError when other does not divide self."""
-        if other.is_monomial():
-            m, c = other.as_monomial()
-            return self.scale(c.inverse()).shift_z(-m)
-        top = max(other.coeffs)
-        low = min(self.coeffs, default=0) - min(other.coeffs)
-        rem, quot = self, ZPoly()
-        while rem.coeffs:
-            e = max(rem.coeffs) - top
-            if e < low:
+        """Exact quotient; ValueError when other does not divide self.
+
+        With self = P/D and other = R/E this is (P E / R) / D.  Long
+        division of P E by R peels the top degree; a step whose leading
+        coefficient the top coefficient of R does not divide exactly first
+        multiplies the remainder and the quotient so far by it, and the
+        product s of those multipliers joins D at the end: P E s = Q R."""
+        if not other.polys:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if len(other.polys) == 1:
+            ((e, r),) = other.polys.items()
+            return self._times(other.den, r).shift_z(-e)
+        top = max(other.polys)
+        lead = other.polys[top]
+        rest = [(m - top, p.terms) for m, p in other.polys.items() if m != top]
+        low = min(self.polys, default=0) - min(other.polys)
+        rem: dict[int, dict] = {}
+        for m, p in self.polys.items():
+            _mul_terms(rem.setdefault(m, {}), p.terms, other.den.terms)
+        quot: dict[int, LaurentPoly] = {}
+        scale = _ONE
+        while rem:
+            mt = max(rem)
+            if mt - top < low:
                 raise ValueError(f"{other} does not divide {self}")
-            term = ZPoly({e: rem.coeffs[e + top] / other.coeffs[top]})
-            quot, rem = quot + term, rem - term * other
-        return quot
+            c = _poly(rem.pop(mt))
+            t = c.divide_exact(lead)
+            if t is None:
+                t = c
+                rem = {m: (_poly(r) * lead).terms for m, r in rem.items()}
+                quot = {m: q * lead for m, q in quot.items()}
+                scale = scale * lead
+            quot[mt - top] = t
+            neg = (-t).terms
+            for d, r in rest:
+                out = rem.setdefault(mt + d, {})
+                _mul_terms(out, neg, r)
+                if not out:
+                    del rem[mt + d]
+        return ZPoly._stored(*_lowest_terms(quot, scale * self.den))
 
     def scale(self, c) -> ZPoly:
         c = _as_scalar(c)
-        return ZPoly({m: x * c for m, x in self.coeffs.items()})
+        if c.is_zero():
+            return ZPoly.zero()
+        return self._times(c.num, c.den)
 
     def shift_z(self, k: int) -> ZPoly:
         """Multiply by z^k."""
-        res = ZPoly.__new__(ZPoly)
-        res.coeffs = {m + k: c for m, c in self.coeffs.items()}
-        return res
+        return ZPoly._stored({m + k: p for m, p in self.polys.items()}, self.den)
 
     def at_qz(self) -> ZPoly:
-        """Substitute z -> qz, scaling the z^m coefficient by q^m."""
-        return ZPoly({m: c * Scalar.q(m) for m, c in self.coeffs.items()})
+        """Substitute z -> qz, scaling the z^m numerator by the unit q^m."""
+        polys = {m: p.shift(m) if m else p for m, p in self.polys.items()}
+        return ZPoly._stored(polys, self.den)
 
     def eval_z1(self) -> Scalar:
         """Evaluate at z = 1."""
-        total = Scalar.zero()
-        for c in self.coeffs.values():
-            total = total + c
-        return total
+        total: dict = {}
+        for p in self.polys.values():
+            _add_terms(total, p.terms)
+        return Scalar(_poly(total), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.polys == other.polys
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.polys:
             return "0"
+        coeffs = self.coeffs
         parts = []
-        for m in sorted(self.coeffs):
-            c = self.coeffs[m]
+        for m in sorted(coeffs):
+            c = coeffs[m]
             if m == 0:
                 parts.append(f"({c})")
             elif m == 1:
@@ -182,11 +289,50 @@ class ZPoly:
     __repr__ = __str__
 
     def to_json(self) -> dict:
-        return {str(m): self.coeffs[m].to_json() for m in sorted(self.coeffs)}
+        coeffs = self.coeffs
+        return {str(m): coeffs[m].to_json() for m in sorted(coeffs)}
 
     @classmethod
     def from_json(cls, data: dict) -> ZPoly:
         return cls({int(m): Scalar.from_json(c) for m, c in data.items()})
+
+
+def _coefficient(p: LaurentPoly, den: LaurentPoly) -> Scalar:
+    """p/den as a lowest-terms Scalar; a monomial over 1 is built directly
+    in stored form."""
+    if len(p.terms) == 1 and len(den.terms) == 1:
+        ((key, c),) = p.terms.items()
+        return Scalar.monomial(*key, coeff=c)
+    return Scalar(p, den)
+
+
+def _sum_in_lowest_terms(polys: dict, den: LaurentPoly) -> tuple[dict, LaurentPoly]:
+    """A sum's numerators over den in lowest terms.  Over den 1 they already
+    are; otherwise exact division of every numerator by den is tried first
+    (the shift check x(qz) - q^l x(z) lands back on a target over 1), and
+    the gcd chain runs only when it fails."""
+    if not polys:
+        return {}, _ONE
+    if len(den.terms) == 1:  # the lcm of denominators 1
+        return polys, den
+    quotients = {}
+    for m, p in polys.items():
+        quo = p.divide_exact(den)
+        if quo is None:
+            return _lowest_terms(polys, den)
+        quotients[m] = quo
+    return quotients, _ONE
+
+
+def _twisted_inverse(target: ZPoly, rho: Scalar) -> ZPoly:
+    """The x with x(qz) - rho x(z) = target: target_m / (q^m - rho) at
+    each degree m of the target, none of which may have q^m = rho."""
+    a, b = rho.num, rho.den
+    den = target.den
+    # (p/den) / (q^m - a/b) = p b / (den (q^m b - a))
+    return ZPoly(
+        {m: Scalar(p * b, den * (b.shift(m) - a)) for m, p in target.polys.items()}
+    )
 
 
 class MatrixLoop:
@@ -276,9 +422,7 @@ class MatrixLoop:
             raise ValueError(
                 "loop is not invertible: determinant is not a monomial in z"
             )
-        e, c = d.as_monomial()
-        cinv = c.inverse()
-        return MatrixLoop([[x.scale(cinv).shift_z(-e) for x in row[n:]] for row in m])
+        return MatrixLoop([[x // d for x in row[n:]] for row in m])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixLoop):
@@ -345,16 +489,10 @@ def solve_shift_equation(l: int, target: ZPoly) -> ShiftSolution:
     the obstruction, and the equation is solvable iff it vanishes.  The
     returned solution takes the kernel multiple c*z^l to be zero.
     """
-    ql = Scalar.q(l)
     obstruction = target.coeff(l)
     if not obstruction.is_zero():
         return ShiftSolution(l, obstruction, None)
-    sol = {
-        m: c / (Scalar.q(m) - ql)
-        for m, c in target.coeffs.items()
-        if m != l
-    }
-    return ShiftSolution(l, Scalar.zero(), ZPoly(sol))
+    return ShiftSolution(l, obstruction, _twisted_inverse(target, Scalar.q(l)))
 
 
 class QNormalForm:
@@ -531,13 +669,7 @@ def q_normal_form(
                 f[i][j] = res.solution
             else:
                 rho = (d[i] / d[j]).as_scalar()
-                target = known.scale(dj_inv)
-                f[i][j] = ZPoly(
-                    {
-                        m: c / (Scalar.q(m) - rho)
-                        for m, c in target.coeffs.items()
-                    }
-                )
+                f[i][j] = _twisted_inverse(known.scale(dj_inv), rho)
     f_loop = MatrixLoop(f)
     conjugator = f_loop * p
     if pre is not None:
@@ -749,13 +881,7 @@ def diagonal_twist_match(d1, d2):
 def _jordan_type(u) -> tuple[int, ...]:
     """Rank sequence of the powers of u - 1, a complete unipotent invariant."""
     n = len(u)
-    nil = [
-        [
-            u[i][j] - (Scalar.one() if i == j else Scalar.zero())
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    nil = [[u[i][j] - Scalar.one() if i == j else u[i][j] for j in range(n)] for i in range(n)]
     power = nil
     ranks = []
     for _ in range(n):

@@ -16,6 +16,11 @@ Three layers, all exact:
 The root index n of a value is implicit: exponents are exact rationals,
 so mixed-index arithmetic promotes automatically.
 
+Torus fractions (``torusfn``) and loop polynomials (``loopjordan``) store
+many coefficients as LaurentPoly numerators over one shared denominator;
+the helpers that keep that form in lowest terms live at the end of this
+module.
+
 Storage rule: a q-exponent or coefficient of a ``LaurentPoly`` is stored
 as a Python ``int`` when it is integral and as a ``fractions.Fraction``
 only when it is not, so the common integral case never pays for
@@ -117,6 +122,36 @@ def _pow_q(base: Q, exp: Q) -> Q:
     return _pow_q(root, Q(exp.numerator))
 
 
+def _poly(terms: dict[Key, Rat]) -> LaurentPoly:
+    """The polynomial with the given stored terms, taken as they are."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = terms
+    return out
+
+
+def _add_terms(out: dict[Key, Rat], terms: dict[Key, Rat]) -> None:
+    """out += terms, on term dicts, in place."""
+    for k, c in terms.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+
+
+def _mul_terms(out: dict[Key, Rat], a: dict[Key, Rat], b: dict[Key, Rat]) -> None:
+    """out += a * b, on term dicts, in place."""
+    bt = b.items()
+    for (qa, ta, va), ca in a.items():
+        for (qb, tb, vb), cb in bt:
+            k = (qa + qb, ta + tb, va + vb)
+            s = out.get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial in q^{1/n}, t, v over the rationals."""
 
@@ -215,15 +250,8 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = terms.get(key, 0) + coeff
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = terms
-        return out
+        _add_terms(terms, other.terms)
+        return _poly(terms)
 
     def __neg__(self) -> LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
@@ -237,17 +265,8 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         terms: dict[Key, Rat] = {}
-        for (qa, ta, va), ca in self.terms.items():
-            for (qb, tb, vb), cb in other.terms.items():
-                key = (qa + qb, ta + tb, va + vb)
-                acc = terms.get(key, 0) + ca * cb
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = terms
-        return out
+        _mul_terms(terms, self.terms, other.terms)
+        return _poly(terms)
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
@@ -623,8 +642,8 @@ class Scalar:
         if den.is_zero():
             raise ZeroDivisionError("scalar with zero denominator")
         if num.is_zero():
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.one()
+            self.num = _poly({})
+            self.den = _poly({_ZERO_KEY: 1})
             return
         num, den = _strip_common(num, den)
         cancelled = _cancel_common(num, den)
@@ -647,7 +666,11 @@ class Scalar:
 
     @classmethod
     def zero(cls) -> Scalar:
-        return cls(LaurentPoly.zero())
+        """0 over 1, built in stored form."""
+        out = cls.__new__(cls)
+        out.num = _poly({})
+        out.den = _poly({_ZERO_KEY: 1})
+        return out
 
     @classmethod
     def one(cls) -> Scalar:
@@ -802,6 +825,115 @@ class Scalar:
 
 def _as_scalar(c) -> Scalar:
     return c if isinstance(c, Scalar) else Scalar.const(c)
+
+
+# -- numerators over one shared scalar denominator ----------------------------
+#
+# Torus fractions and loop polynomials store their coefficients as
+# LaurentPoly numerators, by key, over one polynomial den: den is
+# integer-primitive, has a positive leading coefficient and no monomial
+# content, and gcd(den, every numerator) is a monomial.  Monomials are units,
+# so this is the lowest-terms form of a common-denominator fraction, and
+# each value has one stored form.
+
+_ONE = LaurentPoly.one()  # shared; nothing here changes a stored polynomial
+
+
+def _times_monomial(p: LaurentPoly, key, coeff) -> LaurentPoly:
+    """p * coeff q^qe t^te v^ve for key = (qe, te, ve)."""
+    dq, dt, dv = key
+    coeff = _norm(coeff)
+    return _poly(
+        {(qe + dq, te + dt, ve + dv): c * coeff for (qe, te, ve), c in p.terms.items()}
+    )
+
+
+def _add_into(acc: dict, x, terms: dict) -> None:
+    """acc[x] += the polynomial with the given terms, on fresh term dicts."""
+    out = acc.get(x)
+    if out is None:
+        acc[x] = dict(terms)
+    else:
+        _add_terms(out, terms)
+
+
+def _lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """A least common multiple of two scalar denominators, up to units:
+    a shared one is returned as it is, else a * b / gcd(a, b)."""
+    if a is b or a.terms == b.terms or len(b.terms) == 1:
+        return a
+    if len(a.terms) == 1:
+        return b
+    split = _cancel_common(a, b)
+    return a * (b if split is None else split[2])
+
+
+def _unit_normal(num: dict, den: LaurentPoly) -> tuple[dict, LaurentPoly]:
+    """(num, den) over the unit part of den, which leaves den
+    integer-primitive with a positive leading coefficient and no monomial
+    content."""
+    mq, mt, mv = den.min_exponents()
+    content = den.rational_content()
+    if (mq, mt, mv) == _ZERO_KEY and content == 1:
+        return num, den
+    unit_key, unit = (-mq, -mt, -mv), _div(1, content)
+    den = den.shift(*unit_key).scale(unit)  # both store ints where integral
+    return {x: _times_monomial(p, unit_key, unit) for x, p in num.items()}, den
+
+
+def _lowest_terms(num: dict, den: LaurentPoly) -> tuple[dict, LaurentPoly]:
+    """(num, den) over gcd(den, every numerator) and over the unit part of
+    den; num maps keys to nonzero numerators.
+
+    One gcd chain: h starts at den and becomes gcd(h, p) only for a
+    numerator p that h does not divide, and the chain stops as soon as h is
+    a monomial.  Numerators are taken smallest first, where a coprimality
+    screen is cheapest; the quotients by h are kept, and rescaled when h
+    shrinks."""
+    if not num:
+        return {}, _ONE
+    if len(den.terms) > 1:
+        h, rest, quotients = den, _ONE, {}
+        for x, p in sorted(num.items(), key=lambda item: len(item[1].terms)):
+            quo = p.divide_exact(h) if quotients else None
+            if quo is None:
+                split = _cancel_common(h, p)
+                if split is None:
+                    break
+                h, cofactor, quo = split
+                rest = rest * cofactor
+                quotients = {y: r * cofactor for y, r in quotients.items()}
+            quotients[x] = quo
+        else:
+            num, den = quotients, rest
+    return _unit_normal(num, den)
+
+
+def _over_common_den(coeffs: dict) -> tuple[dict, LaurentPoly]:
+    """Nonzero scalars, by key, as numerators over the lcm of their
+    denominators, in lowest terms.
+
+    The lcm needs no gcd against the numerators.  Each prime power of the
+    lcm is carried whole by the denominator of one coefficient, whose
+    numerator is coprime to it, so gcd(lcm, every numerator) is a unit and
+    only the unit part of the lcm is normalized.  The lcm grows one
+    denominator d at a time: with h = gcd(den, d) it is den * (d/h), the
+    numerators so far gain the factor d/h and the new one den/h, both
+    quotients of the gcd step, so no numerator is divided."""
+    den, polys = _ONE, {}
+    for x, c in coeffs.items():
+        d = c.den
+        if d is den or d.terms == den.terms:
+            polys[x] = c.num
+        elif len(d.terms) == 1:  # a unit
+            polys[x] = c.num * den.divide_exact(d)
+        else:
+            split = None if len(den.terms) == 1 else _cancel_common(den, d)
+            den_part, d_part = (den, d) if split is None else split[1:]
+            polys = {y: p * d_part for y, p in polys.items()}
+            polys[x] = c.num * den_part
+            den = den * d_part
+    return _unit_normal(polys, den) if polys else ({}, _ONE)
 
 
 class QPower:

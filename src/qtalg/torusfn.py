@@ -17,7 +17,11 @@ so this is the lowest-terms form of a common-denominator fraction (Geddes,
 Czapor & Labahn, *Algorithms for Computer Algebra*, 1992), and it costs one
 gcd chain per fraction where a lowest-terms scalar per coefficient would
 cost a gcd per term: products, sums, divisions and substitutions are
-polynomial arithmetic.  :attr:`TorusFraction.num` divides each numerator
+polynomial arithmetic.  A fraction built from scalar coefficients takes no
+gcd chain at all: the lcm of lowest-terms denominators is already a
+lowest-terms common denominator (``scalars._over_common_den``).  The
+helpers are shared with the loop polynomials of :mod:`qtalg.loopjordan`.
+:attr:`TorusFraction.num` divides each numerator
 by den as a canonical :class:`~qtalg.scalars.Scalar`, so that view, the
 display and the JSON form are those of a fraction with one lowest-terms
 scalar per coefficient.
@@ -72,13 +76,20 @@ from .errors import PoleError
 from .linalg import unimodular_completion
 from .rootdata import LatticePair, WeylElement
 from .scalars import (
+    _ONE,
     LaurentPoly,
     Rat,
     Scalar,
+    _add_into,
     _as_scalar,
-    _cancel_common,
     _div,
+    _lcm,
+    _lowest_terms,
+    _mul_terms,
     _norm,
+    _over_common_den,
+    _poly,
+    _times_monomial,
 )
 
 # exponent of a torus monomial; each entry an int when integral, else a
@@ -174,8 +185,15 @@ class TorusFraction:
         builds it.  The scalar part is put in lowest terms and the binomial
         factors that divide the numerator are cancelled."""
         self.pair = pair
-        polys, den = num if isinstance(num, tuple) else _over_common_den(num)
-        self.polys, self.den = _lowest_terms(polys, den)
+        if isinstance(num, tuple):
+            self.polys, self.den = _lowest_terms(*num)
+        else:
+            coeffs = {}
+            for x, c in num.items():
+                c = _as_scalar(c)
+                if not c.is_zero():
+                    coeffs[_xkey(x)] = c
+            self.polys, self.den = _over_common_den(coeffs)
         # zero has no poles, whatever the factors were
         self.factors = tuple(sorted(factors)) if self.polys else ()
         if self.factors:
@@ -559,37 +577,6 @@ class TorusFraction:
 
 # -- numerator polynomials over one scalar denominator ----------------------------
 
-_ONE = LaurentPoly.one()  # shared; nothing here changes a stored polynomial
-
-
-def _poly(terms: dict) -> LaurentPoly:
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.terms = terms
-    return out
-
-
-def _times_monomial(p: LaurentPoly, key, coeff) -> LaurentPoly:
-    """p * coeff q^qe t^te v^ve for key = (qe, te, ve)."""
-    dq, dt, dv = key
-    coeff = _norm(coeff)
-    return _poly(
-        {(qe + dq, te + dt, ve + dv): c * coeff for (qe, te, ve), c in p.terms.items()}
-    )
-
-
-def _add_into(acc: dict, x: XKey, terms: dict) -> None:
-    """acc[x] += the polynomial with the given terms, on fresh term dicts."""
-    out = acc.get(x)
-    if out is None:
-        acc[x] = dict(terms)
-        return
-    for k, c in terms.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-
 
 def _collect(acc: dict) -> Num:
     """The numerator of accumulated term dicts, zero polynomials dropped."""
@@ -599,91 +586,19 @@ def _collect(acc: dict) -> Num:
 def _mul_into(acc: dict, a: Num, b: Num) -> None:
     """acc[x + y] += a[x] * b[y] for every pair of exponents."""
     for x, p in a.items():
-        pt = p.terms.items()
+        pt = p.terms
         for y, r in b.items():
             key = tuple(map(add, x, y))
             out = acc.get(key)
             if out is None:
                 out = acc[key] = {}
-            rt = r.terms.items()
-            for (qa, ta, va), ca in pt:
-                for (qb, tb, vb), cb in rt:
-                    k = (qa + qb, ta + tb, va + vb)
-                    s = out.get(k, 0) + ca * cb
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+            _mul_terms(out, pt, r.terms)
 
 
 def _num_mul(a: Num, b: Num) -> Num:
     acc: dict = {}
     _mul_into(acc, a, b)
     return _collect(acc)
-
-
-def _lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """A least common multiple of two scalar denominators, up to units:
-    a shared one is returned as it is, else a * b / gcd(a, b)."""
-    if a is b or a.terms == b.terms or len(b.terms) == 1:
-        return a
-    if len(a.terms) == 1:
-        return b
-    split = _cancel_common(a, b)
-    return a * (b if split is None else split[2])
-
-
-def _over_common_den(num: dict) -> tuple[Num, LaurentPoly]:
-    """A numerator of scalars (or ints, Fractions) as polynomials over the
-    lcm of the scalars' denominators."""
-    coeffs: dict[XKey, Scalar] = {}
-    for x, c in num.items():
-        c = _as_scalar(c)
-        if not c.is_zero():
-            coeffs[_xkey(x)] = c
-    den = _ONE
-    for c in coeffs.values():
-        den = _lcm(den, c.den)
-    polys = {
-        x: c.num if c.den == den else c.num * den.divide_exact(c.den)
-        for x, c in coeffs.items()
-    }
-    return polys, den
-
-
-def _lowest_terms(num: Num, den: LaurentPoly) -> tuple[Num, LaurentPoly]:
-    """(num, den) over gcd(den, every numerator) and over the unit part of
-    den, which leaves den integer-primitive with a positive leading
-    coefficient and no monomial content.
-
-    One gcd chain: h starts at den and becomes gcd(h, p) only for a
-    numerator p that h does not divide, and the chain stops as soon as h is
-    a monomial.  Numerators are taken smallest first, where a coprimality
-    screen is cheapest; the quotients by h are kept, and rescaled when h
-    shrinks."""
-    if not num:
-        return {}, _ONE
-    if len(den.terms) > 1:
-        h, rest, quotients = den, _ONE, {}
-        for x, p in sorted(num.items(), key=lambda item: len(item[1].terms)):
-            quo = p.divide_exact(h) if quotients else None
-            if quo is None:
-                split = _cancel_common(h, p)
-                if split is None:
-                    break
-                h, cofactor, quo = split
-                rest = rest * cofactor
-                quotients = {y: r * cofactor for y, r in quotients.items()}
-            quotients[x] = quo
-        else:
-            num, den = quotients, rest
-    mq, mt, mv = den.min_exponents()
-    content = den.rational_content()
-    if (mq, mt, mv) == (0, 0, 0) and content == 1:
-        return num, den
-    unit_key, unit = (-mq, -mt, -mv), _div(1, content)
-    den = den.shift(*unit_key).scale(unit)  # both store ints where integral
-    return {x: _times_monomial(p, unit_key, unit) for x, p in num.items()}, den
 
 
 def _common_form(rank: int, parts) -> tuple[Num, LaurentPoly, tuple[Factor, ...]]:

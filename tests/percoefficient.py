@@ -1,20 +1,27 @@
-"""Torus-fraction arithmetic with one lowest-terms Scalar per coefficient.
+"""Torus fractions and loop polynomials with one lowest-terms Scalar per
+coefficient.
 
-A test oracle for :mod:`qtalg.torusfn`, which stores polynomial numerators
-over one scalar denominator: this is the earlier store, where every
-coefficient was a canonical :class:`~qtalg.scalars.Scalar` and every
-coefficient product and sum took its own gcd.  A fraction here is a pair
-(num, factors): num maps exponents to nonzero Scalars and factors is the
-sorted tuple of denominator binomials, in the factor format of torusfn.
-Binomial reduction is the reference loop, an exact trial division for
-every distinct factor of every pass.
+A test oracle for :mod:`qtalg.torusfn` and for ``ZPoly`` in
+:mod:`qtalg.loopjordan`, which store polynomial numerators over one scalar
+denominator: this is the earlier store, where every coefficient was a
+canonical :class:`~qtalg.scalars.Scalar` and every coefficient product and
+sum took its own gcd.
+
+A fraction here is a pair (num, factors): num maps exponents to nonzero
+Scalars and factors is the sorted tuple of denominator binomials, in the
+factor format of torusfn.  Binomial reduction is the reference loop, an
+exact trial division for every distinct factor of every pass.
+
+``ZPoly`` is the earlier loop polynomial, a dict degree -> nonzero Scalar,
+and ``loop_inverse`` the earlier matrix-loop inverse over it.
 """
 
 from collections import Counter
 
 from handwritten import scalar_frac_power
 from qtalg.errors import PoleError
-from qtalg.scalars import Scalar, _div, _norm
+from qtalg.linalg import fraction_free
+from qtalg.scalars import Scalar, _as_scalar, _div, _norm
 from qtalg.torusfn import _beta_coordinate, _factor_value, _make_factor, _xkey
 
 
@@ -248,3 +255,101 @@ def residue(rank: int, a, alpha, tau: Scalar):
     if k != 1:
         value = scale(value, (Scalar.const(k) * tau ** (k - 1)).inverse())
     return value
+
+
+# -- loop polynomials ---------------------------------------------------------------
+
+
+class ZPoly:
+    """Laurent polynomial in z, stored as degree -> nonzero Scalar."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {int(m): c for m, c in (coeffs or {}).items() if not c.is_zero()}
+
+    @classmethod
+    def one(cls):
+        return cls({0: Scalar.one()})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_monomial(self) -> bool:
+        return len(self.coeffs) == 1
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            acc = out.get(m, Scalar.zero()) + c
+            if acc.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = acc
+        return ZPoly(out)
+
+    def __neg__(self):
+        return ZPoly({m: -c for m, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m = m1 + m2
+                acc = out.get(m, Scalar.zero()) + c1 * c2
+                if acc.is_zero():
+                    out.pop(m, None)
+                else:
+                    out[m] = acc
+        return ZPoly(out)
+
+    def __floordiv__(self, other):
+        if other.is_monomial():
+            ((m, c),) = other.coeffs.items()
+            return self.scale(c.inverse()).shift_z(-m)
+        top = max(other.coeffs)
+        low = min(self.coeffs, default=0) - min(other.coeffs)
+        rem, quot = self, ZPoly()
+        while rem.coeffs:
+            e = max(rem.coeffs) - top
+            if e < low:
+                raise ValueError("does not divide")
+            term = ZPoly({e: rem.coeffs[e + top] / other.coeffs[top]})
+            quot, rem = quot + term, rem - term * other
+        return quot
+
+    def scale(self, c):
+        c = _as_scalar(c)
+        return ZPoly({m: x * c for m, x in self.coeffs.items()})
+
+    def shift_z(self, k: int):
+        return ZPoly({m + k: c for m, c in self.coeffs.items()})
+
+    def at_qz(self):
+        return ZPoly({m: c * Scalar.q(m) for m, c in self.coeffs.items()})
+
+    def eval_z1(self) -> Scalar:
+        total = Scalar.zero()
+        for c in self.coeffs.values():
+            total = total + c
+        return total
+
+    def to_json(self) -> dict:
+        return {str(m): self.coeffs[m].to_json() for m in sorted(self.coeffs)}
+
+
+def loop_inverse(rows) -> list[list[ZPoly]]:
+    """The inverse of a square matrix of ZPoly from one fraction-free
+    elimination of [g | 1]; the determinant must be a z-monomial."""
+    n = len(rows)
+    one = [[ZPoly.one() if i == j else ZPoly() for j in range(n)] for i in range(n)]
+    m, pivots, _ = fraction_free([list(row) + one[i] for i, row in enumerate(rows)], ZPoly.is_zero)
+    d = m[-1][n - 1] if m else ZPoly.one()
+    if pivots != list(range(n)) or not d.is_monomial():
+        raise ValueError("loop is not invertible")
+    ((e, c),) = d.coeffs.items()
+    cinv = c.inverse()
+    return [[x.scale(cinv).shift_z(-e) for x in row[n:]] for row in m]

@@ -161,6 +161,9 @@ def test_weyl_conjugacy_classes_keep_representatives_members_and_order(label, co
     for rep, members in classes:
         for g in group.elements:
             assert compose(compose(g, rep), invert(g)) in members
+    class_of = group.class_map()
+    assert group.class_map() is class_of  # built once, beside the classes
+    assert class_of == {y: i for i, (_, members) in enumerate(classes) for y in members}
 
 
 def test_group_enumeration_bound():

@@ -6,11 +6,13 @@ from itertools import product
 
 import handwritten
 import leibniz as ref
+import percoefficient
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_torsion_sweep import torsion
 
+from qtalg import acceptance
 from qtalg.errors import NormalFormError
 from qtalg.loopjordan import (
     MatrixLoop,
@@ -31,7 +33,7 @@ from qtalg.loopjordan import (
 )
 from qtalg.mlambda import isotropy_group
 from qtalg.rootdata import LatticePair, RootSystem
-from qtalg.scalars import QPower, Scalar
+from qtalg.scalars import LaurentPoly, QPower, Scalar, _cancel_common
 
 A1 = RootSystem("A1")
 A2 = RootSystem("A2")
@@ -106,11 +108,147 @@ def test_zpoly_floordiv_recovers_the_factor(a, b):
     assert (a * b) // b == a
 
 
+def test_zpoly_floordiv_by_a_divisor_with_scalar_content():
+    one_plus_z = ZPoly.one() + ZPoly.z(1)
+    q_plus_1 = Scalar.q(1) + Scalar.one()
+    quotient = (one_plus_z * one_plus_z) // one_plus_z.scale(q_plus_1)
+    assert quotient == one_plus_z.scale(q_plus_1.inverse())
+    assert quotient.den == q_plus_1.num
+
+
 def test_zpoly_floordiv_rejects_an_inexact_quotient():
     one_plus_z = ZPoly.one() + ZPoly.z(1)
     for num in (ZPoly.one() + ZPoly.z(2), ZPoly.z(1), one_plus_z * one_plus_z + ZPoly.z(-1)):
         with pytest.raises(ValueError, match="does not divide"):
             num // one_plus_z
+
+
+# -- the store over one denominator against the per-coefficient store ----------
+
+_q, _t, _v = LaurentPoly.q, LaurentPoly.t, LaurentPoly.v
+_one = LaurentPoly.one()
+# numerators and denominators with half q-exponents, t and v, and shared
+# factors: q^2 - 1 = (q - 1)(q + 1) meets q - 1, so sums and products cancel
+_lpoly_dens = st.sampled_from(
+    [_one, _q() - _one, _q(2) - _one, _one + _t(2), _q(Q(1, 2)) - _v(), _q().scale(2) - _one.scale(3)]
+)
+_lpolys = st.one_of(
+    st.dictionaries(
+        st.tuples(st.sampled_from([0, 1, -1, 2, Q(1, 2), Q(-3, 2)]), st.integers(-1, 1), st.integers(0, 1)),
+        st.sampled_from([Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(5, 3)]),
+        min_size=1,
+        max_size=3,
+    ).map(LaurentPoly),
+    _lpoly_dens,
+    st.just(_q() + _one),
+)
+monomial_scalars = st.builds(
+    Scalar.monomial,
+    qexp=st.sampled_from([0, 1, -2, Q(1, 2)]),
+    texp=st.integers(-1, 1),
+    coeff=st.sampled_from([1, -1, 3, Q(2, 5)]),
+)
+rich_scalars = st.one_of(monomial_scalars, st.builds(Scalar, _lpolys, _lpoly_dens))
+coeff_dicts = st.dictionaries(st.integers(-2, 2), rich_scalars, max_size=3)
+rich_zpolys = coeff_dicts.map(ZPoly)
+
+
+def assert_stored_form(p: ZPoly):
+    """den integer-primitive, positive leading coefficient, no monomial
+    content, and coprime to the numerators up to a monomial."""
+    den = p.den
+    assert den.rational_content() == 1 and den.leading()[1] > 0
+    assert den.min_exponents() == (0, 0, 0)
+    assert gcd_is_a_monomial(den, p.polys.values())
+    assert all(not x.is_zero() for x in p.polys.values())
+
+
+def assert_same(new: ZPoly, old: percoefficient.ZPoly):
+    assert_stored_form(new)
+    assert new.to_json() == old.to_json()
+    assert new.coeffs == old.coeffs
+
+
+@given(coeff_dicts, coeff_dicts, rich_scalars, monomial_scalars)
+@settings(max_examples=60, deadline=None)
+def test_zpoly_matches_the_per_coefficient_store(a, b, c, unit):
+    new_a, new_b = ZPoly(a), ZPoly(b)
+    old_a, old_b = percoefficient.ZPoly(a), percoefficient.ZPoly(b)
+    assert_same(new_a, old_a)
+    assert_same(new_a + new_b, old_a + old_b)
+    assert_same(new_a - new_b, old_a - old_b)
+    assert_same(new_a * new_b, old_a * old_b)
+    assert_same(new_a.scale(c), old_a.scale(c))
+    assert_same(new_a.scale(unit), old_a.scale(unit))
+    assert_same(new_a.at_qz(), old_a.at_qz())
+    assert_same(new_a.shift_z(-3), old_a.shift_z(-3))
+    assert new_a.eval_z1() == old_a.eval_z1()
+    if new_b.is_zero():
+        return
+    assert_same((new_a * new_b) // new_b, (old_a * old_b) // old_b)
+    if not c.is_zero():
+        # the product cancels c's numerator and denominator across factors
+        assert_same(new_a.scale(c) * ZPoly.const(c.inverse()), old_a)
+        # a non-monomial scalar in the divisor's leading coefficient makes
+        # the long division multiply through by it
+        assert_same((new_a * new_b) // new_b.scale(c), (old_a * old_b) // old_b.scale(c))
+    try:
+        expected = old_a // old_b
+    except ValueError:
+        with pytest.raises(ValueError, match="does not divide"):
+            new_a // new_b
+        return
+    assert_same(new_a // new_b, expected)
+
+
+def gcd_is_a_monomial(den: LaurentPoly, numerators) -> bool:
+    h = den
+    for p in numerators:
+        if len(h.terms) == 1:
+            break
+        split = _cancel_common(h, p)
+        if split is None:
+            return True
+        h = split[0]
+    return len(h.terms) == 1
+
+
+@given(coeff_dicts, rich_scalars.filter(lambda c: not c.is_zero()), rich_zpolys, st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_zpoly_stored_form_is_canonical(coeffs, c, other, rnd):
+    p = ZPoly(coeffs)
+    den = p.den
+    assert_stored_form(p)
+    items = list(coeffs.items())
+    rnd.shuffle(items)
+    variants = [
+        ZPoly(dict(items)),
+        ZPoly({m: x * c for m, x in items}).scale(c.inverse()),
+        p.scale(c).scale(c.inverse()),
+        (p + other) - other,
+        (p + p).scale(Q(1, 2)),
+        ZPoly.from_json(p.to_json()),
+    ]
+    if not other.is_zero():
+        variants.append((p * other) // other)
+    for v in variants:
+        assert (v.den, v.polys) == (den, p.polys)
+        assert v == p and (v - p).is_zero()
+    assert (p == other) == (p - other).is_zero()
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_inverse_matches_the_per_coefficient_store(data):
+    g = data.draw(invertible_loops(rich_zpolys))
+    old = percoefficient.loop_inverse(
+        [[percoefficient.ZPoly(e.coeffs) for e in row] for row in g.rows]
+    )
+    inv = g.inverse()
+    for new_row, old_row in zip(inv.rows, old):
+        for new, expected in zip(new_row, old_row):
+            assert_same(new, expected)
+    assert g * inv == MatrixLoop.identity(g.n)
 
 
 loops = st.integers(1, 4).flatmap(
@@ -121,13 +259,13 @@ loops = st.integers(1, 4).flatmap(
 
 
 @st.composite
-def invertible_loops(draw):
+def invertible_loops(draw, entries=zpolys):
     """Permutation times unitriangular times a diagonal of z-monomials."""
     n = draw(st.integers(1, 4))
     order = draw(st.permutations(range(n)))
     upper = MatrixLoop(
         [
-            [ZPoly.one() if i == j else draw(zpolys) if i < j else ZPoly.zero() for j in range(n)]
+            [ZPoly.one() if i == j else draw(entries) if i < j else ZPoly.zero() for j in range(n)]
             for i in range(n)
         ]
     )
@@ -470,6 +608,42 @@ def test_normal_form_roundtrip_recovers_the_orbit_data():
         assert nf1.check_twist() and nf1.check_position()
         assert diagonal_twist_match(nf0.s, nf1.s) is not None
         assert unipotent_parts_conjugate(nf0, nf1)
+
+
+# q = 9/4 has the rational square root 3/2, so half q-exponents specialize
+Q0 = Q(9, 4)
+
+
+def specialized(g: MatrixLoop, z, t, v) -> list[list[Q]]:
+    """g at rational q = Q0, z, t and v, entry by entry through
+    Scalar.specialize, with no loop arithmetic."""
+    return [
+        [sum((c.specialize(Q0, t, v) * z**m for m, c in e.coeffs.items()), Q(0)) for e in row]
+        for row in g.rows
+    ]
+
+
+def rational_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_normal_form_solves_the_twisted_equation_at_rational_points(seed):
+    """f(qz) h(z) = s b(z) f(z) on rational matrices, for the first
+    jordan-roundtrip inputs at the seed."""
+    rng = acceptance._rng(seed, "jordan-roundtrip")
+    for _ in range(8):
+        nf0 = acceptance._rand_normal_pair(rng)
+        h = q_conjugate(acceptance._rand_unitriangular(rng), nf0.product())
+        nf, f = q_normal_form(h)
+        n = h.n
+        s = [[nf.s[i].specialize(Q0) if i == j else Q(0) for j in range(n)] for i in range(n)]
+        for z, t, v in ((Q(2), Q(5, 7), Q(3)), (Q(-1, 3), Q(2), Q(-1, 2))):
+            lhs = rational_product(specialized(f, Q0 * z, t, v), specialized(h, z, t, v))
+            rhs = rational_product(
+                rational_product(s, specialized(nf.b, z, t, v)), specialized(f, z, t, v)
+            )
+            assert lhs == rhs
 
 
 # -- q-centralizer roots ------------------------------------------------------
