@@ -282,8 +282,9 @@ def check_jordan_roundtrip(seed: int):
         if not (nf0.check_twist() and nf0.check_position()):
             return False, "a generated normal form violated its own laws"
         g = _rand_unitriangular(rng)
-        nf1, f1 = q_normal_form(q_conjugate(g, nf0.product()))
-        if q_conjugate(f1, q_conjugate(g, nf0.product())) != nf1.product():
+        h = q_conjugate(g, nf0.product())
+        nf1, f1 = q_normal_form(h)
+        if q_conjugate(f1, h) != nf1.product():
             return False, "returned conjugator does not reproduce the normal form"
         if diagonal_twist_match(nf0.s, nf1.s) is None:
             return False, "semisimple parts are not twist-equivalent"

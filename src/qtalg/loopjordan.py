@@ -23,21 +23,14 @@ the conjugator satisfies a scalar equation x(qz) - rho*x(z) = target
 whose only obstruction is the coefficient at the resonant degree (when
 rho = q^l), and that coefficient is absorbed into b.
 
-A ``ZPoly`` stores its coefficients as LaurentPoly numerators over one
-scalar denominator, in the lowest-terms form of torus fractions (see
-``ZPoly``), so equality compares stored terms and the arithmetic is
-polynomial arithmetic with at most one normalization per result.  Three
-facts let most results skip the gcd:
-
-* the lcm of lowest-terms denominators is already a lowest-terms common
-  denominator: each prime power of the lcm is carried whole by one
-  coefficient, whose numerator is coprime to it, so a polynomial built
-  from ``Scalar`` coefficients only normalizes the unit part of the lcm;
-* monomials are units, so negation, ``shift_z``, ``at_qz`` and scaling by
-  a monomial keep the denominator and take no gcd;
-* a sum first divides its numerators by the denominator exactly and runs
-  the gcd chain only when that fails: the shift check x(qz) - q^l x(z)
-  lands back on a target over 1.
+A ``ZPoly`` keeps its coefficients, by degree, in the store torus
+fractions use, ``scalars.CommonDen``: LaurentPoly numerators over one
+lowest-terms scalar denominator, so equality compares stored terms and the
+arithmetic is polynomial arithmetic with at most one normalization per
+result.  Besides the store's own shortcuts, ``shift_z`` and ``at_qz`` keep
+the denominator, and a sum first divides its numerators by the
+denominator exactly and runs the gcd chain only when that fails: the
+shift check x(qz) - q^l x(z) lands back on a target over 1.
 
 Constant diagonals are compared exactly: two are equivalent when one is
 a Weyl permutation of the other times integral powers of q.  For a
@@ -57,49 +50,40 @@ from .mlambda import Character, _as_qpower, isotropy_group
 from .rootdata import LatticePair, RootSystem, WeylElement
 from .scalars import (
     _ONE,
+    CommonDen,
     LaurentPoly,
     QPower,
     Scalar,
     _add_into,
     _add_terms,
     _as_scalar,
-    _div,
-    _lcm,
+    _common_den,
     _lowest_terms,
     _mul_terms,
-    _over_common_den,
     _poly,
-    _times_monomial,
 )
 
 
-class ZPoly:
+class ZPoly(CommonDen):
     """Laurent polynomial in z with ``Scalar`` coefficients.
 
-    Stored as ``polys`` (degree -> nonzero LaurentPoly numerator) over one
-    scalar denominator ``den``, in the lowest-terms form torus fractions
-    use: den is integer-primitive, has a positive leading coefficient and
-    no monomial content, and gcd(den, every numerator) is a monomial.  See
-    the module docstring for why the arithmetic keeps that form.
-    Polynomials never change after construction.
+    Built from degree -> scalar and stored as numerators by degree over one
+    scalar denominator (``scalars.CommonDen``).  Polynomials never change
+    after construction.
     """
 
-    __slots__ = ("polys", "den")
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict[int, Scalar] | None = None):
-        nonzero = {int(m): c for m, c in (coeffs or {}).items() if not c.is_zero()}
-        self.polys, self.den = _over_common_den(nonzero)
-
-    @classmethod
-    def _stored(cls, polys: dict[int, LaurentPoly], den: LaurentPoly) -> ZPoly:
+    @staticmethod
+    def _with(polys: dict[int, LaurentPoly], den: LaurentPoly) -> ZPoly:
         """A polynomial from parts already in stored form."""
-        out = cls.__new__(cls)
+        out = ZPoly.__new__(ZPoly)
         out.polys, out.den = polys, den
         return out
 
     @classmethod
     def zero(cls) -> ZPoly:
-        return cls._stored({}, _ONE)
+        return cls._with({}, _ONE)
 
     @classmethod
     def const(cls, c) -> ZPoly:
@@ -107,28 +91,18 @@ class ZPoly:
 
     @classmethod
     def one(cls) -> ZPoly:
-        return cls._stored({0: _ONE}, _ONE)
+        return cls._with({0: _ONE}, _ONE)
 
     @classmethod
     def z(cls, exp: int = 1, coeff=1) -> ZPoly:
         return cls({exp: _as_scalar(coeff)})
-
-    @property
-    def coeffs(self) -> dict[int, Scalar]:
-        """Degree -> lowest-terms scalar coefficient (a fresh dict:
-        changing it does not change the polynomial)."""
-        den = self.den
-        return {m: _coefficient(p, den) for m, p in self.polys.items()}
-
-    def is_zero(self) -> bool:
-        return not self.polys
 
     def is_constant(self) -> bool:
         return all(m == 0 for m in self.polys)
 
     def coeff(self, m: int) -> Scalar:
         p = self.polys.get(m)
-        return Scalar.zero() if p is None else _coefficient(p, self.den)
+        return Scalar.zero() if p is None else self._scalar(p)
 
     def constant_term(self) -> Scalar:
         return self.coeff(0)
@@ -140,32 +114,34 @@ class ZPoly:
         if not self.is_monomial():
             raise ValueError(f"not a monomial in z: {self}")
         ((m, p),) = self.polys.items()
-        return m, _coefficient(p, self.den)
+        return m, self._scalar(p)
 
     def __add__(self, other: ZPoly) -> ZPoly:
         if not other.polys:
             return self
         if not self.polys:
             return other
-        a, b = self.den, other.den
-        den = a if a is b or a.terms == b.terms else _lcm(a, b)
+        den, cofactors = _common_den((self.den, other.den))
         acc: dict[int, dict] = {}
-        for part in (self, other):
-            if part.den is den or part.den.terms == den.terms:
+        for part, cofactor in zip((self, other), cofactors):
+            if cofactor is _ONE:
                 for m, p in part.polys.items():
                     _add_into(acc, m, p.terms)
             else:
-                cofactor = den.divide_exact(part.den).terms
                 for m, p in part.polys.items():
-                    _mul_terms(acc.setdefault(m, {}), p.terms, cofactor)
+                    _mul_terms(acc.setdefault(m, {}), p.terms, cofactor.terms)
         polys = {m: _poly(t) for m, t in acc.items() if t}
-        return ZPoly._stored(*_sum_in_lowest_terms(polys, den))
-
-    def __neg__(self) -> ZPoly:
-        return ZPoly._stored({m: -p for m, p in self.polys.items()}, self.den)
-
-    def __sub__(self, other: ZPoly) -> ZPoly:
-        return self + (-other)
+        if len(den.terms) > 1:
+            # over 1 the sum is in lowest terms; else try exact division
+            # before the gcd chain
+            quotients = {}
+            for m, p in polys.items():
+                quo = p.divide_exact(den)
+                if quo is None:
+                    return ZPoly._with(*_lowest_terms(polys, den))
+                quotients[m] = quo
+            polys, den = quotients, _ONE
+        return ZPoly._with(polys, den)
 
     def __mul__(self, other: ZPoly) -> ZPoly:
         if not self.polys:
@@ -186,21 +162,8 @@ class ZPoly:
         else:
             den = a * b
         if len(den.terms) == 1:  # both denominators are 1
-            return ZPoly._stored(polys, den)
-        return ZPoly._stored(*_lowest_terms(polys, den))
-
-    def _times(self, num: LaurentPoly, den: LaurentPoly) -> ZPoly:
-        """self * num/den for a nonzero num coprime to den."""
-        if len(num.terms) == 1 and len(den.terms) == 1:
-            # a unit: the denominator stays and nothing cancels
-            ((nk, nc),) = num.terms.items()
-            ((dk, dc),) = den.terms.items()
-            key = (nk[0] - dk[0], nk[1] - dk[1], nk[2] - dk[2])
-            coeff = _div(nc, dc)
-            polys = {m: _times_monomial(p, key, coeff) for m, p in self.polys.items()}
-            return ZPoly._stored(polys, self.den)
-        polys = {m: p * num for m, p in self.polys.items()}
-        return ZPoly._stored(*_lowest_terms(polys, self.den * den))
+            return ZPoly._with(polys, den)
+        return ZPoly._with(*_lowest_terms(polys, den))
 
     def __floordiv__(self, other: ZPoly) -> ZPoly:
         """Exact quotient; ValueError when other does not divide self.
@@ -242,22 +205,16 @@ class ZPoly:
                 _mul_terms(out, neg, r)
                 if not out:
                     del rem[mt + d]
-        return ZPoly._stored(*_lowest_terms(quot, scale * self.den))
-
-    def scale(self, c) -> ZPoly:
-        c = _as_scalar(c)
-        if c.is_zero():
-            return ZPoly.zero()
-        return self._times(c.num, c.den)
+        return ZPoly._with(*_lowest_terms(quot, scale * self.den))
 
     def shift_z(self, k: int) -> ZPoly:
         """Multiply by z^k."""
-        return ZPoly._stored({m + k: p for m, p in self.polys.items()}, self.den)
+        return ZPoly._with({m + k: p for m, p in self.polys.items()}, self.den)
 
     def at_qz(self) -> ZPoly:
         """Substitute z -> qz, scaling the z^m numerator by the unit q^m."""
         polys = {m: p.shift(m) if m else p for m, p in self.polys.items()}
-        return ZPoly._stored(polys, self.den)
+        return ZPoly._with(polys, self.den)
 
     def eval_z1(self) -> Scalar:
         """Evaluate at z = 1."""
@@ -295,33 +252,6 @@ class ZPoly:
     @classmethod
     def from_json(cls, data: dict) -> ZPoly:
         return cls({int(m): Scalar.from_json(c) for m, c in data.items()})
-
-
-def _coefficient(p: LaurentPoly, den: LaurentPoly) -> Scalar:
-    """p/den as a lowest-terms Scalar; a monomial over 1 is built directly
-    in stored form."""
-    if len(p.terms) == 1 and len(den.terms) == 1:
-        ((key, c),) = p.terms.items()
-        return Scalar.monomial(*key, coeff=c)
-    return Scalar(p, den)
-
-
-def _sum_in_lowest_terms(polys: dict, den: LaurentPoly) -> tuple[dict, LaurentPoly]:
-    """A sum's numerators over den in lowest terms.  Over den 1 they already
-    are; otherwise exact division of every numerator by den is tried first
-    (the shift check x(qz) - q^l x(z) lands back on a target over 1), and
-    the gcd chain runs only when it fails."""
-    if not polys:
-        return {}, _ONE
-    if len(den.terms) == 1:  # the lcm of denominators 1
-        return polys, den
-    quotients = {}
-    for m, p in polys.items():
-        quo = p.divide_exact(den)
-        if quo is None:
-            return _lowest_terms(polys, den)
-        quotients[m] = quo
-    return quotients, _ONE
 
 
 def _twisted_inverse(target: ZPoly, rho: Scalar) -> ZPoly:

@@ -17,9 +17,8 @@ The root index n of a value is implicit: exponents are exact rationals,
 so mixed-index arithmetic promotes automatically.
 
 Torus fractions (``torusfn``) and loop polynomials (``loopjordan``) store
-many coefficients as LaurentPoly numerators over one shared denominator;
-the helpers that keep that form in lowest terms live at the end of this
-module.
+many coefficients as LaurentPoly numerators over one shared denominator,
+in one store, ``CommonDen``, at the end of this module.
 
 Storage rule: a q-exponent or coefficient of a ``LaurentPoly`` is stored
 as a Python ``int`` when it is integral and as a ``fractions.Fraction``
@@ -828,13 +827,6 @@ def _as_scalar(c) -> Scalar:
 
 
 # -- numerators over one shared scalar denominator ----------------------------
-#
-# Torus fractions and loop polynomials store their coefficients as
-# LaurentPoly numerators, by key, over one polynomial den: den is
-# integer-primitive, has a positive leading coefficient and no monomial
-# content, and gcd(den, every numerator) is a monomial.  Monomials are units,
-# so this is the lowest-terms form of a common-denominator fraction, and
-# each value has one stored form.
 
 _ONE = LaurentPoly.one()  # shared; nothing here changes a stored polynomial
 
@@ -857,15 +849,30 @@ def _add_into(acc: dict, x, terms: dict) -> None:
         _add_terms(out, terms)
 
 
-def _lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """A least common multiple of two scalar denominators, up to units:
-    a shared one is returned as it is, else a * b / gcd(a, b)."""
-    if a is b or a.terms == b.terms or len(b.terms) == 1:
-        return a
-    if len(a.terms) == 1:
-        return b
-    split = _cancel_common(a, b)
-    return a * (b if split is None else split[2])
+def _common_den(dens) -> tuple[LaurentPoly, list[LaurentPoly]]:
+    """(l, cofactors) for scalar denominators dens: l is a least common
+    multiple of them up to units, and cofactors[i] * dens[i] == l exactly.
+    A cofactor of 1 is ``_ONE`` itself.
+
+    l grows one denominator d at a time.  A d equal to l keeps it, and so
+    does a monomial, a unit, whose cofactor is l times its inverse.
+    Otherwise, with h = gcd(l, d), l becomes l * (d/h), the cofactors so far
+    gain the factor d/h and d's own is l/h: both quotients come out of the
+    gcd split, so no cofactor is found by division."""
+    den, cofactors = _ONE, []
+    for d in dens:
+        if d is den or d.terms == den.terms:
+            cofactors.append(_ONE)
+        elif len(d.terms) == 1:
+            ((dq, dt, dv), dc), = d.terms.items()
+            cofactors.append(_times_monomial(den, (-dq, -dt, -dv), _div(1, dc)))
+        else:
+            split = None if den is _ONE else _cancel_common(den, d)
+            den_part, d_part = (den, d) if split is None else split[1:]
+            cofactors = [d_part if f is _ONE else f * d_part for f in cofactors]
+            cofactors.append(den_part)
+            den = d if den is _ONE else den * d_part
+    return den, cofactors
 
 
 def _unit_normal(num: dict, den: LaurentPoly) -> tuple[dict, LaurentPoly]:
@@ -909,31 +916,81 @@ def _lowest_terms(num: dict, den: LaurentPoly) -> tuple[dict, LaurentPoly]:
     return _unit_normal(num, den)
 
 
-def _over_common_den(coeffs: dict) -> tuple[dict, LaurentPoly]:
-    """Nonzero scalars, by key, as numerators over the lcm of their
-    denominators, in lowest terms.
+class CommonDen:
+    """Scalar coefficients, by key, stored as LaurentPoly numerators over
+    one scalar denominator: the store of torus fractions (``torusfn``) and
+    loop polynomials (``loopjordan``).
 
-    The lcm needs no gcd against the numerators.  Each prime power of the
-    lcm is carried whole by the denominator of one coefficient, whose
-    numerator is coprime to it, so gcd(lcm, every numerator) is a unit and
-    only the unit part of the lcm is normalized.  The lcm grows one
-    denominator d at a time: with h = gcd(den, d) it is den * (d/h), the
-    numerators so far gain the factor d/h and the new one den/h, both
-    quotients of the gcd step, so no numerator is divided."""
-    den, polys = _ONE, {}
-    for x, c in coeffs.items():
-        d = c.den
-        if d is den or d.terms == den.terms:
-            polys[x] = c.num
-        elif len(d.terms) == 1:  # a unit
-            polys[x] = c.num * den.divide_exact(d)
-        else:
-            split = None if len(den.terms) == 1 else _cancel_common(den, d)
-            den_part, d_part = (den, d) if split is None else split[1:]
-            polys = {y: p * d_part for y, p in polys.items()}
-            polys[x] = c.num * den_part
-            den = den * d_part
-    return _unit_normal(polys, den) if polys else ({}, _ONE)
+    ``polys`` maps keys to nonzero numerators and ``den`` is one polynomial
+    for all of them: den is integer-primitive, has a positive leading
+    coefficient and no monomial content, and gcd(den, every numerator) is a
+    monomial.  Monomials are units, so this is the lowest-terms form of a
+    common-denominator fraction (Geddes, Czapor & Labahn, *Algorithms for
+    Computer Algebra*, 1992), each value has one stored form, and it costs
+    one gcd chain per value where a lowest-terms scalar per coefficient
+    would cost a gcd per coefficient.
+
+    Built from scalars, the store needs no gcd chain: each prime power of
+    the lcm of lowest-terms denominators is carried whole by the
+    denominator of one coefficient, whose numerator is coprime to it, so
+    only the unit part of the lcm is normalized.  Negation and scaling by a
+    monomial keep den.  Subclasses supply ``_with(polys, den)``, which
+    builds a value of their own kind from parts in stored form, and their
+    own sums and products.  Values never change after construction.
+    """
+
+    __slots__ = ("polys", "den")
+
+    def __init__(self, coeffs: dict | None = None):
+        """coeffs maps keys to scalars; zeros are dropped."""
+        items = [(x, c) for x, c in (coeffs or {}).items() if not c.is_zero()]
+        den, cofactors = _common_den([c.den for _, c in items])
+        polys = {
+            x: c.num if f is _ONE else c.num * f for (x, c), f in zip(items, cofactors)
+        }
+        self.polys, self.den = _unit_normal(polys, den) if polys else ({}, _ONE)
+
+    def _scalar(self, p: LaurentPoly) -> Scalar:
+        """p / den as a lowest-terms Scalar; a monomial over 1 is built
+        directly in stored form."""
+        if len(p.terms) == 1 and len(self.den.terms) == 1:
+            ((key, c),) = p.terms.items()
+            return Scalar.monomial(*key, coeff=c)
+        return Scalar(p, self.den)
+
+    @property
+    def coeffs(self) -> dict:
+        """Key -> lowest-terms scalar coefficient (a fresh dict: changing it
+        does not change the value)."""
+        return {x: self._scalar(p) for x, p in self.polys.items()}
+
+    def is_zero(self) -> bool:
+        return not self.polys
+
+    def __neg__(self):
+        return self._with({x: -p for x, p in self.polys.items()}, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = _as_scalar(c)
+        if c.is_zero():
+            return self._with({}, _ONE)
+        return self._times(c.num, c.den)
+
+    def _times(self, num: LaurentPoly, den: LaurentPoly):
+        """self * num/den for a nonzero num coprime to den."""
+        if len(num.terms) == 1 and len(den.terms) == 1:
+            # a unit: the denominator stays and nothing cancels
+            ((nk, nc),) = num.terms.items()
+            ((dk, dc),) = den.terms.items()
+            key = (nk[0] - dk[0], nk[1] - dk[1], nk[2] - dk[2])
+            coeff = _div(nc, dc)
+            polys = {x: _times_monomial(p, key, coeff) for x, p in self.polys.items()}
+            return self._with(polys, self.den)
+        polys = {x: p * num for x, p in self.polys.items()}
+        return self._with(*_lowest_terms(polys, self.den * den))
 
 
 class QPower:

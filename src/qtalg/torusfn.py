@@ -8,23 +8,13 @@ nonzero coordinate is positive and c a nonzero monomial scalar.  The
 X-part of a quantum torus is commutative, so this is ordinary fraction
 arithmetic.
 
-The coefficients share one scalar denominator.  A fraction stores a
-:class:`~qtalg.scalars.LaurentPoly` numerator in q, t, v for each torus
-monomial and one polynomial ``den`` for all of them: den is
-integer-primitive, has a positive leading coefficient and no monomial
-content, and gcd(den, every numerator) is a monomial.  Monomials are units,
-so this is the lowest-terms form of a common-denominator fraction (Geddes,
-Czapor & Labahn, *Algorithms for Computer Algebra*, 1992), and it costs one
-gcd chain per fraction where a lowest-terms scalar per coefficient would
-cost a gcd per term: products, sums, divisions and substitutions are
-polynomial arithmetic.  A fraction built from scalar coefficients takes no
-gcd chain at all: the lcm of lowest-terms denominators is already a
-lowest-terms common denominator (``scalars._over_common_den``).  The
-helpers are shared with the loop polynomials of :mod:`qtalg.loopjordan`.
-:attr:`TorusFraction.num` divides each numerator
-by den as a canonical :class:`~qtalg.scalars.Scalar`, so that view, the
-display and the JSON form are those of a fraction with one lowest-terms
-scalar per coefficient.
+The coefficients share one scalar denominator: a fraction keeps its
+numerator, by torus exponent, in the store of
+:class:`~qtalg.scalars.CommonDen`, shared with the loop polynomials of
+:mod:`qtalg.loopjordan`, so products, sums, divisions and substitutions
+are polynomial arithmetic.  :attr:`TorusFraction.num` is the store's
+scalar view, so the display and the JSON form are those of a fraction
+with one lowest-terms scalar per coefficient.
 
 The binomial shape is closed under every operation used here — Weyl
 substitutions and translation twists send binomials to unit multiples
@@ -77,17 +67,17 @@ from .linalg import unimodular_completion
 from .rootdata import LatticePair, WeylElement
 from .scalars import (
     _ONE,
+    CommonDen,
     LaurentPoly,
     Rat,
     Scalar,
     _add_into,
     _as_scalar,
+    _common_den,
     _div,
-    _lcm,
     _lowest_terms,
     _mul_terms,
     _norm,
-    _over_common_den,
     _poly,
     _times_monomial,
 )
@@ -168,16 +158,16 @@ def _mono_pow(key, coeff: Q, k: Rat) -> tuple[tuple[Rat, int, int], Q]:
     return (_norm(qe * k), int(texp), int(vexp)), coeff
 
 
-class TorusFraction:
+class TorusFraction(CommonDen):
     """Rational function on the torus of X, with binomial denominator.
 
-    Stored as ``polys`` (exponent -> nonzero LaurentPoly numerator), one
-    scalar denominator ``den`` and the sorted binomial ``factors``; see the
-    module docstring for the invariants.  Fractions never change after
-    construction.
+    Stored as numerators by exponent over one scalar denominator
+    (:class:`~qtalg.scalars.CommonDen`) and the sorted binomial
+    ``factors``; see the module docstring for the invariants.  Fractions
+    never change after construction.
     """
 
-    __slots__ = ("pair", "polys", "den", "factors")
+    __slots__ = ("pair", "factors")
 
     def __init__(self, pair: LatticePair, num, factors=()):
         """num is a dict exponent -> scalar (or int, Fraction), or a pair
@@ -188,12 +178,7 @@ class TorusFraction:
         if isinstance(num, tuple):
             self.polys, self.den = _lowest_terms(*num)
         else:
-            coeffs = {}
-            for x, c in num.items():
-                c = _as_scalar(c)
-                if not c.is_zero():
-                    coeffs[_xkey(x)] = c
-            self.polys, self.den = _over_common_den(coeffs)
+            super().__init__({_xkey(x): _as_scalar(c) for x, c in num.items()})
         # zero has no poles, whatever the factors were
         self.factors = tuple(sorted(factors)) if self.polys else ()
         if self.factors:
@@ -208,6 +193,11 @@ class TorusFraction:
         out.den = den if polys else _ONE
         out.factors = tuple(sorted(factors)) if polys else ()
         return out
+
+    def _with(self, polys: Num, den) -> TorusFraction:
+        """The fraction with this one's factors over a new scalar part: a
+        scalar is a unit for binomial divisibility, so no factor cancels."""
+        return TorusFraction._stored(self.pair, polys, den, self.factors)
 
     # -- constructors --------------------------------------------------------
 
@@ -240,15 +230,7 @@ class TorusFraction:
 
     # -- structure -------------------------------------------------------------
 
-    @property
-    def num(self) -> dict[XKey, Scalar]:
-        """The numerator as exponent -> lowest-terms scalar coefficient (a
-        fresh dict: changing it does not change the fraction)."""
-        den = self.den
-        return {x: Scalar(p, den) for x, p in self.polys.items()}
-
-    def is_zero(self) -> bool:
-        return not self.polys
+    num = CommonDen.coeffs  # exponent -> lowest-terms scalar coefficient
 
     def is_polynomial(self) -> bool:
         return not self.factors
@@ -262,7 +244,7 @@ class TorusFraction:
         [(x, p)] = self.polys.items()
         if any(x):
             raise ValueError("fraction is not constant")
-        return Scalar(p, self.den)
+        return self._scalar(p)
 
     def pole_list(self) -> list[tuple[tuple[int, ...], Scalar, int]]:
         """Distinct denominator binomials with multiplicities."""
@@ -312,13 +294,6 @@ class TorusFraction:
             return NotImplemented
         return TorusFraction.sum(self.pair, (self, other))
 
-    def __neg__(self) -> TorusFraction:
-        polys = {x: -p for x, p in self.polys.items()}
-        return TorusFraction._stored(self.pair, polys, self.den, self.factors)
-
-    def __sub__(self, other: TorusFraction) -> TorusFraction:
-        return self + (-other)
-
     def __mul__(self, other: TorusFraction) -> TorusFraction:
         if not isinstance(other, TorusFraction):
             return NotImplemented
@@ -335,19 +310,6 @@ class TorusFraction:
             self.den * other.den,
             self.factors + other.factors,
         )
-
-    def scale(self, c) -> TorusFraction:
-        c = _as_scalar(c)
-        if c.is_zero():
-            return TorusFraction.zero(self.pair)
-        if c.is_monomial():
-            key, coeff = c.as_monomial()
-            polys = {x: _times_monomial(p, key, coeff) for x, p in self.polys.items()}
-            return TorusFraction._stored(self.pair, polys, self.den, self.factors)
-        # a scalar is a unit for binomial divisibility: no factor cancels
-        polys = {x: p * c.num for x, p in self.polys.items()}
-        polys, den = _lowest_terms(polys, self.den * c.den)
-        return TorusFraction._stored(self.pair, polys, den, self.factors)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusFraction):
@@ -606,20 +568,18 @@ def _common_form(rank: int, parts) -> tuple[Num, LaurentPoly, tuple[Factor, ...]
     the lcm of their factor multisets and of their scalar denominators,
     nothing cancelled."""
     parts = [p for p in parts if p.polys]
-    den = _ONE
-    for p in parts:
-        den = _lcm(den, p.den)
+    den, cofactors = _common_den([p.den for p in parts])
     owned = [Counter(p.factors) for p in parts]
     lcm_factors: Counter = Counter()
     for counts in owned:
         lcm_factors |= counts
     zero = _xkey((0,) * rank)
     acc: dict = {}
-    for p, counts in zip(parts, owned):
+    for p, counts, cofactor in zip(parts, owned, cofactors):
         missing = lcm_factors - counts
         mult = _factors_poly(missing.elements(), rank) if missing else None
-        if p.den is not den and p.den != den:
-            cofactor = {zero: den.divide_exact(p.den)}
+        if cofactor is not _ONE:
+            cofactor = {zero: cofactor}
             mult = cofactor if mult is None else _num_mul(mult, cofactor)
         if mult is None:
             for x, poly in p.polys.items():

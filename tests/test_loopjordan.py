@@ -34,6 +34,7 @@ from qtalg.loopjordan import (
 from qtalg.mlambda import isotropy_group
 from qtalg.rootdata import LatticePair, RootSystem
 from qtalg.scalars import LaurentPoly, QPower, Scalar, _cancel_common
+from qtalg.torusfn import TorusFraction
 
 A1 = RootSystem("A1")
 A2 = RootSystem("A2")
@@ -235,6 +236,34 @@ def test_zpoly_stored_form_is_canonical(coeffs, c, other, rnd):
         assert (v.den, v.polys) == (den, p.polys)
         assert v == p and (v - p).is_zero()
     assert (p == other) == (p - other).is_zero()
+
+
+A1_PAIR = LatticePair(A1, "root")
+
+
+@given(coeff_dicts, coeff_dicts, rich_scalars, monomial_scalars)
+@settings(max_examples=60, deadline=None)
+def test_zpoly_and_torus_fraction_share_one_store(a, b, c, unit):
+    """Degree m as the A1 exponent (m,): a loop polynomial and a torus
+    fraction with the same coefficients store the same den and numerators,
+    though a polynomial sum tries exact division before the gcd chain."""
+
+    def fraction(coeffs):
+        return TorusFraction(A1_PAIR, {(m,): x for m, x in coeffs.items()})
+
+    def same_store(p: ZPoly, f: TorusFraction):
+        assert p.den == f.den
+        assert {(m,): x for m, x in p.polys.items()} == f.polys
+
+    p, q, f, g = ZPoly(a), ZPoly(b), fraction(a), fraction(b)
+    same_store(p, f)
+    same_store(p + q, f + g)
+    same_store(p - q, f - g)
+    # cancels back to q's store, through the gcd chain when p has a
+    # denominator q's does not absorb
+    same_store((p + q) - p, (f + g) - f)
+    same_store(p.scale(unit), f.scale(unit))
+    same_store(p.scale(c), f.scale(c))
 
 
 @given(st.data())

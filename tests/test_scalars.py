@@ -1,7 +1,9 @@
 """Tests for exact scalar arithmetic."""
 
 from fractions import Fraction as Q
+from functools import reduce
 from math import lcm
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -14,6 +16,7 @@ from qtalg.scalars import (
     QPower,
     Scalar,
     _cancel_common,
+    _common_den,
     _div,
     _gcd,
     _interpolate,
@@ -197,6 +200,35 @@ def test_stored_sides_are_coprime_by_an_independent_gcd(a, b, c):
         grid = lcm(s.num.root_index(), s.den.root_index())
         g = sympy.gcd(sympy_poly(s.num, grid, syms), sympy_poly(s.den, grid, syms))
         assert len(sympy.Poly(g, *syms).terms()) == 1, (s, g)
+
+
+_lq, _lt, _lv, _l1 = LaurentPoly.q, LaurentPoly.t, LaurentPoly.v, LaurentPoly.one()
+# monomials, half q-exponents, content, and factors that meet: q^2 - 1 is
+# (q - 1)(q + 1)
+_den_factors = st.sampled_from(
+    [_lq(), _lt(), _lq() - _l1, _lq() + _l1, _lq(2) - _l1, _lq().scale(2) - _l1.scale(3),
+     _lq(Q(1, 2)) - _lv(), _lq() * _lt() - _l1]
+)
+# lowest-terms scalar denominators, monomial ones included
+lowest_dens = st.lists(_den_factors, max_size=3).map(
+    lambda fs: Scalar(_l1, reduce(mul, fs, _l1)).den
+)
+
+
+@given(st.lists(lowest_dens, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_common_den_cofactors_are_exact_and_the_lcm_matches_sympy(dens):
+    sympy = pytest.importorskip("sympy")
+    den, cofactors = _common_den(dens)
+    assert len(cofactors) == len(dens)
+    for d, f in zip(dens, cofactors):
+        assert f * d == den
+    syms = sympy.symbols("y t v")  # y = q^(1/grid)
+    grid = lcm(1, *(d.root_index() for d in dens))
+    expected = sympy.lcm_list([sympy_poly(d, grid, syms) for d in dens])
+    # equal up to a unit: a rational multiple of a Laurent monomial
+    unit = sympy.fraction(sympy.cancel(expected / sympy_poly(den, grid, syms)))
+    assert all(len(sympy.Poly(side, *syms).terms()) == 1 for side in unit), (dens, den)
 
 
 int_polys = st.dictionaries(
