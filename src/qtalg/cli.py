@@ -171,12 +171,26 @@ def _seed(args) -> int:
         raise UsageError("QTORUS_SEED must be an integer") from None
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _group(text: str, what: str, bound: int) -> PermGroup:
     data = _load_json(text, what)
-    if not isinstance(data, dict) or "degree" not in data or "generators" not in data:
-        raise UsageError(f'{what} must be {{"degree": n, "generators": [[...], ...]}}')
-    gens = [tuple(int(x) for x in g) for g in data["generators"]]
-    return PermGroup(int(data["degree"]), gens, bound=bound)
+    if not isinstance(data, dict):
+        data = {}
+    degree, gens = data.get("degree"), data.get("generators")
+    if not (
+        _is_int(degree)
+        and degree >= 0
+        and isinstance(gens, list)
+        and all(isinstance(g, list) and all(map(_is_int, g)) for g in gens)
+    ):
+        raise UsageError(
+            f'{what} must be {{"degree": n, "generators": [[...], ...]}} '
+            "with n >= 0 and integer generator entries"
+        )
+    return PermGroup(degree, gens, bound=bound)
 
 
 # -- torus element JSON (x/y split form) --------------------------------------------

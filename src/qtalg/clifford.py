@@ -6,9 +6,13 @@ method: the class-sum structure constants are diagonalized over a prime
 field GF(p) with p = 1 mod exp(G), the joint eigenvectors are the
 normalized characters mod p, and the true values are recovered as
 cyclotomic integers from the eigenvalue multiplicities of each class
-representative.  Values live in Q(zeta_N) represented by polynomials
-modulo the N-th cyclotomic polynomial, with N the group exponent, so
-row and column orthogonality can be verified exactly.
+representative.  The arithmetic mod p is on plain ints: each class sum
+M is kept as sparse integer rows, and an invariant subspace with basis B
+splits into the kernels of M B - t B for t = 0, 1, ..., p - 1, found by
+one elimination mod p each, until they span the subspace.  Values live
+in Q(zeta_N) represented by polynomials modulo the N-th cyclotomic
+polynomial, with N the group exponent, so row and column orthogonality
+can be verified exactly.
 
 On top of the tables sits the counting layer for a group W_H with a
 normal subgroup W0: the conjugation action phi^g(x) = phi(g x g^{-1})
@@ -23,9 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import EnumerationBoundError
-from .linalg import Residue, charpoly, mat_vec, nullspace, row_echelon
 
 
 # -- cyclotomic polynomials and numbers --------------------------------------
@@ -504,6 +508,38 @@ class CharacterTable:
         }
 
 
+def _kernel_mod(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of the right kernel of a nonempty integer matrix mod a prime p,
+    entries in 0..p-1: one vector per free column of the reduced row
+    echelon form, 1 there and 0 at the other free columns."""
+    m = [[x % p for x in row] for row in rows]
+    ncols = len(m[0])
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        pivot = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = pow(m[row][col], -1, p)
+        top = m[row] = [x * inv % p for x in m[row]]
+        for i, other in enumerate(m):
+            f = other[col]
+            if f and i != row:
+                m[i] = [(x - f * y) % p for x, y in zip(other, top)]
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[free] = 1
+        for row, col in zip(m, pivots):
+            vec[col] = -row[free] % p
+        basis.append(vec)
+    return basis
+
+
 def character_table(group: PermGroup) -> CharacterTable:
     """Dixon's method: diagonalize the class algebra mod p, then lift."""
     if group._table is not None:
@@ -516,59 +552,52 @@ def character_table(group: PermGroup) -> CharacterTable:
     e = group.exponent()
     p = _dixon_prime(group.order, e)
 
-    zero, one = Residue(0, p), Residue(1, p)
-    mats = []
-    for i in range(r):
-        mat = [[0] * r for _ in range(r)]
-        for x in map(_invert, classes[i][1]):
-            for k, zk in enumerate(reps):
-                mat[class_of[_compose(x, zk)]][k] += 1
-        mats.append([[Residue(c, p) for c in row] for row in mat])
-
     # split GF(p)^r into the joint eigenlines of the class sums
-    spaces = [[[one if i == j else zero for i in range(r)] for j in range(r)]]
-    for mat in mats[1:]:
+    spaces = [[[int(i == j) for i in range(r)] for j in range(r)]]
+    for _, members in classes[1:]:
         if all(len(s) == 1 for s in spaces):
             break
+        # the class sum as sparse rows: entry (j, k) counts the x in the
+        # class with x^-1 z_k in class j
+        mat = [{} for _ in range(r)]
+        for x in map(_invert, members):
+            for k, zk in enumerate(reps):
+                row = mat[class_of[_compose(x, zk)]]
+                row[k] = row.get(k, 0) + 1
+        mat = [list(row.items()) for row in mat]
         refined = []
         for basis in spaces:
             d = len(basis)
             if d == 1:
                 refined.append(basis)
                 continue
-            # coordinates of the images in the basis: the class sum on the
-            # invariant subspace, column j holding the image of basis[j]
-            images = [mat_vec(mat, vec) for vec in basis]
-            rref, pivots = row_echelon([list(col) for col in zip(*basis, *images)])
-            if pivots != list(range(d)):
-                raise AssertionError("class sum does not preserve its subspace")
-            action = [row[d:] for row in rref[:d]]
-            columns = list(zip(*basis))
-            # the eigenvalues are the roots of the characteristic polynomial,
-            # so the eigenspace search eliminates only at a root
-            values = [0] * p
-            for c in reversed(charpoly(action, zero, one)):
-                values = [(v * t + c.value) % p for t, v in enumerate(values)]
+            images = [[sum(c * vec[k] for k, c in row) for row in mat] for vec in basis]
+            coords = list(zip(zip(*basis), zip(*images)))
+            # each kernel vector c of M B - t B gives an eigenvector B c for
+            # t; eigenvectors for distinct t are independent, so kernels of
+            # total dimension d show that B spans an invariant subspace
             found = 0
-            for t in (t for t, v in enumerate(values) if v == 0):
-                shift = Residue(t, p)
-                kern = nullspace(
-                    [
-                        [x - shift if i == j else x for j, x in enumerate(row)]
-                        for i, row in enumerate(action)
-                    ],
-                    zero,
-                    one,
+            for t in range(p):
+                kern = _kernel_mod(
+                    [[y - t * x for x, y in zip(xs, ys)] for xs, ys in coords], p
                 )
-                refined.append([mat_vec(columns, kv) for kv in kern])
-                found += len(kern)
+                if kern:
+                    refined.append(
+                        [[sum(map(mul, c, col)) % p for col in zip(*basis)] for c in kern]
+                    )
+                    found += len(kern)
+                    if found == d:
+                        break
             if found != d:
                 raise AssertionError("class-sum matrix failed to diagonalize")
         spaces = refined
     if not all(len(s) == 1 for s in spaces):
         raise AssertionError("class algebra did not split into lines")
 
-    omegas = [[(x / vec[0]).value for x in vec] for (vec,) in spaces]
+    omegas = []
+    for (vec,) in spaces:
+        lead = pow(vec[0], -1, p)
+        omegas.append([x * lead % p for x in vec])
 
     inv_class = [class_of[_invert(rep)] for rep in reps]
     rows_modp = []

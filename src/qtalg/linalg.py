@@ -2,14 +2,12 @@
 
 Dense matrices as lists of row lists.  One generic elimination,
 ``row_echelon``, serves every field: it only uses ``-``, ``*``, ``/`` and
-a zero test, so rationals, ``Scalar`` and residues modulo a prime
-(``Residue``) all go through it.  Kernels, ranks, inverses and solves are
-built on it; products need only a ring.  Determinants come from the
-fraction-free elimination ``fraction_free`` instead, which needs only an
-integral domain with exact ``//``: ``mat_det`` runs it on integer rows,
-and loop determinants and inverses run it on Laurent polynomials.  The
-characteristic polynomial, through Hessenberg form, uses the field
-operations.
+a zero test, so rationals and ``Scalar`` both go through it.  Kernels,
+ranks, inverses and solves are built on it; products need only a ring.
+Determinants come from the fraction-free elimination ``fraction_free``
+instead, which needs only an integral domain with exact ``//``:
+``mat_det`` runs it on integer rows, and loop determinants and inverses
+run it on Laurent polynomials.
 
 Plus a unimodular completion of a primitive integer vector, used to
 change coordinates so that a chosen lattice direction becomes the first
@@ -78,41 +76,6 @@ def is_integral(v: Sequence[Q]) -> bool:
 
 
 # -- generic elimination ---------------------------------------------------
-
-
-class Residue:
-    """Residue class of an integer modulo a prime p, a field element."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def __add__(self, other: Residue) -> Residue:
-        return Residue(self.value + other.value, self.p)
-
-    def __sub__(self, other: Residue) -> Residue:
-        return Residue(self.value - other.value, self.p)
-
-    def __mul__(self, other: Residue) -> Residue:
-        return Residue(self.value * other.value, self.p)
-
-    def __truediv__(self, other: Residue) -> Residue:
-        return Residue(self.value * pow(other.value, -1, self.p), self.p)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.value == other % self.p
-        if not isinstance(other, Residue):
-            return NotImplemented
-        return (self.value, self.p) == (other.value, other.p)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.p))
-
-    def __repr__(self) -> str:
-        return f"{self.value} mod {self.p}"
 
 
 def row_echelon(
@@ -205,50 +168,6 @@ def nullspace(
             vec[pcol] = zero - prow[f]
         basis.append(vec)
     return basis
-
-
-def charpoly(a: Sequence[Sequence], zero, one) -> list:
-    """Characteristic polynomial det(x·I − a), ascending coefficients.
-
-    The matrix is brought to upper Hessenberg form by elementary
-    similarities, then the polynomials of its leading blocks follow by
-    the Hessenberg recurrence (Cohen, *A Course in Computational
-    Algebraic Number Theory*, Algorithms 2.2.9 and 2.2.10), in O(n^3)
-    field operations.
-    """
-    n = len(a)
-    h = [list(row) for row in a]
-    for m in range(1, n - 1):
-        pivot = next((i for i in range(m, n) if h[i][m - 1] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != m:
-            h[m], h[pivot] = h[pivot], h[m]
-            for row in h:
-                row[m], row[pivot] = row[pivot], row[m]
-        lead = h[m][m - 1]
-        for i in range(m + 1, n):
-            if h[i][m - 1] == 0:
-                continue
-            u = h[i][m - 1] / lead
-            h[i] = [x - u * y for x, y in zip(h[i], h[m])]
-            for row in h:
-                row[m] = row[m] + u * row[i]
-    polys = [[one]]
-    for m in range(n):
-        prev = polys[m]
-        # (x - h[m][m]) * prev
-        cur = [zero - h[m][m] * prev[0]]
-        cur += [prev[k - 1] - h[m][m] * prev[k] for k in range(1, m + 1)]
-        cur.append(prev[m])
-        t = one
-        for i in range(1, m + 1):
-            t = t * h[m - i + 1][m - i]
-            c = t * h[m - i][m]
-            for k, y in enumerate(polys[m - i]):
-                cur[k] = cur[k] - c * y
-        polys.append(cur)
-    return polys[n]
 
 
 # -- unimodular completion --------------------------------------------------

@@ -261,7 +261,7 @@ def _absorbs(pair: LatticePair, node: int, v, sign: bool) -> bool:
     eigen v(t - 1/t) - t), as a symbolic operator identity."""
     v = _as_v(v)
     t = Scalar.t()
-    e = _idempotent_word(pair.system, v, sign).to_operator(pair)
+    e = (idempotent_eps_v if sign else idempotent_e_v)(pair, v)
     eigen = v * (t - t.inverse()) - t if sign else t
     return dl_operator(pair, node, v) * e == e.scale(eigen)
 

@@ -345,8 +345,8 @@ PINNED_DOCUMENTS = {
         ),
         "dd1e7102ee1a54635baea7a5eea12fbe4a87023b20a64b937bdbe5c565f3a4a6",
     ),
-    # recorded before the GF(p) kernels, the inverse and the isotropy shift
-    # solve went through the one generic elimination of qtalg.linalg
+    # the whole Dixon table of S3 wr S2, so a change to the split mod p or
+    # to the lift of the values shows here
     "clifford-table-s3-wreath": (
         (
             "clifford", "table", "--json", "--group",
@@ -394,6 +394,27 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "coordinate" in err
     code, _, err = run(capsys, "clifford", "table", "--group", "not json")
     assert code == 2 and "JSON" in err
+    for bad in (
+        '{"degree": 3, "generators": [1, 2]}',
+        '{"degree": 3, "generators": [[0, 1, null]]}',
+        '{"degree": "x", "generators": []}',
+        '{"degree": -2, "generators": []}',
+        '{"degree": true, "generators": []}',
+        '{"degree": 3, "generators": {"0": [1, 0, 2]}}',
+        "[3, [[1, 0, 2]]]",
+    ):
+        code, _, err = run(capsys, "clifford", "table", "--group", bad)
+        assert code == 2 and '"degree": n' in err, bad
+        code, _, err = run(
+            capsys, "clifford", "count", "--group", '{"degree": 3, "generators": []}',
+            "--normal", bad,
+        )
+        assert code == 2 and "--normal" in err, bad
+    # a well-formed list that is not a permutation stays a failed check
+    code, _, err = run(
+        capsys, "clifford", "table", "--group", '{"degree": 3, "generators": [[0, 0, 1]]}'
+    )
+    assert code == 1 and "not a permutation" in err
     code, _, err = run(capsys, "loop")
     assert code == 2
 

@@ -1,6 +1,8 @@
 """Tests for permutation groups, character tables and Clifford counting."""
 
 import cmath
+import hashlib
+import json
 from fractions import Fraction as Q
 from functools import cache
 from itertools import product
@@ -14,6 +16,7 @@ from qtalg.clifford import (
     CharacterTable,
     Cyc,
     PermGroup,
+    _kernel_mod,
     character_table,
     check_normal,
     clifford_count,
@@ -236,6 +239,43 @@ def test_character_table_weyl_d4():
 def test_character_table_is_cached():
     g = s3()
     assert character_table(g) is character_table(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=4
+    )
+)
+def test_kernel_mod_p_matches_enumeration(rows):
+    p = 5
+    basis = _kernel_mod(rows, p)
+    kernel = [
+        v for v in product(range(p), repeat=4)
+        if all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in rows)
+    ]
+    for vec in basis:
+        assert all(sum(a * x for a, x in zip(row, vec)) % p == 0 for row in rows)
+    span = {
+        tuple(sum(c * x for c, x in zip(cs, col)) % p for col in zip(*basis))
+        for cs in product(range(p), repeat=len(basis))
+    }
+    assert len(span) == p ** len(basis) == len(kernel)
+
+
+# sha256 of the JSON tables, recorded before the split mod p moved to plain
+# integers
+TABLE_DIGESTS = {
+    "W(D4)": "80fd86a9c5fecd8660fcff819a19c37c45d24776ed6dddb150bdf3736ece766f",
+    "W(A4)": "44f35945d46fc1f9237c98a050cab719b9886ca89ad0527b340118af1443a4ed",
+    "Q8": "c173ce5d79674026dcbbf1666eb025c1c07a84c1d385a717944d119798b58510",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_tables_keep_their_pinned_digests(name):
+    doc = json.dumps(builtin_table(name).to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == TABLE_DIGESTS[name]
 
 
 # -- Clifford orbits and counting ----------------------------------------------
