@@ -8,8 +8,11 @@ normalized characters mod p, and the true values are recovered as
 cyclotomic integers from the eigenvalue multiplicities of each class
 representative.  The arithmetic mod p is on plain ints: each class sum
 M is kept as sparse integer rows, and an invariant subspace with basis B
-splits into the kernels of M B - t B for t = 0, 1, ..., p - 1, found by
-one elimination mod p each, until they span the subspace.  Values live
+splits into the kernels of M B - t B, found by one elimination mod p
+each, until they span the subspace.  Only the eigenvalues t of M can
+have a kernel, so t runs over the roots of the characteristic
+polynomial of M mod p (Hessenberg reduction, then Horner's rule over
+GF(p)), computed once per class sum.  Values live
 in Q(zeta_N) represented by polynomials modulo the N-th cyclotomic
 polynomial, with N the group exponent, so row and column orthogonality
 can be verified exactly.
@@ -540,6 +543,64 @@ def _kernel_mod(rows: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
+def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial det(tI - A) of a square integer matrix
+    mod a prime p, ascending coefficients in 0..p-1.
+
+    A is reduced mod p to upper Hessenberg form H by similarity (each row
+    operation is undone on the columns), and the polynomials p_m of the
+    leading m x m blocks of H follow the recurrence
+    p_m = (t - h_mm) p_(m-1) - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_(i-1)
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.2.9).
+    """
+    n = len(a)
+    h = [[x % p for x in row] for row in a]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        inv = pow(h[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    polys = [[1]]
+    for m in range(n):
+        # t p_(m-1) - h_mm p_(m-1), then the terms of the rows above
+        prev = polys[-1]
+        new = [0] + prev
+        for k, c in enumerate(prev):
+            new[k] = (new[k] - h[m][m] * c) % p
+        chain = 1
+        for i in range(m - 1, -1, -1):
+            chain = chain * h[i + 1][i] % p
+            if not chain:
+                break
+            f = h[i][m] * chain % p
+            for k, c in enumerate(polys[i]):
+                new[k] = (new[k] - f * c) % p
+        polys.append(new)
+    return polys[-1]
+
+
+def _roots_mod(poly: list[int], p: int) -> list[int]:
+    """The t in 0..p-1 with poly(t) = 0 mod p, in rising order (Horner)."""
+    roots = []
+    for t in range(p):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * t + c) % p
+        if not acc:
+            roots.append(t)
+    return roots
+
+
 def character_table(group: PermGroup) -> CharacterTable:
     """Dixon's method: diagonalize the class algebra mod p, then lift."""
     if group._table is not None:
@@ -564,6 +625,8 @@ def character_table(group: PermGroup) -> CharacterTable:
             for k, zk in enumerate(reps):
                 row = mat[class_of[_compose(x, zk)]]
                 row[k] = row.get(k, 0) + 1
+        dense = [[row.get(k, 0) for k in range(r)] for row in mat]
+        eigenvalues = _roots_mod(_charpoly_mod(dense, p), p)
         mat = [list(row.items()) for row in mat]
         refined = []
         for basis in spaces:
@@ -575,9 +638,11 @@ def character_table(group: PermGroup) -> CharacterTable:
             coords = list(zip(zip(*basis), zip(*images)))
             # each kernel vector c of M B - t B gives an eigenvector B c for
             # t; eigenvectors for distinct t are independent, so kernels of
-            # total dimension d show that B spans an invariant subspace
+            # total dimension d show that B spans an invariant subspace.
+            # Every t with a kernel is an eigenvalue of M, a root of its
+            # characteristic polynomial, so only those are tried
             found = 0
-            for t in range(p):
+            for t in eigenvalues:
                 kern = _kernel_mod(
                     [[y - t * x for x, y in zip(xs, ys)] for xs, ys in coords], p
                 )

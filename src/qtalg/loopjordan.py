@@ -46,7 +46,7 @@ from fractions import Fraction as Q
 
 from .errors import NormalFormError
 from .linalg import fraction_free, mat_mul, rank
-from .mlambda import Character, _as_qpower, isotropy_group
+from .mlambda import Character, _as_qpower, _check_rank, isotropy_group
 from .rootdata import LatticePair, RootSystem, WeylElement
 from .scalars import (
     _ONE,
@@ -620,25 +620,34 @@ def q_centralizer_roots(system: RootSystem, coords) -> tuple:
 
     The point s has coordinates on the simple coroots, so a root alpha
     with simple-root coordinates a_i evaluates to
-    prod_j c_j^(sum_i a_i <alpha_i, alpha_j_vee>).
+    prod_j c_j^(sum_i a_i <alpha_i, alpha_j_vee>).  On the integer form of
+    the values, such a root has rotation 0, q-exponent 0 mod den and
+    magnitude 1.
     """
+    n, a = system.rank, system.cartan
     point = Character(coords)
-    n = system.rank
-    out = []
-    for root in system.roots:
-        x = [sum(root[i] * system.cartan[i][j] for i in range(n)) for j in range(n)]
-        if point.value(x).integral_q_exponent() is not None:
-            out.append(root)
-    return tuple(sorted(out))
+    _check_rank(n, point.rot)
+    at_roots = point.pullback(
+        [[sum(root[i] * a[i][j] for i in range(n)) for j in range(n)] for root in system.roots]
+    )
+    den = at_roots.den
+    return tuple(
+        sorted(
+            root
+            for root, rot, qexp, mag in zip(
+                system.roots, at_roots.rot, at_roots.qexp, at_roots.mag
+            )
+            if rot == 0 and qexp % den == 0 and mag == 1
+        )
+    )
 
 
 def character_on_x(pair: LatticePair, coords) -> Character:
     """Character values on the X basis of a point given on simple coroots:
     the basis vector with Cartan row a_i takes the value prod_j c_j^(a_ij)."""
     point = Character(coords)
-    if pair.kind == "weight":
-        return point
-    return Character(tuple(point.value(row) for row in pair.system.cartan))
+    _check_rank(pair.rank, point.rot)
+    return point if pair.kind == "weight" else point.pullback(pair.system.cartan)
 
 
 def _reflection_closure(system: RootSystem, roots) -> tuple[WeylElement, ...]:
@@ -758,7 +767,7 @@ def constants_equivalent(pair: LatticePair, s1, s2) -> TorusWitness:
     lam1 = character_on_x(pair, s1)
     lam2 = character_on_x(pair, s2)
     for w in pair.system.elements:
-        y = lam1.weyl_act(pair, w).q_shift_to(pair, lam2)
+        y = lam1.weyl_shift_to(pair, w, lam2)
         if y is not None:
             return TorusWitness(True, w, y)
     return TorusWitness(False, None, None)

@@ -1,9 +1,18 @@
 """Windowed weight modules over a quantum torus.
 
-A point of the character torus is a tuple of exact coordinates
-(:class:`~qtalg.scalars.QPower`), one per X-basis vector.  The module
-with base point lambda has basis vectors v_y indexed by shift exponents
-y in a finite window inside Y; the supported weights are lambda*q^y.
+A point of the character torus has one exact coordinate
+zeta^a q^b c (:class:`~qtalg.scalars.QPower`) per X-basis vector, and is
+stored in integer form: the rotations a and q-exponents b scaled by one
+common denominator d, plus the positive rational magnitudes c.  A Weyl
+element acts by the integer matrix of its inverse on these vectors, and
+w(lambda) = lambda q^y holds exactly when the rotations agree mod d, the
+magnitudes agree, and y = adj(P) e / (d det P) is integral, where e is the
+scaled q-exponent difference and P the pairing matrix; no coordinate
+object is built per Weyl element.
+
+The module with base point lambda has basis vectors v_y indexed by shift
+exponents y in a finite window inside Y; the supported weights are
+lambda*q^y.
 Generators act in the normal order "evaluate X after shifting along Y":
 
     e^{y'} v_y = v_{y + y'},      e^x v_y = (lambda q^y)(x) v_y,
@@ -21,8 +30,12 @@ isotropy group carry the full Weyl action.
 
 from __future__ import annotations
 
+from fractions import Fraction as Q
+from math import gcd, lcm, prod
+from operator import mul
+
 from .errors import WindowOverflowError
-from .linalg import is_integral, mat_vec, nullspace
+from .linalg import nullspace
 from .qtorus import HWElement, TorusElement
 from .rootdata import LatticePair, WeylElement
 from .scalars import QPower, Scalar, _as_scalar
@@ -32,65 +45,155 @@ def _as_qpower(c) -> QPower:
     return c if isinstance(c, QPower) else QPower.of(c)
 
 
-class Character:
-    """Point of the character torus of X, by coordinates on the X basis."""
+def _check_rank(rank: int, coords, what: str = "point") -> None:
+    if len(coords) != rank:
+        raise ValueError(f"{what} has {len(coords)} coordinates; the rank is {rank}")
 
-    __slots__ = ("values",)
+
+def _pullback(point, columns) -> tuple[tuple, tuple, tuple]:
+    """The point's values at the integer X vectors ``columns``, in the
+    integer form of ``point`` (rotations, q-exponents, magnitudes) over
+    the same denominator; rotations are not reduced."""
+    rot, qexp, mag = point
+    moved = [j for j, m in enumerate(mag) if m != 1]
+    rots, qexps, mags = [], [], []
+    for col in columns:
+        _check_rank(len(rot), col, "X vector")
+        rots.append(sum(map(mul, rot, col)))
+        qexps.append(sum(map(mul, qexp, col)))
+        mags.append(prod([mag[j] ** col[j] for j in moved]))
+    return tuple(rots), tuple(qexps), tuple(mags)
+
+
+def _q_shift(pair: LatticePair, den: int, src, dst) -> tuple[int, ...] | None:
+    """The y in Y with dst = src * q^y for two points in integer form over
+    the denominator den, or None.  The rotations must agree mod den and
+    the magnitudes exactly; the q-exponent difference e (scaled by den)
+    must solve <b_i, y> = e_i / den integrally, so y = adj(P) e / (den
+    det P) for the pairing matrix P must be integral."""
+    (r1, e1, m1), (r2, e2, m2) = src, dst
+    if any((a - b) % den for a, b in zip(r1, r2)) or m1 != m2:
+        return None
+    diff = [b - a for a, b in zip(e1, e2)]
+    scale = den * pair.pairing_det
+    y = []
+    for row in pair.pairing_adj:
+        v, rem = divmod(sum(map(mul, row, diff)), scale)
+        if rem:
+            return None
+        y.append(v)
+    return tuple(y)
+
+
+class Character:
+    """Point of the character torus of X, by coordinates on the X basis.
+
+    Stored in integer form: coordinate i is zeta^(rot_i / den) *
+    q^(qexp_i / den) * mag_i, where zeta = exp(2 pi i), den is the least
+    common denominator of all rotations and q-exponents, 0 <= rot_i < den
+    and mag_i is a positive rational.  The form is unique, so equality
+    compares it.  ``values`` gives the coordinates as ``QPower``s.
+    """
+
+    __slots__ = ("den", "rot", "qexp", "mag")
 
     def __init__(self, values):
-        self.values = tuple(_as_qpower(v) for v in values)
+        values = [_as_qpower(v) for v in values]
+        den = lcm(*(v.rot.denominator for v in values), *(v.qexp.denominator for v in values))
+        self._set(
+            den,
+            [int(v.rot * den) for v in values],
+            [int(v.qexp * den) for v in values],
+            [v.mag for v in values],
+        )
+
+    def _set(self, den: int, rot, qexp, mag) -> None:
+        g = gcd(den, *rot, *qexp)
+        if g > 1:
+            den //= g
+            rot = [r // g for r in rot]
+            qexp = [e // g for e in qexp]
+        self.den = den
+        self.rot = tuple(r % den for r in rot)
+        self.qexp = tuple(qexp)
+        self.mag = tuple(mag)
+
+    @classmethod
+    def _of(cls, den: int, rot, qexp, mag) -> Character:
+        """The point with the integer form over den, in lowest terms."""
+        out = cls.__new__(cls)
+        out._set(den, rot, qexp, mag)
+        return out
+
+    @property
+    def values(self) -> tuple[QPower, ...]:
+        d = self.den
+        return tuple(
+            QPower(Q(r, d), Q(e, d), m) for r, e, m in zip(self.rot, self.qexp, self.mag)
+        )
 
     @property
     def rank(self) -> int:
-        return len(self.values)
+        return len(self.rot)
+
+    def _over(self, den: int) -> tuple[tuple, tuple, tuple]:
+        """The integer form over a multiple den of the own denominator."""
+        k = den // self.den
+        if k == 1:
+            return self.rot, self.qexp, self.mag
+        return tuple(r * k for r in self.rot), tuple(e * k for e in self.qexp), self.mag
 
     def value(self, x) -> QPower:
         """lambda(x) for integer X coordinates; a non-integral coordinate
         raises ValueError."""
-        out = QPower.one()
-        for v, e in zip(self.values, x):
-            if e:
-                if int(e) != e:
-                    raise ValueError(f"X coordinate {e} is not an integer")
-                out = out * v ** int(e)
-        return out
+        for e in x:
+            if int(e) != e:
+                raise ValueError(f"X coordinate {e} is not an integer")
+        (rot,), (qexp,), (mag,) = _pullback(self._over(self.den), [[int(e) for e in x]])
+        return QPower(Q(rot, self.den), Q(qexp, self.den), mag)
+
+    def pullback(self, rows) -> Character:
+        """The point whose i-th coordinate is lambda at the integer X
+        vector rows[i]."""
+        return Character._of(self.den, *_pullback(self._over(self.den), rows))
 
     def times_q_y(self, pair: LatticePair, y) -> Character:
         """The point lambda * q^y, i.e. coordinates scaled by q^{<b_i, y>}."""
-        n = self.rank
-        exps = [
-            sum(pair.pairing[i][j] * y[j] for j in range(n)) for i in range(n)
-        ]
-        return Character(
-            tuple(v * QPower.q(e) for v, e in zip(self.values, exps))
-        )
+        _check_rank(pair.rank, self.rot)
+        _check_rank(pair.rank, y, "Y vector")
+        d = self.den
+        qexp = [e + d * sum(map(mul, row, y)) for e, row in zip(self.qexp, pair.pairing)]
+        return Character._of(d, self.rot, qexp, self.mag)
+
+    @staticmethod
+    def _columns(pair: LatticePair, w: WeylElement):
+        """(w lambda)(x) = lambda(w^{-1} x): coordinate i of w(lambda) is
+        lambda at column i of the matrix of w^{-1}."""
+        return zip(*pair.x_matrix(w.inverse()))
 
     def weyl_act(self, pair: LatticePair, w: WeylElement) -> Character:
-        """(w lambda)(x) = lambda(w^{-1} x), so the i-th coordinate is
-        lambda at the i-th column of w^{-1}."""
-        columns = zip(*pair.x_matrix(w.inverse()))
-        return Character(tuple(self.value(col) for col in columns))
+        """The point w(lambda)."""
+        return self.pullback(self._columns(pair, w))
 
-    def q_shift_to(self, pair: LatticePair, other: Character) -> tuple[int, ...] | None:
-        """The y in Y with other = self * q^y, or None when there is none:
-        the coordinate ratios must be plain q-powers whose exponents d
-        solve <b_i, y> = d_i integrally."""
-        exps = []
-        for new, old in zip(other.values, self.values):
-            e = (new / old).plain_q_exponent()
-            if e is None:
-                return None
-            exps.append(e)
-        y = mat_vec(pair.pairing_inv, exps)
-        return tuple(int(v) for v in y) if is_integral(y) else None
+    def weyl_shift_to(
+        self, pair: LatticePair, w: WeylElement, other: Character
+    ) -> tuple[int, ...] | None:
+        """The y in Y with other = w(lambda) * q^y, or None when there is
+        none; w(lambda) is formed in integers and not normalized."""
+        _check_rank(self.rank, other.rot)
+        den = lcm(self.den, other.den)
+        moved = _pullback(self._over(den), self._columns(pair, w))
+        return _q_shift(pair, den, moved, other._over(den))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Character):
             return NotImplemented
-        return self.values == other.values
+        return (self.den, self.rot, self.qexp, self.mag) == (
+            other.den, other.rot, other.qexp, other.mag
+        )
 
     def __hash__(self) -> int:
-        return hash(self.values)
+        return hash((self.den, self.rot, self.qexp, self.mag))
 
     def __repr__(self) -> str:
         return "lambda(" + ", ".join(str(v) for v in self.values) + ")"
@@ -104,16 +207,15 @@ class IsotropyGroup:
 
     def __init__(self, pair: LatticePair, shifts: dict[WeylElement, tuple[int, ...]]):
         self.pair = pair
-        self.shifts = dict(shifts)
-        for w1, y1 in self.shifts.items():
-            for w2, y2 in self.shifts.items():
-                prod = w1 * w2
-                if prod not in self.shifts:
+        self.shifts = shifts = dict(shifts)
+        for w1, y1 in shifts.items():
+            rows = tuple(zip(y1, pair.y_matrix(w1)))
+            for w2, y2 in shifts.items():
+                got = shifts.get(w1 * w2)
+                if got is None:
                     raise ValueError("isotropy set is not closed under products")
-                expected = tuple(
-                    a + b for a, b in zip(y1, pair.act_y(w1, y2))
-                )
-                if self.shifts[prod] != expected:
+                # y_{w1 w2} = y_{w1} + w1(y_{w2})
+                if got != tuple([a + sum(map(mul, row, y2)) for a, row in rows]):
                     raise ValueError("isotropy shifts violate the cocycle identity")
 
     @property
@@ -141,12 +243,14 @@ class IsotropyGroup:
 
 def isotropy_group(pair: LatticePair, lam: Character) -> IsotropyGroup:
     """All w with w(lambda) = lambda * q^{y_w} for some y_w in Y, each
-    shift found exactly by ``Character.q_shift_to``."""
+    shift found exactly on the integer form of the point."""
+    _check_rank(pair.rank, lam.rot)
     shifts: dict[WeylElement, tuple[int, ...]] = {}
     for w in pair.system.elements:
-        y = lam.q_shift_to(pair, lam.weyl_act(pair, w))
+        # lambda = w(lambda) q^y exactly when w(lambda) = lambda q^(-y)
+        y = lam.weyl_shift_to(pair, w, lam)
         if y is not None:
-            shifts[w] = y
+            shifts[w] = tuple(-v for v in y)
     return IsotropyGroup(pair, shifts)
 
 

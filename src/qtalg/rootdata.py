@@ -365,7 +365,11 @@ class LatticePair:
         n = system.rank
         a = system.cartan
         self.pairing = a if kind == "root" else _identity_mat(n)
-        self.pairing_inv = mat_inv(self.pairing)
+        # the pairing inverted in integers, as adj(P) / det(P)
+        self.pairing_det = int(mat_det(self.pairing))
+        self.pairing_adj = tuple(
+            tuple(int(self.pairing_det * x) for x in row) for row in mat_inv(self.pairing)
+        )
         # coordinate change from root coords to X coords (c = A^T r) and from
         # coroot coords to Y coords (d = A m); None stands for the identity
         at = tuple(zip(*a))

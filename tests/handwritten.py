@@ -2,15 +2,17 @@
 
 :mod:`qtalg` computes each of these objects once, through its general
 code: the node-0 cocycle through ``TorusFraction.ratio``, the involution
-Xi through ``HeckeExpression`` arithmetic, every torus-point product
-through ``Character.value``, and evaluations and residues on a divisor
-e^alpha = tau on the monomial data of tau and of the stored factors.  This
-is the earlier code, which built them by hand: the cocycle over an
-explicit two-monomial denominator, Xi by expanding each word atom by atom,
-the point products as explicit loops of coordinate powers, the divisor
-code through ``Scalar`` powers, products and differences of tau and of
-each factor value, and the transversal of a component group by a search
-of the cosets of its reflection subgroup.
+Xi through ``HeckeExpression`` arithmetic, every torus-point product,
+isotropy shift and torus witness on the integer form of a ``Character``,
+and evaluations and residues on a divisor e^alpha = tau on the monomial
+data of tau and of the stored factors.  This is the earlier code, which
+built them by hand: the cocycle over an explicit two-monomial
+denominator, Xi by expanding each word atom by atom, the point products
+as explicit loops of ``QPower`` powers, the shifts from ``QPower`` ratios
+and the rational inverse of the pairing, the divisor code through
+``Scalar`` powers, products and differences of tau and of each factor
+value, and the transversal of a component group by a search of the
+cosets of its reflection subgroup.
 """
 
 from fractions import Fraction as Q
@@ -18,6 +20,7 @@ from fractions import Fraction as Q
 from qtalg import torusfn
 from qtalg.daha import _as_v
 from qtalg.errors import PoleError
+from qtalg.linalg import is_integral, mat_inv, mat_vec
 from qtalg.mlambda import Character
 from qtalg.scalars import QPower, Scalar, _as_scalar, _norm
 from qtalg.spherical import HeckeExpression
@@ -111,6 +114,47 @@ def character_on_x(pair, coords) -> Character:
             acc = acc * coords[j] ** int(cartan[i][j])
         vals.append(acc)
     return Character(tuple(vals))
+
+
+def times_q_y(lam: Character, pair, y) -> Character:
+    """lambda * q^y: coordinate i times q^{<b_i, y>}."""
+    n = lam.rank
+    exps = [sum(pair.pairing[i][j] * y[j] for j in range(n)) for i in range(n)]
+    return Character(tuple(v * QPower.q(e) for v, e in zip(lam.values, exps)))
+
+
+def q_shift_to(pair, lam: Character, other: Character):
+    """The y with other = lam * q^y: the coordinate ratios must be plain
+    q-powers, and y solves <b_i, y> = d_i through the rational inverse of
+    the pairing."""
+    exps = []
+    for new, old in zip(other.values, lam.values):
+        e = (new / old).plain_q_exponent()
+        if e is None:
+            return None
+        exps.append(e)
+    y = mat_vec(mat_inv(pair.pairing), exps)
+    return tuple(int(v) for v in y) if is_integral(y) else None
+
+
+def isotropy_shifts(pair, lam: Character) -> dict:
+    """w -> y_w for every w with w(lambda) = lambda * q^{y_w}."""
+    shifts = {}
+    for w in pair.system.elements:
+        y = q_shift_to(pair, lam, weyl_act(lam, pair, w))
+        if y is not None:
+            shifts[w] = y
+    return shifts
+
+
+def constants_equivalent(pair, s1, s2):
+    """The first (w, y) in W with s2 = w(s1) * q^y on the X basis, or None."""
+    lam1, lam2 = character_on_x(pair, s1), character_on_x(pair, s2)
+    for w in pair.system.elements:
+        y = q_shift_to(pair, weyl_act(lam1, pair, w), lam2)
+        if y is not None:
+            return w, y
+    return None
 
 
 def q_centralizer_roots(system, coords) -> tuple:

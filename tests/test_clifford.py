@@ -16,7 +16,9 @@ from qtalg.clifford import (
     CharacterTable,
     Cyc,
     PermGroup,
+    _charpoly_mod,
     _kernel_mod,
+    _roots_mod,
     character_table,
     check_normal,
     clifford_count,
@@ -261,6 +263,21 @@ def test_kernel_mod_p_matches_enumeration(rows):
         for cs in product(range(p), repeat=len(basis))
     }
     assert len(span) == p ** len(basis) == len(kernel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([3, 5, 7, 13, 37]), st.data())
+def test_charpoly_mod_p_roots_are_the_eigenvalues(n, p, data):
+    # t is a root of det(tI - A) mod p exactly when A - tI has a kernel
+    entries = st.integers(-9, 9) | st.just(0)
+    a = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    poly = _charpoly_mod(a, p)
+    assert len(poly) == n + 1 and poly[-1] == 1
+    assert all(0 <= c < p for c in poly)
+    roots = _roots_mod(poly, p)
+    for t in range(p):
+        shifted = [[x - t * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        assert (t in roots) == bool(_kernel_mod(shifted, p))
 
 
 # sha256 of the JSON tables, recorded before the split mod p moved to plain

@@ -31,7 +31,7 @@ from qtalg.loopjordan import (
     solve_shift_equation,
     unipotent_parts_conjugate,
 )
-from qtalg.mlambda import isotropy_group
+from qtalg.mlambda import Character, isotropy_group
 from qtalg.rootdata import LatticePair, RootSystem
 from qtalg.scalars import LaurentPoly, QPower, Scalar, _cancel_common
 from qtalg.torusfn import TorusFraction
@@ -773,6 +773,72 @@ def test_point_products_match_the_hand_written_loops(key, data):
     for w in system.elements:
         moved = lam.weyl_act(pair, w)
         assert moved.to_json() == handwritten.weyl_act(lam, pair, w).to_json()
+
+
+_INTEGER_PAIRS = {
+    (name, kind): LatticePair(RootSystem(name), kind)
+    for name in ("A2", "B2", "G2", "A3")
+    for kind in LatticePair.KINDS
+}
+
+
+@st.composite
+def _integer_form_coordinates(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    return QPower(
+        rot=Q(draw(st.integers(0, n - 1)), n),
+        qexp=Q(draw(st.integers(-2 * m, 2 * m)), m),
+        mag=draw(st.sampled_from([Q(1), Q(2), Q(1, 3)])),
+    )
+
+
+@given(st.sampled_from(sorted(_INTEGER_PAIRS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_points_match_the_qpower_route(key, data):
+    # isotropy shifts, centralizer roots, torus witnesses and the Weyl and
+    # q-shift actions on the integer form, against QPower products and the
+    # rational inverse of the pairing
+    pair = _INTEGER_PAIRS[key]
+    system = pair.system
+    n = system.rank
+    s1 = data.draw(st.tuples(*[_integer_form_coordinates()] * n))
+    lam = character_on_x(pair, s1)
+    assert isotropy_group(pair, lam).shifts == handwritten.isotropy_shifts(pair, lam)
+    assert q_centralizer_roots(system, s1) == handwritten.q_centralizer_roots(system, s1)
+    w = data.draw(st.sampled_from(system.elements))
+    y = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
+    moved, expected = lam.weyl_act(pair, w), handwritten.weyl_act(lam, pair, w)
+    assert moved == expected and moved.to_json() == expected.to_json()
+    shifted, expected = lam.times_q_y(pair, y), handwritten.times_q_y(lam, pair, y)
+    assert shifted == expected and shifted.to_json() == expected.to_json()
+    # a conjugate point, moved on the weight chart, or an unrelated one
+    if data.draw(st.booleans()):
+        weight = _INTEGER_PAIRS[key[0], "weight"]
+        s2 = Character(s1).weyl_act(weight, w).times_q_y(weight, y).values
+    else:
+        s2 = data.draw(st.tuples(*[_integer_form_coordinates()] * n))
+    wit = constants_equivalent(pair, s1, s2)
+    found = handwritten.constants_equivalent(pair, s1, s2)
+    assert bool(wit) == (found is not None)
+    if wit:
+        assert (wit.w, wit.y) == found
+        lam1, lam2 = handwritten.character_on_x(pair, s1), handwritten.character_on_x(pair, s2)
+        moved = handwritten.weyl_act(lam1, pair, wit.w)
+        assert handwritten.times_q_y(moved, pair, wit.y) == lam2
+
+
+def test_a_point_of_the_wrong_rank_is_rejected():
+    pair = LatticePair(A2, "root")
+    half = QPower.q(Q(1, 2))
+    with pytest.raises(ValueError, match="coordinates"):
+        constants_equivalent(pair, (half,), (half, half))
+    with pytest.raises(ValueError, match="coordinates"):
+        constants_equivalent(pair, (half, half), (half,))
+    with pytest.raises(ValueError, match="coordinates"):
+        q_centralizer_roots(A2, (half,))
+    with pytest.raises(ValueError, match="coordinates"):
+        component_weyl(LatticePair(A2, "weight"), (half, half, half))
 
 
 # -- component groups ---------------------------------------------------------

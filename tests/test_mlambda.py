@@ -59,6 +59,17 @@ def test_character_value_rejects_a_non_integral_coordinate():
         lam_a2().value((1, Q(1, 2)))
 
 
+def test_a_point_of_the_wrong_rank_is_rejected():
+    with pytest.raises(ValueError, match="coordinates"):
+        Character((1, 1, 1)).value((1,))
+    with pytest.raises(ValueError, match="coordinates"):
+        isotropy_group(A2, lam_a1())
+    with pytest.raises(ValueError, match="coordinates"):
+        lam_a2().times_q_y(A2, (1,))
+    with pytest.raises(ValueError, match="coordinates"):
+        lam_a1().weyl_shift_to(A1, A1.system.identity, lam_a2())
+
+
 def test_weyl_act_on_character():
     s = A1.system.simple_reflection(0)
     moved = lam_a1().weyl_act(A1, s)

@@ -10,7 +10,7 @@ in W_lambda must be those of the q-centralizer roots, found root by root,
 and a seeded conjugate point w(lambda) q^y must have the same type.
 
 Tier-1 sweeps A2, B2, G2 and A3 at both orders.  The 256 2-torsion points
-of D4 take about a minute, so CI runs them as a step of their own through
+of D4 take about 20 s of CPU, so CI runs them as a step of their own through
 ``sweep``.
 """
 
