@@ -190,8 +190,14 @@ class DiffRefOperator:
 # -- generators ---------------------------------------------------------------
 
 
+def _check_node(pair: LatticePair, node: int) -> None:
+    if not 0 <= node <= pair.rank:
+        raise ValueError(f"node {node} is not an affine node 0..{pair.rank}")
+
+
 def node_reflection(pair: LatticePair, node: int) -> DiffRefOperator:
     """[s_i] for finite nodes (1..l); D^{-theta_coroot}[s_theta] for node 0."""
+    _check_node(pair, node)
     system = pair.system
     if node == 0:
         w = system.reflection(system.highest_root)
@@ -203,6 +209,7 @@ def node_reflection(pair: LatticePair, node: int) -> DiffRefOperator:
 def node_cocycle(pair: LatticePair, node: int, v) -> TorusFraction:
     """c_i = v (t - 1/t) / (e^{alpha_i} - 1), with e^{alpha_0} = q^2 e^{-theta},
     so that c_0 = -v (t - 1/t) e^theta / (e^theta - q^2)."""
+    _check_node(pair, node)
     v = _as_scalar(v)
     t = Scalar.t()
     top = v * (t - t.inverse())

@@ -2,15 +2,25 @@
 
 The finite Hecke algebra sits inside the operator algebra through the
 deformed generators T_i(v) on the finite nodes (1-based).  With
-y = t - v(t - 1/t) the symmetrizing idempotent is
+y = t - v(t - 1/t) and W(r) = sum_w r^{l(w)} the Poincare sum, the
+symmetrizing idempotent e_v = (1/W(t/y)) sum_w y^{-l(w)} T_{w,v} absorbs
+each generator with eigenvalue t.  Its sign-side partner, the image of e_v
+under the involution Xi, is eps_v = (1/W(y/t)) sum_w (-t)^{-l(w)} T_{w,v},
+with eigenvalue v(t - 1/t) - t = -y.
 
-    e_v = (1/W(t, v)) * sum_w  y^{-l(w)} T_{w,v},   W(t, v) = sum_w (t/y)^{l(w)},
+Both are built in normal order from one torus fraction.  With ty = t*y and
+N positive roots, let h = prod_{a > 0} (t^2 - ty e^a)/(e^a - 1) and
+k = w0(h).  Then
 
-absorbing each generator with eigenvalue t.  Its sign-side partner
-eps_v absorbs with the opposite eigenvalue v(t - 1/t) - t; the bare sum
-sum_w (-1)^{l(w)} T_{w,v} is not idempotent, so eps_v is normalized here
-as (1/c) sum_w (-t)^{-l(w)} T_{w,v} with c = sum_w (y/t)^{l(w)}, which
-makes eps_v the exact image of e_v under the involution Xi.
+    e_v   = (1/S) sum_w w(h) [w],                  S = (-ty)^N W(t/y),
+    eps_v = (1/S) k sum_w (-1)^{l(w)} [w],         S = (-t^2)^N W(y/t).
+
+The two S agree (w -> w w0 sends l(w) to N - l(w)) and equal sum_w w(h):
+Macdonald's identity for the Poincare series (I. G. Macdonald, The
+Poincare series of a Coxeter group, Math. Ann. 199, 1972; Affine Hecke
+algebras and orthogonal polynomials, 2003, ch. 5).  The first form
+inverts y, so e_v raises ZeroDivisionError at y = 0, where eps_v is still
+defined; a vanishing W raises ValueError for both.
 
 Membership of a normal-ordered operator h = sum h_{w,mu} D^mu [w] in the
 spherical subalgebra e*H*e is equivalent to two coefficient conditions,
@@ -104,16 +114,6 @@ class HeckeExpression:
             terms[word] = terms[word] + c if word in terms else c
         return HeckeExpression(self.v, terms)
 
-    def __neg__(self) -> HeckeExpression:
-        return self.scale(Scalar.const(-1))
-
-    def __sub__(self, other) -> HeckeExpression:
-        return self + (-other)
-
-    def scale(self, c) -> HeckeExpression:
-        c = _as_scalar(c)
-        return HeckeExpression(self.v, {w: c * x for w, x in self.terms.items()})
-
     def __mul__(self, other) -> HeckeExpression:
         if not isinstance(other, HeckeExpression):
             return NotImplemented
@@ -125,9 +125,6 @@ class HeckeExpression:
                 c = c1 * c2
                 terms[key] = terms[key] + c if key in terms else c
         return HeckeExpression(self.v, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeckeExpression):
@@ -203,57 +200,46 @@ def poincare_sum(system: RootSystem, ratio: Scalar) -> Scalar:
     return out
 
 
-def _idempotent_word(system: RootSystem, v, sign: bool) -> HeckeExpression:
-    """e_v, or eps_v for sign=True, as a generator-word expression.
-
-    The weight of w is y^{-l(w)} / W(t, v) for e_v and (-t)^{-l(w)} / c
-    for eps_v, with the normalizations of the module docstring.  Scalars
-    are stored in lowest terms, so one formula serves every v.  A
-    vanishing normalization raises ValueError; for e_v a vanishing y
-    raises first, when it is inverted.
-    """
-    v = _as_v(v)
-    y = deformed_y(v)
-    if sign:
-        norm = poincare_sum(system, y * Scalar.t().inverse())
-        base = (Scalar.const(-1) * Scalar.t()).inverse()
-    else:
-        norm = poincare_sum(system, Scalar.t() * y.inverse())
-        base = y.inverse()
-    if norm.is_zero():
-        raise ValueError(_NORM_ERROR[sign])
-    norm_inv = norm.inverse()
-    terms = {
-        tuple((_T, i + 1) for i in w.word): norm_inv * base**w.length
-        for w in system.elements
-    }
-    return HeckeExpression(v, terms)
+def _normalizer(system: RootSystem, scale: Scalar, ratio: Scalar) -> Scalar:
+    """1/(scale^N W(ratio)); a vanishing W raises ValueError."""
+    poincare = poincare_sum(system, ratio)
+    if poincare.is_zero():
+        raise ValueError("normalization W(t, v) vanishes")
+    return (scale ** len(system.positive_roots) * poincare).inverse()
 
 
-_NORM_ERROR = {
-    False: "normalization W(t, v) vanishes",
-    True: "normalization of the anti-symmetrizer vanishes",
-}
-
-
-def symmetrizer_word(system: RootSystem, v=None) -> HeckeExpression:
-    """e_v as a generator-word expression."""
-    return _idempotent_word(system, v, sign=False)
-
-
-def antisymmetrizer_word(system: RootSystem, v=None) -> HeckeExpression:
-    """eps_v as a generator-word expression, normalized to be idempotent."""
-    return _idempotent_word(system, v, sign=True)
+def _macdonald_h(pair: LatticePair, ty: Scalar) -> TorusFraction:
+    """h = prod_{a > 0} (t^2 - ty e^a)/(e^a - 1)."""
+    t2 = Scalar.t() * Scalar.t()
+    zero = (0,) * pair.rank
+    h = TorusFraction.one(pair)
+    for alpha in pair.positive_roots_x():
+        h = h * TorusFraction.ratio(pair, {zero: t2, alpha: -ty}, [(alpha, 1)])
+    return h
 
 
 def idempotent_e_v(pair: LatticePair, v=None) -> DiffRefOperator:
-    """The symmetrizing idempotent as a normal-ordered operator."""
-    return symmetrizer_word(pair.system, v).to_operator(pair)
+    """The symmetrizing idempotent (1/S) sum_w w(h) [w], from the product
+    formula of the module docstring."""
+    system = pair.system
+    t, y = Scalar.t(), deformed_y(v)
+    norm = _normalizer(system, -(t * y), t * y.inverse())
+    h = _macdonald_h(pair, t * y).scale(norm)
+    zero = (0,) * pair.rank
+    return DiffRefOperator(pair, {(w, zero): h.weyl_act(w) for w in system.elements})
 
 
 def idempotent_eps_v(pair: LatticePair, v=None) -> DiffRefOperator:
-    """The sign-side idempotent as a normal-ordered operator."""
-    return antisymmetrizer_word(pair.system, v).to_operator(pair)
+    """The sign-side idempotent (1/S) k sum_w (-1)^{l(w)} [w], from the
+    product formula of the module docstring."""
+    system = pair.system
+    t, y = Scalar.t(), deformed_y(v)
+    norm = _normalizer(system, -(t * t), y * t.inverse())
+    k = _macdonald_h(pair, t * y).weyl_act(system.longest_element).scale(norm)
+    zero = (0,) * pair.rank
+    return DiffRefOperator(
+        pair, {(w, zero): -k if w.length % 2 else k for w in system.elements}
+    )
 
 
 def _absorbs(pair: LatticePair, node: int, v, sign: bool) -> bool:
@@ -373,7 +359,7 @@ def sign_rep_apply(
     """Act by the involuted word on the anti-symmetrized function space."""
     if not isinstance(expr, HeckeExpression):
         raise TypeError("sign_rep_apply expects a generator-word expression")
-    proj = antisymmetrizer_word(pair.system, expr.v).to_operator(pair)
+    proj = idempotent_eps_v(pair, expr.v)
     if proj.apply(f) != f:
         raise ValueError("function is not in the projected subspace")
     image = im_involution(expr).to_operator(pair).apply(f)

@@ -2,12 +2,15 @@
 
 :mod:`qtalg` computes each of these objects once, through its general
 code: the node-0 cocycle through ``TorusFraction.ratio``, the involution
-Xi through ``HeckeExpression`` arithmetic, every torus-point product,
+Xi through ``HeckeExpression`` arithmetic, the spherical idempotents
+through Macdonald's product formula, every torus-point product,
 isotropy shift and torus witness on the integer form of a ``Character``,
 and evaluations and residues on a divisor e^alpha = tau on the monomial
 data of tau and of the stored factors.  This is the earlier code, which
 built them by hand: the cocycle over an explicit two-monomial
-denominator, Xi by expanding each word atom by atom, the point products
+denominator, Xi by expanding each word atom by atom, the idempotents as
+sums of |W| generator words, each pushed through the operator products of
+``HeckeExpression.to_operator``, the point products
 as explicit loops of ``QPower`` powers, the shifts from ``QPower`` ratios
 and the rational inverse of the pairing, the divisor code through
 ``Scalar`` powers, products and differences of tau and of each factor
@@ -23,7 +26,7 @@ from qtalg.errors import PoleError
 from qtalg.linalg import is_integral, mat_inv, mat_vec
 from qtalg.mlambda import Character
 from qtalg.scalars import QPower, Scalar, _as_scalar, _norm
-from qtalg.spherical import HeckeExpression
+from qtalg.spherical import HeckeExpression, deformed_y, poincare_sum
 from qtalg.torusfn import TorusFraction
 
 
@@ -81,6 +84,51 @@ def im_involution(expr: HeckeExpression) -> HeckeExpression:
         for new_word, c2 in partial.items():
             out[new_word] = out[new_word] + c2 if new_word in out else c2
     return HeckeExpression(expr.v, out)
+
+
+def _idempotent_word(system, v, sign: bool) -> HeckeExpression:
+    """e_v, or eps_v for sign=True, as a generator-word expression.
+
+    The weight of w is y^{-l(w)} / W(t/y) for e_v and (-t)^{-l(w)} / W(y/t)
+    for eps_v.  A vanishing normalization raises ValueError; for e_v a
+    vanishing y raises ZeroDivisionError first, when it is inverted.
+    """
+    v = _as_v(v)
+    y = deformed_y(v)
+    if sign:
+        norm = poincare_sum(system, y * Scalar.t().inverse())
+        base = (Scalar.const(-1) * Scalar.t()).inverse()
+    else:
+        norm = poincare_sum(system, Scalar.t() * y.inverse())
+        base = y.inverse()
+    if norm.is_zero():
+        raise ValueError("normalization vanishes")
+    norm_inv = norm.inverse()
+    terms = {
+        tuple(("T", i + 1) for i in w.word): norm_inv * base**w.length
+        for w in system.elements
+    }
+    return HeckeExpression(v, terms)
+
+
+def symmetrizer_word(system, v=None) -> HeckeExpression:
+    """e_v as a generator-word expression."""
+    return _idempotent_word(system, v, sign=False)
+
+
+def antisymmetrizer_word(system, v=None) -> HeckeExpression:
+    """eps_v as a generator-word expression, normalized to be idempotent."""
+    return _idempotent_word(system, v, sign=True)
+
+
+def idempotent_e_v(pair, v=None):
+    """e_v as the operator of its generator words."""
+    return symmetrizer_word(pair.system, v).to_operator(pair)
+
+
+def idempotent_eps_v(pair, v=None):
+    """eps_v as the operator of its generator words."""
+    return antisymmetrizer_word(pair.system, v).to_operator(pair)
 
 
 def _as_qpower(c) -> QPower:

@@ -149,6 +149,20 @@ def test_dl_finite_node_closed_forms():
     assert op.terms[(s, (0,))] == frac(A1, {(1,): T, (0,): -T.inverse()}, den)
 
 
+@pytest.mark.parametrize("pair", [A1, A2], ids=["A1", "A2"])
+def test_out_of_range_nodes_are_rejected(pair):
+    # node -1 once wrapped to the last simple reflection; rank + 1 hit an IndexError
+    for node in (-1, pair.rank + 1):
+        for build in (
+            lambda: node_reflection(pair, node),
+            lambda: node_cocycle(pair, node, 1),
+            lambda: dl_operator(pair, node),
+            lambda: dl_operator(pair, node, 1),
+        ):
+            with pytest.raises(ValueError, match="not an affine node"):
+                build()
+
+
 def test_dl_affine_node_closed_forms():
     op = dl_operator(A1, 0, 1)
     s = A1.system.simple_reflection(0)

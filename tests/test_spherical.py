@@ -9,20 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtalg.daha import DiffRefOperator, default_pair, dl_operator
+from qtalg.rootdata import LatticePair, RootSystem
 from qtalg.scalars import Scalar
 from qtalg.spherical import (
     HeckeExpression,
-    antisymmetrizer_word,
     check_absorption,
     check_sign_absorption,
     check_spherical,
+    deformed_y,
     idempotent_e_v,
     idempotent_eps_v,
     im_involution,
+    poincare_sum,
     reduced_words,
     sign_rep_apply,
     spherical_ratio,
-    symmetrizer_word,
 )
 from qtalg.torusfn import TorusFraction
 
@@ -124,9 +125,8 @@ def test_idempotents_at_a_v_with_a_denominator():
 def test_eps_v_idempotent_and_xi_image():
     eps = idempotent_eps_v(A1)
     assert eps * eps == eps
-    assert im_involution(symmetrizer_word(A1.system)) == antisymmetrizer_word(
-        A1.system
-    )
+    xi_image = im_involution(ref.symmetrizer_word(A1.system))
+    assert xi_image == ref.antisymmetrizer_word(A1.system)
 
 
 def test_absorption():
@@ -149,6 +149,65 @@ def test_absorption_at_every_node_at_symbolic_v(label):
         assert check_sign_absorption(pair, node)
 
 
+@pytest.mark.parametrize("label", ["B2", "G2"])
+def test_right_absorption_at_every_node_at_symbolic_v(label):
+    # T_i e_v = t e_v holds whatever the coefficient h; e_v T_i = t e_v tests h
+    pair = default_pair(label)
+    e = idempotent_e_v(pair)
+    for node in range(1, pair.rank + 1):
+        assert e * dl_operator(pair, node) == e.scale(T)
+
+
+# -- the product formula against the word build -----------------------------------
+
+T2 = T * T
+Y_ZERO = T2 * (T2 - ONE).inverse()  # y = t - v(t - 1/t) vanishes here
+GRID_V = [0, 1, 2, T.inverse(), None, Y_ZERO]
+
+
+def assert_same_idempotent(got, expected):
+    assert got == expected
+    assert got.to_json() == expected.to_json()
+
+
+@pytest.mark.parametrize("kind", LatticePair.KINDS)
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_product_formula_matches_the_word_build(label, kind):
+    pair = LatticePair(RootSystem(label), kind)
+    for v in GRID_V:
+        assert_same_idempotent(idempotent_eps_v(pair, v), ref.idempotent_eps_v(pair, v))
+        if v is Y_ZERO:
+            for build in (idempotent_e_v, ref.idempotent_e_v):
+                with pytest.raises(ZeroDivisionError):
+                    build(pair, v)
+        else:
+            assert_same_idempotent(idempotent_e_v(pair, v), ref.idempotent_e_v(pair, v))
+
+
+@pytest.mark.parametrize("v", [1, None])
+def test_product_formula_matches_the_word_build_a3(v):
+    pair = default_pair("A3")
+    assert_same_idempotent(idempotent_e_v(pair, v), ref.idempotent_e_v(pair, v))
+    assert_same_idempotent(idempotent_eps_v(pair, v), ref.idempotent_eps_v(pair, v))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2", "A3"])
+def test_macdonald_normalization_at_symbolic_v(label):
+    # sum_w w(h) = (-ty)^N W(t/y) = (-t^2)^N W(y/t), h = prod (t^2 - ty e^a)/(e^a - 1)
+    pair = default_pair(label)
+    system = pair.system
+    y = deformed_y()
+    ty = T * y
+    zero = (0,) * pair.rank
+    h = TorusFraction.one(pair)
+    for alpha in pair.positive_roots_x():
+        h = h * frac(pair, {zero: T2, alpha: -ty}, [(alpha, ONE)])
+    total = TorusFraction.sum(pair, [h.weyl_act(w) for w in system.elements])
+    n = len(system.positive_roots)
+    assert total.as_scalar() == (-ty) ** n * poincare_sum(system, T * y.inverse())
+    assert total.as_scalar() == (-T2) ** n * poincare_sum(system, y * T.inverse())
+
+
 def test_generator_eigenvalues():
     # (T - t)(T - (v(t - 1/t) - t)) = 0, symbolically in v
     v = Scalar.v()
@@ -162,7 +221,7 @@ def test_generator_eigenvalues():
 
 def test_word_and_operator_representations_agree():
     v = Scalar.one()
-    expr = symmetrizer_word(A2.system, v)
+    expr = ref.symmetrizer_word(A2.system, v)
     direct = DiffRefOperator.zero(A2)
     for word, coeff in expr.terms.items():
         indices = [i for _, i in word]
@@ -176,6 +235,14 @@ def test_vanishing_normalization_is_an_error():
     bad_v = t2 * (t2 - ONE).inverse()
     with pytest.raises((ValueError, ZeroDivisionError)):
         idempotent_e_v(A1, bad_v)
+
+
+def test_vanishing_poincare_sum_is_a_value_error():
+    # at v = 2t^2/(t^2 - 1), y = -t and W = 1 + t/y vanishes for A1
+    bad_v = Scalar.const(2) * T * T * (T * T - ONE).inverse()
+    for build in (idempotent_e_v, idempotent_eps_v):
+        with pytest.raises(ValueError, match="vanishes"):
+            build(A1, bad_v)
 
 
 # -- spherical membership --------------------------------------------------------
@@ -299,7 +366,7 @@ def test_xi_rejects_operators():
 
 
 def test_expression_json_round_trip():
-    expr = symmetrizer_word(A2.system) * HeckeExpression.monomial((0, 1))
+    expr = ref.symmetrizer_word(A2.system) * HeckeExpression.monomial((0, 1))
     assert HeckeExpression.from_json(expr.to_json()) == expr
 
 
@@ -325,7 +392,7 @@ def test_projector_fixes_its_image():
 
 def test_sign_rep_action_preserves_antisymmetry():
     v = Scalar.zero()
-    e_word = symmetrizer_word(A1.system, v)
+    e_word = ref.symmetrizer_word(A1.system, v)
     a = e_word * HeckeExpression.monomial((1,), v) * e_word
     f = antisym_a1()
     image = sign_rep_apply(A1, a, f)
@@ -334,6 +401,6 @@ def test_sign_rep_action_preserves_antisymmetry():
 
 
 def test_sign_rep_rejects_functions_outside_the_space():
-    a = symmetrizer_word(A1.system, Scalar.zero())
+    a = ref.symmetrizer_word(A1.system, Scalar.zero())
     with pytest.raises(ValueError, match="projected subspace"):
         sign_rep_apply(A1, a, frac(A1, {(1,): ONE}))
