@@ -20,7 +20,10 @@ algebra: poles confined to e^alpha = q^{2k} with order one
 ("pole-location"), residue cancellation between coefficient partners on
 each such divisor ("residue-sum"), and forced vanishing on a family of
 t-shifted divisors determined by the sign of <alpha, mu> ("forced-
-vanishing"; the exact ranges are documented in the README).
+vanishing"; the exact ranges are documented in the README).  The last
+two are zero tests on unreduced restrictions, with no reduced fraction
+built: :meth:`~qtalg.torusfn.TorusFraction.residues_cancel` and
+:meth:`~qtalg.torusfn.TorusFraction.vanishes_on`.
 """
 
 from __future__ import annotations
@@ -370,9 +373,8 @@ def check_membership(op: DiffRefOperator) -> dict:
             if pair_id in seen:
                 continue
             seen.add(pair_id)
-            res = op.terms[key].residue(alpha, tau)
-            other = op.terms.get(partner, zero_fn).residue(alpha, tau)
-            if not (res + other).is_zero():
+            other = op.terms.get(partner, zero_fn)
+            if not op.terms[key].residues_cancel(other, alpha, tau):
                 violations.append(
                     {
                         "rule": "residue-sum",
@@ -398,7 +400,7 @@ def check_membership(op: DiffRefOperator) -> dict:
                 taus = [Scalar.monomial(2 * k, 2) for k in range(1, -pairing - eps + 1)]
             for tau in taus:
                 try:
-                    if h.evaluate_at(alpha, tau).is_zero():
+                    if h.vanishes_on(alpha, tau):
                         continue
                     detail = "coefficient does not vanish"
                 except PoleError:

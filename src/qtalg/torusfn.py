@@ -49,10 +49,13 @@ Evaluation and residues on a divisor e^alpha = tau work on monomial data:
 tau is taken apart once into exponents and a coefficient, and its powers,
 the pole matching against stored factor values and the moved factors are
 exponent and coefficient arithmetic, with no scalar built.  A factor along
-alpha turns into the binomial tau^k - c of the scalar denominator.  A
-numerator that vanishes on the divisor gives zero at once, without
-reading the factors: every forced-vanishing test on a member operator
-ends there.
+alpha turns into the binomial tau^k - c of the scalar denominator.  Both
+are one unreduced restriction, which :meth:`evaluate_at` and
+:meth:`residue` return reduced.  The zero tests build no reduced
+fraction: :meth:`vanishes_on` reads only the restricted numerator, and
+:meth:`residues_cancel` compares two unreduced residues with ``==``.
+:meth:`vanishes_on` takes a monomial tau only, as :meth:`evaluate_at`
+does; the membership test across the v-family (ROADMAP.md) extends it.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def _mono_pow(key, coeff: Q, k: Rat) -> tuple[tuple[Rat, int, int], Q]:
     v-exponents that k keeps integral."""
     qe, te, ve = key
     if k.__class__ is int:
-        return (_norm(qe * k), te * k, ve * k), coeff**k
+        return (_norm(qe * k), te * k, ve * k), coeff if coeff == 1 else coeff**k
     texp, vexp = te * k, ve * k
     if texp.denominator != 1 or vexp.denominator != 1 or coeff != 1:
         value = Scalar.monomial(qe, te, ve, coeff)
@@ -254,24 +257,21 @@ class TorusFraction(CommonDen):
     # -- reduction ---------------------------------------------------------------
 
     def _reduce(self) -> None:
-        """Cancel, one at a time, every denominator factor that divides the
-        numerator: a factor is cancelled after its exact division succeeds.
-        """
+        """Cancel each factor, after its exact division succeeds, as often
+        as it divides, in one pass in sorted order: a factor that does not
+        divide N divides no N/f, as N = f (N/f), so none needs a retry."""
         factors = list(self.factors)
-        changed = True
-        while changed and factors:
-            changed = False
-            classes: dict[tuple[int, ...], list] = {}
-            for f in sorted(set(factors)):
+        classes: dict[tuple[int, ...], list] = {}
+        for f in dict.fromkeys(self.factors):
+            for _ in range(self.factors.count(f)):
                 if f[0] not in classes:
                     classes[f[0]] = _beta_classes(self.polys, f[0])
                 quotient = _divide_num(self.polys, f, classes[f[0]])
-                if quotient is not None:
-                    self.polys = quotient
-                    factors.remove(f)
-                    changed = True
+                if quotient is None:
                     break
-        self.factors = tuple(sorted(factors))
+                self.polys, classes = quotient, {}
+                factors.remove(f)
+        self.factors = tuple(factors)
 
     # -- arithmetic -----------------------------------------------------------------
 
@@ -406,6 +406,33 @@ class TorusFraction(CommonDen):
                 out.append((f, k))
         return out
 
+    def _off_poles(self, alpha, tau) -> tuple[tuple[int, ...], Scalar]:
+        """The divisor, checked, with PoleError if a factor vanishes there."""
+        alpha, tau = _divisor(alpha, tau, "evaluation")
+        if self._matching_factors(alpha, tau):
+            raise PoleError(f"pole on the divisor e^{list(alpha)} = {tau}")
+        return alpha, tau
+
+    def _restricted_num(self, alpha, tau) -> dict[XKey, dict]:
+        """Term dicts, by exponent, of the numerator on e^alpha = tau, for a
+        primitive alpha and a monomial tau (else ValueError)."""
+        _, content, row = _beta_coordinate(alpha)
+        if content != 1:
+            raise ValueError("evaluation direction must be primitive")
+        if not tau.is_monomial():
+            raise ValueError(f"evaluation value must be a monomial, not {tau}")
+        tkey, tcoeff = tau.as_monomial()
+        powers: dict[Rat, dict] = {}
+        acc: dict[XKey, dict] = {}
+        for x, p in self.polys.items():
+            k = _norm(sum(r * v for r, v in zip(row, x)))
+            if k not in powers:
+                key, coeff = _mono_pow(tkey, tcoeff, k)
+                powers[k] = {key: _norm(coeff)}
+            rest = tuple(_norm(v - k * a) for v, a in zip(x, alpha))
+            _mul_terms(acc.setdefault(rest, {}), p.terms, powers[k])
+        return acc
+
     def evaluate_at(self, alpha, tau) -> TorusFraction:
         """Substitute e^alpha = tau (alpha a primitive integer vector of
         either orientation, tau a nonzero monomial scalar).  Raises
@@ -415,35 +442,27 @@ class TorusFraction(CommonDen):
         tau^k - c, which moves into the scalar denominator; the result is
         put in lowest terms once.  A numerator that vanishes on the divisor
         gives zero without reading the factors."""
-        alpha, tau = _divisor(alpha, tau, "evaluation")
-        if self._matching_factors(alpha, tau):
-            raise PoleError(f"pole on the divisor e^{list(alpha)} = {tau}")
-        _, content, row = _beta_coordinate(alpha)
-        if content != 1:
-            raise ValueError("evaluation direction must be primitive")
-        if not tau.is_monomial():
-            raise ValueError(f"evaluation value must be a monomial, not {tau}")
-        tkey, tcoeff = tau.as_monomial()
+        value = self._restrict(*self._off_poles(alpha, tau), self.factors)
+        return TorusFraction(self.pair, (value.polys, value.den), value.factors)
 
-        def coordinate(x) -> Rat:
-            return _norm(sum(r * v for r, v in zip(row, x)))
+    def vanishes_on(self, alpha, tau) -> bool:
+        """Whether :meth:`evaluate_at` would be zero, or its error: read on
+        the restricted numerator alone, with no fraction built."""
+        return not any(self._restricted_num(*self._off_poles(alpha, tau)).values())
 
-        powers: dict[Rat, tuple] = {}
-        acc: dict[XKey, dict] = {}
-        for x, p in self.polys.items():
-            k = coordinate(x)
-            if k not in powers:
-                powers[k] = _mono_pow(tkey, tcoeff, k)
-            key = tuple(_norm(v - k * a) for v, a in zip(x, alpha))
-            _add_into(acc, key, _times_monomial(p, *powers[k]).terms)
-        num = _collect(acc)
+    def _restrict(self, alpha, tau, factors) -> TorusFraction:
+        """The value on e^alpha = tau of the numerator over den and the given
+        factors, none vanishing there, with nothing cancelled."""
+        num = _collect(self._restricted_num(alpha, tau))
         if not num:
             return TorusFraction.zero(self.pair)
+        row = _beta_coordinate(alpha)[2]
+        tkey, tcoeff = tau.as_monomial()
         unit: Num = {_xkey((0,) * self.pair.rank): _ONE}
         den = self.den
-        factors = []
-        for beta, key, coeff in self.factors:
-            k = coordinate(beta)
+        new_factors = []
+        for beta, key, coeff in factors:
+            k = _norm(sum(r * v for r, v in zip(row, beta)))
             new_beta = tuple(b - k * a for b, a in zip(beta, alpha))
             if not any(new_beta):
                 # tau^k - c, nonzero as no factor matches; the two keys
@@ -459,8 +478,8 @@ class TorusFraction(CommonDen):
                 qe, te, ve = key
                 key, coeff = (_norm(qe + sq), te + st, ve + sv), coeff * sc
             nf, unit = _canonicalize_factor((new_beta, key, coeff), unit)
-            factors.append(nf)
-        return TorusFraction(self.pair, (_num_mul(num, unit), den), tuple(factors))
+            new_factors.append(nf)
+        return TorusFraction._stored(self.pair, _num_mul(num, unit), den, new_factors)
 
     def pole_order(self, alpha, tau) -> int:
         """The order of the pole on e^alpha = tau, in either orientation."""
@@ -473,11 +492,22 @@ class TorusFraction(CommonDen):
 
         alpha may have either orientation; tau must be a nonzero monomial.
         """
+        value = self._residue(alpha, tau)
+        return TorusFraction(self.pair, (value.polys, value.den), value.factors)
+
+    def residues_cancel(self, other: TorusFraction, alpha, tau) -> bool:
+        """Whether the residues of self and other along e^alpha = tau sum
+        to zero, with the errors of :meth:`residue`; decided by ``==`` on
+        the residues with nothing cancelled, so no reduced one is built."""
+        return self._residue(alpha, tau) == -other._residue(alpha, tau)
+
+    def _residue(self, alpha, tau) -> TorusFraction:
+        """:meth:`residue` with nothing cancelled, for zero tests and ``==``."""
         alpha, tau = _divisor(alpha, tau, "residue")
         positive = _positive(alpha, tau)
         if positive[0] != alpha:
             # e^alpha - tau = -tau e^alpha (e^{-alpha} - tau^{-1})
-            return self.residue(*positive).scale(-(tau**2))
+            return self._residue(*positive).scale(-(tau**2))
         matching = self._matching_factors(alpha, tau)
         if not matching:
             return TorusFraction.zero(self.pair)
@@ -485,11 +515,11 @@ class TorusFraction(CommonDen):
             raise PoleError(
                 f"pole of order {len(matching)} on e^{list(alpha)} = {tau}"
             )
+        # the one matching factor is peeled off, so no other factor vanishes
         [(f, k)] = matching
         remaining = list(self.factors)
         remaining.remove(f)
-        peeled = TorusFraction._stored(self.pair, self.polys, self.den, remaining)
-        value = peeled.evaluate_at(alpha, tau)
+        value = self._restrict(alpha, tau, remaining)
         # e^{k alpha} - tau^k = (e^alpha - tau) * S with S -> k tau^{k-1}
         if k != 1:
             key, coeff = _mono_pow(*tau.as_monomial(), 1 - k)
@@ -569,15 +599,21 @@ def _common_form(rank: int, parts) -> tuple[Num, LaurentPoly, tuple[Factor, ...]
     nothing cancelled."""
     parts = [p for p in parts if p.polys]
     den, cofactors = _common_den([p.den for p in parts])
-    owned = [Counter(p.factors) for p in parts]
-    lcm_factors: Counter = Counter()
-    for counts in owned:
-        lcm_factors |= counts
+    factors = parts[0].factors if parts else ()
+    if all(p.factors == factors for p in parts):
+        # one factor multiset, as most sums have: it is the lcm
+        missing = [()] * len(parts)
+    else:
+        owned = [Counter(p.factors) for p in parts]
+        lcm_factors: Counter = Counter()
+        for counts in owned:
+            lcm_factors |= counts
+        factors = tuple(lcm_factors.elements())
+        missing = [tuple((lcm_factors - counts).elements()) for counts in owned]
     zero = _xkey((0,) * rank)
     acc: dict = {}
-    for p, counts, cofactor in zip(parts, owned, cofactors):
-        missing = lcm_factors - counts
-        mult = _factors_poly(missing.elements(), rank) if missing else None
+    for p, lack, cofactor in zip(parts, missing, cofactors):
+        mult = _factors_poly(lack, rank) if lack else None
         if cofactor is not _ONE:
             cofactor = {zero: cofactor}
             mult = cofactor if mult is None else _num_mul(mult, cofactor)
@@ -586,7 +622,7 @@ def _common_form(rank: int, parts) -> tuple[Num, LaurentPoly, tuple[Factor, ...]
                 _add_into(acc, x, poly.terms)
         else:
             _mul_into(acc, p.polys, mult)
-    return _collect(acc), den, tuple(lcm_factors.elements())
+    return _collect(acc), den, factors
 
 
 def _factors_poly(factors, rank: int) -> Num:

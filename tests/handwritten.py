@@ -5,8 +5,9 @@ code: the node-0 cocycle through ``TorusFraction.ratio``, the involution
 Xi through ``HeckeExpression`` arithmetic, the spherical idempotents
 through Macdonald's product formula, every torus-point product,
 isotropy shift and torus witness on the integer form of a ``Character``,
-and evaluations and residues on a divisor e^alpha = tau on the monomial
-data of tau and of the stored factors.  This is the earlier code, which
+evaluations and residues on a divisor e^alpha = tau on the monomial
+data of tau and of the stored factors, and the membership rules by zero
+tests on unreduced restrictions.  This is the earlier code, which
 built them by hand: the cocycle over an explicit two-monomial
 denominator, Xi by expanding each word atom by atom, the idempotents as
 sums of |W| generator words, each pushed through the operator products of
@@ -14,14 +15,15 @@ sums of |W| generator words, each pushed through the operator products of
 as explicit loops of ``QPower`` powers, the shifts from ``QPower`` ratios
 and the rational inverse of the pairing, the divisor code through
 ``Scalar`` powers, products and differences of tau and of each factor
-value, and the transversal of a component group by a search of the
-cosets of its reflection subgroup.
+value, membership by reduced residues and evaluations, and the
+transversal of a component group by a search of the cosets of its
+reflection subgroup.
 """
 
 from fractions import Fraction as Q
 
 from qtalg import torusfn
-from qtalg.daha import _as_v
+from qtalg.daha import _as_v, _pure_even_q_power, _term_json, _violation
 from qtalg.errors import PoleError
 from qtalg.linalg import is_integral, mat_inv, mat_vec
 from qtalg.mlambda import Character
@@ -321,6 +323,78 @@ def residue(f: TorusFraction, alpha, tau) -> TorusFraction:
 
 def pole_order(f: TorusFraction, alpha, tau) -> int:
     return len(matching_factors(f, *torusfn._divisor(alpha, tau, "pole")))
+
+
+def check_membership(op) -> dict:
+    """The three membership rules, each residue and each value on a
+    divisor a reduced fraction through the Scalar-path code above."""
+    pair = op.pair
+    system = pair.system
+    violations: list[dict] = []
+    pos_roots_x = pair.positive_roots_x()
+    order = op.support()
+    clean_poles: dict = {}
+    for key in order:
+        for beta, value, mult in op.terms[key].pole_list():
+            a = _pure_even_q_power(value)
+            if beta not in pos_roots_x:
+                detail = "pole direction is not a root"
+            elif a is None:
+                detail = "pole value is not an even power of q"
+            elif mult > 1:
+                detail = f"pole order {mult} > 1"
+            else:
+                clean_poles.setdefault((beta, a), []).append(key)
+                continue
+            violations.append(_violation("pole-location", detail, key, beta, value))
+    zero_fn = TorusFraction.zero(pair)
+    seen = set()
+    for (alpha, a), keys in sorted(clean_poles.items()):
+        k = -a // 2
+        root = pair.x_to_root(alpha)
+        s_alpha = system.reflection(root)
+        coroot_y = pair.coroot_to_y(system.coroot_of(root))
+        tau = Scalar.q(a)
+        for key in keys:
+            w, mu = key
+            moved = pair.act_y(s_alpha, mu)
+            partner = (s_alpha * w, tuple(k * c + m for c, m in zip(coroot_y, moved)))
+            pair_id = (alpha, a, frozenset((key, partner)))
+            if pair_id in seen:
+                continue
+            seen.add(pair_id)
+            res = residue(op.terms[key], alpha, tau)
+            other = residue(op.terms.get(partner, zero_fn), alpha, tau)
+            if not (res + other).is_zero():
+                violations.append(
+                    {
+                        "rule": "residue-sum",
+                        "term": _term_json(key),
+                        "partner": _term_json(partner),
+                        "divisor": {"alpha": list(alpha), "value": f"q^{a}"},
+                        "detail": "residues do not cancel",
+                    }
+                )
+    for key in order:
+        w, mu = key
+        h = op.terms[key]
+        for alpha in pos_roots_x:
+            pairing = pair.pair(alpha, mu)
+            moved = pair.x_to_root(pair.act_x(w.inverse(), alpha))
+            eps = 0 if system.is_positive_root(moved) else 1
+            if pairing >= 0:
+                taus = [Scalar.monomial(-2 * k, -2) for k in range(pairing + eps)]
+            else:
+                taus = [Scalar.monomial(2 * k, 2) for k in range(1, -pairing - eps + 1)]
+            for tau in taus:
+                try:
+                    if evaluate_at(h, alpha, tau).is_zero():
+                        continue
+                    detail = "coefficient does not vanish"
+                except PoleError:
+                    detail = "pole where vanishing is required"
+                violations.append(_violation("forced-vanishing", detail, key, alpha, tau))
+    return {"ok": not violations, "violations": violations}
 
 
 def component_transversal(cw) -> tuple[bool, tuple]:

@@ -1,5 +1,6 @@
 """Tests for difference-reflection operators, relations and membership."""
 
+import itertools
 import json
 import random
 from fractions import Fraction as Q
@@ -385,11 +386,10 @@ _NOT_ZERO = "coefficient does not vanish"
 _NOT_EVEN = "pole value is not an even power of q"
 
 
-def test_membership_reports_are_pinned():
-    # the three violators of the acceptance check first, then one per
-    # remaining detail; each report as the Scalar-path check wrote it,
-    # compared by repr so that key order and value types count
-    cases = [
+def pinned_violators() -> list:
+    """(operator, violations): the three violators of the acceptance check
+    first, then one per remaining detail."""
+    return [
         (
             _violator(A1, {(0,): 1}, [((1,), T**4)]),
             [_pole(_NOT_EVEN, [0], [1], "t^4")],
@@ -423,8 +423,38 @@ def test_membership_reports_are_pinned():
             ],
         ),
     ]
-    for op, violations in cases:
+
+
+def test_membership_reports_are_pinned():
+    # each report as the Scalar-path check wrote it, compared by repr so
+    # that key order and value types count
+    for op, violations in pinned_violators():
         assert repr(check_membership(op)) == repr({"ok": False, "violations": violations})
+
+
+def _generator_words(pair, max_len):
+    gens = [dl_operator(pair, n, 1) for n in range(pair.rank + 1)]
+    for length in range(1, max_len + 1):
+        for word in itertools.product(gens, repeat=length):
+            op = word[0]
+            for g in word[1:]:
+                op = op * g
+            yield op
+
+
+def test_membership_by_zero_tests_matches_the_reduced_rules():
+    # every A2 word of length <= 4, every B2 word of length <= 3, the short
+    # A2 words moved off the family by a shift (forced vanishing fails) or
+    # with one term doubled (residue sums fail), and the pinned violators
+    ops = list(_generator_words(A2, 4)) + list(_generator_words(default_pair("B2"), 3))
+    shifts = [DiffRefOperator.shift_op(A2, mu) for mu in ((1, 0), (0, -1), (1, -1))]
+    for op in _generator_words(A2, 2):
+        ops += [op * d for d in shifts]
+        for key, h in op.terms.items():
+            ops.append(op + DiffRefOperator(A2, {key: h}))
+    ops += [op for op, _ in pinned_violators()]
+    for op in ops:
+        assert repr(check_membership(op)) == repr(ref.check_membership(op))
 
 
 def test_membership_residue_cancellation_is_exact():

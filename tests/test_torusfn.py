@@ -812,6 +812,56 @@ def test_divisor_code_matches_the_scalar_path(case):
         assert _same(got, expected), (method, got, expected)
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(divisor_cases())
+def test_vanishing_is_the_zero_test_of_evaluation(case):
+    f, alpha, tau = case
+    vanishes = outcome(lambda: f.vanishes_on(alpha, tau))
+    assert vanishes == outcome(lambda: f.evaluate_at(alpha, tau).is_zero())
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(divisor_cases(), st.sampled_from([-1, 1, 2]), _scalars)
+def test_unreduced_residues_decide_the_residue_sum(case, c, m):
+    # f gains a pole on the divisor, which a numerator vanishing there
+    # cancels; g = c f (1 + m (e^alpha - tau)) has c times the residue of
+    # f, so the residues cancel when c = -1 or f has none
+    f, alpha, tau = case
+    zero = (0,) * f.pair.rank
+    if tau.is_monomial():
+        f = f * TorusFraction.ratio(f.pair, {zero: 1}, [(alpha, tau)])
+    u = TorusFraction(f.pair, {zero: Scalar.one() - m * tau, alpha: m})
+    g = (f * u).scale(c)
+    got = outcome(lambda: f.residues_cancel(g, alpha, tau))
+    expected = outcome(lambda: (f.residue(alpha, tau) + g.residue(alpha, tau)).is_zero())
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "tau", [Scalar.q(2), Scalar.monomial(qexp=2, coeff=Q(-2, 3))], ids=["q^2", "non-unit"]
+)
+def test_restriction_through_negative_powers_of_tau(tau):
+    # exponents below zero along alpha take tau^k with k < 0; a unit
+    # coefficient must stay a Fraction there, as int 1 ** -1 is a float
+    f = frac({(-2,): 1, (-1,): Scalar.t(), (1,): 3}, [((1,), Scalar.t(2)), ((2,), Scalar.q())])
+    assert _same(f.evaluate_at((1,), tau), handwritten.evaluate_at(f, (1,), tau))
+    assert not f.vanishes_on((1,), tau)
+    g = frac({(-2,): 1, (0,): -(tau**-2)}, [((1,), Scalar.t(2))])
+    assert g.vanishes_on((1,), tau) and g.evaluate_at((1,), tau).is_zero()
+    # a pole along 2 alpha: the residue is scaled by tau^(1 - k) / k, k = 2
+    h = frac({(-1,): 1, (0,): Scalar.t()}, [((2,), tau**2), ((1,), Scalar.t(2))])
+    assert _same(h.residue((1,), tau), handwritten.residue(h, (1,), tau))
+
+
+@pytest.mark.xfail(strict=True, reason="a factor along a non-primitive direction cancels only whole")
+def test_non_primitive_factor_reports_only_its_poles():
+    # (e^a + 1) / (e^2a - 1) == 1 / (e^a - 1), which has no pole at e^a = -1
+    f = TorusFraction.ratio(A1, {(1,): 1, (0,): 1}, [((2,), 1)])
+    assert f == frac({(0,): 1}, [((1,), 1)])
+    assert f.pole_order((1,), -1) == 0
+    assert f.pole_list() == [((1,), Scalar.one(), 1)]
+
+
 # -- the stored form ------------------------------------------------------------------
 
 
