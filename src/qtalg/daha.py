@@ -28,7 +28,9 @@ built: :meth:`~qtalg.torusfn.TorusFraction.residues_cancel` and
 
 from __future__ import annotations
 
-from .errors import PoleError
+from math import gcd
+
+from .errors import PoleError, QtalgError
 from .rootdata import LatticePair, RootSystem, WeylElement
 from .scalars import Scalar, _as_scalar
 from .torusfn import TorusFraction
@@ -331,7 +333,11 @@ def check_membership(op: DiffRefOperator) -> dict:
     system = pair.system
     violations: list[dict] = []
     pos_roots_x = pair.positive_roots_x()
-    pos_set = set(pos_roots_x)
+    for alpha in pos_roots_x:
+        if gcd(*alpha) != 1:
+            raise QtalgError(f"membership needs primitive roots; {list(alpha)} is not")
+    # a stored direction starts positive, as a positive root need not
+    roots = set(pos_roots_x) | {tuple(-a for a in alpha) for alpha in pos_roots_x}
     order = op.support()
 
     # pole locations: only e^alpha = q^{2k}, alpha a root, order <= 1
@@ -340,7 +346,7 @@ def check_membership(op: DiffRefOperator) -> dict:
         h = op.terms[key]
         for beta, value, mult in h.pole_list():
             a = _pure_even_q_power(value)
-            if beta not in pos_set:
+            if beta not in roots:
                 detail = "pole direction is not a root"
             elif a is None:
                 detail = "pole value is not an even power of q"

@@ -15,6 +15,10 @@ k = w0(h).  Then
     e_v   = (1/S) sum_w w(h) [w],                  S = (-ty)^N W(t/y),
     eps_v = (1/S) k sum_w (-1)^{l(w)} [w],         S = (-t^2)^N W(y/t).
 
+T_i sum_w w(h) [w] = t sum_w w(h) [w] holds for every h, and k sum_w
+(-1)^{l(w)} [w] T_i = -y k sum_w (-1)^{l(w)} [w] for every k, so the
+absorption checks test e_v T_i = t e_v and T_i eps_v = -y eps_v.
+
 The two S agree (w -> w w0 sends l(w) to N - l(w)) and equal sum_w w(h):
 Macdonald's identity for the Poincare series (I. G. Macdonald, The
 Poincare series of a Coxeter group, Math. Ann. 199, 1972; Affine Hecke
@@ -242,24 +246,19 @@ def idempotent_eps_v(pair: LatticePair, v=None) -> DiffRefOperator:
     )
 
 
-def _absorbs(pair: LatticePair, node: int, v, sign: bool) -> bool:
-    """T_{i,v} e = eigen * e for e = e_v (eigen t) or eps_v (sign=True,
-    eigen v(t - 1/t) - t), as a symbolic operator identity."""
-    v = _as_v(v)
-    t = Scalar.t()
-    e = (idempotent_eps_v if sign else idempotent_e_v)(pair, v)
-    eigen = v * (t - t.inverse()) - t if sign else t
-    return dl_operator(pair, node, v) * e == e.scale(eigen)
-
-
 def check_absorption(pair: LatticePair, node: int, v=None) -> bool:
-    """T_{i,v} e_v = t e_v as a symbolic operator identity."""
-    return _absorbs(pair, node, v, sign=False)
+    """e_v T_{i,v} = t e_v as a symbolic operator identity."""
+    v = _as_v(v)
+    e = idempotent_e_v(pair, v)
+    return e * dl_operator(pair, node, v) == e.scale(Scalar.t())
 
 
 def check_sign_absorption(pair: LatticePair, node: int, v=None) -> bool:
     """T_{i,v} eps_v = (v(t - 1/t) - t) eps_v as a symbolic identity."""
-    return _absorbs(pair, node, v, sign=True)
+    v = _as_v(v)
+    t = Scalar.t()
+    eps = idempotent_eps_v(pair, v)
+    return dl_operator(pair, node, v) * eps == eps.scale(v * (t - t.inverse()) - t)
 
 
 def spherical_ratio(pair: LatticePair, node: int) -> TorusFraction:

@@ -19,7 +19,9 @@ with one lowest-terms scalar per coefficient.
 The binomial shape is closed under every operation used here — Weyl
 substitutions and translation twists send binomials to unit multiples
 of binomials, with the unit folded into the numerator — and it keeps
-poles readable: the stored denominator is the pole divisor.
+poles readable: every pole lies on a stored factor, though a factor
+e^{k beta} - c with k > 1 cancels only whole, so (e^a - r)/(e^{3a} - r^3)
+still reports a pole at e^a = r (ROADMAP.md, canonical torus fractions).
 
 Fractions cancel on construction: a denominator binomial is dropped
 exactly when it divides the numerator (classwise synthetic division along
@@ -27,12 +29,12 @@ beta; u - c is monic in u, so no scalar is divided).  The division stops
 at the first class with a single member or a nonzero remainder, so a
 binomial that does not divide costs little.
 
-The one substitution, :meth:`TorusFraction.transport` through D^mu [w],
-sends e^x -> q^{phi.x} e^{M_w x} and skips both reductions.  A Weyl
-matrix is invertible, so the map is a ring automorphism: a factor divides
-the image of the numerator exactly when it divided the numerator, and a
-reduced fraction maps to a reduced one; the numerators only gain
-q-monomials, so den stays coprime to them.
+Transport through D^mu [w] and restriction to a divisor are one monomial
+substitution e^x -> m(x) e^{x'}, x -> x' linear and m(x) a scalar
+monomial (:meth:`TorusFraction._substitute`): a factor e^beta - c becomes
+m(beta) (e^{beta'} - c/m(beta)), or the scalar m(beta) - c when beta' = 0.
+Transport, e^x -> q^{phi.x} e^{M_w x}, is a ring automorphism and skips
+both reductions (:meth:`TorusFraction.transport`).
 
 Sums are reduced once.  :meth:`TorusFraction.sum` puts any number of
 fractions over the least common multiple of their factor multisets and of
@@ -45,17 +47,17 @@ When no two stored directions are proportional, as for roots, the
 reduced denominator depends on the value alone, so it is also the form
 that reducing every product and partial sum would store.
 
-Evaluation and residues on a divisor e^alpha = tau work on monomial data:
-tau is taken apart once into exponents and a coefficient, and its powers,
-the pole matching against stored factor values and the moved factors are
-exponent and coefficient arithmetic, with no scalar built.  A factor along
-alpha turns into the binomial tau^k - c of the scalar denominator.  Both
-are one unreduced restriction, which :meth:`evaluate_at` and
-:meth:`residue` return reduced.  The zero tests build no reduced
-fraction: :meth:`vanishes_on` reads only the restricted numerator, and
-:meth:`residues_cancel` compares two unreduced residues with ``==``.
-:meth:`vanishes_on` takes a monomial tau only, as :meth:`evaluate_at`
-does; the membership test across the v-family (ROADMAP.md) extends it.
+Restriction to e^alpha = tau is e^x -> tau^k e^{x - k alpha}, k the
+alpha-coordinate of x.  Each divisor is taken apart once: alpha in the
+orientation of stored factors and tau as monomial exponents and a
+coefficient, so powers of tau, pole matching and moved factors are
+exponent and coefficient arithmetic, with no scalar built.
+:meth:`evaluate_at` and :meth:`residue` return the restriction reduced.
+The zero tests build no reduced fraction: :meth:`vanishes_on` reads only
+the restricted numerator, and :meth:`residues_cancel` compares two
+unreduced residues with ``==``.  :meth:`vanishes_on` takes a monomial tau
+only, as :meth:`evaluate_at` does; the membership test across the
+v-family (ROADMAP.md) extends it.
 """
 
 from __future__ import annotations
@@ -115,24 +117,39 @@ def _make_factor(beta, c: Scalar) -> Factor:
     return beta, key, coeff
 
 
-def _divisor(alpha, tau, what: str) -> tuple[tuple[int, ...], Scalar]:
-    """The divisor e^alpha = tau, checked: alpha as a nonzero integer
-    vector and tau as a nonzero scalar."""
+def _divisor(alpha, tau, what: str):
+    """The divisor e^alpha = tau, checked and taken apart once: alpha in
+    the orientation of stored factors (e^-alpha = 1/tau is e^alpha = tau),
+    the monomial data (key, coeff) of tau there, or None for a tau that is
+    not a monomial, and whether alpha was flipped."""
     tau = _as_scalar(tau)
     if tau.is_zero():
         raise ValueError("divisor value must be nonzero")
     alpha = tuple(int(a) for a in alpha)
     if not any(alpha):
         raise ValueError(f"{what} direction must be nonzero")
-    return alpha, tau
-
-
-def _positive(alpha: tuple[int, ...], tau: Scalar) -> tuple[tuple[int, ...], Scalar]:
-    """The same divisor with the first nonzero coordinate of alpha positive,
-    the orientation of stored factors: e^-alpha = 1/tau is e^alpha = tau."""
+    mono = tau.as_monomial() if tau.is_monomial() else None
     if next(a for a in alpha if a) > 0:
-        return alpha, tau
-    return tuple(-a for a in alpha), tau.inverse()
+        return alpha, mono, False
+    return tuple(-a for a in alpha), mono and _mono_pow(*mono, -1), True
+
+
+def _restriction(alpha, mono):
+    """The substitution e^x -> tau^k e^{x - k alpha} onto e^alpha = tau, for
+    a primitive alpha and tau's monomial data, k = row . x the
+    alpha-coordinate of x: the images span a complement of Z alpha."""
+    _, content, row = _beta_coordinate(alpha)
+    if content != 1:
+        raise ValueError("evaluation direction must be primitive")
+    powers: dict[Rat, tuple | None] = {0: None}
+
+    def image(x):
+        k = _norm(sum(r * v for r, v in zip(row, x)))
+        if k not in powers:
+            powers[k] = _mono_pow(*mono, k)
+        return tuple(_norm(v - k * a) for v, a in zip(x, alpha)), powers[k]
+
+    return image
 
 
 def _beta_coordinate(beta: tuple[int, ...]):
@@ -322,20 +339,60 @@ class TorusFraction(CommonDen):
 
     # -- substitutions -----------------------------------------------------------
 
+    def _image_num(self, image) -> dict[XKey, dict]:
+        """Term dicts, by image exponent, of the numerator under the
+        substitution of :meth:`_substitute`; a dict may be empty."""
+        acc: dict[XKey, dict] = {}
+        for x, p in self.polys.items():
+            y, m = image(x)
+            if m is None:
+                _add_into(acc, y, p.terms)
+            else:
+                _mul_terms(acc.setdefault(y, {}), p.terms, {m[0]: _norm(m[1])})
+        return acc
+
+    def _substitute(self, image, factors) -> TorusFraction:
+        """The numerator over den and the given factors, none vanishing
+        under it, through e^x -> m(x) e^{x'}, with nothing cancelled (see
+        the module docstring).  image(x) is (x', m(x)): x' in stored form
+        and m(x) the monomial data (key, coeff) of a scalar, or None for 1.
+        """
+        acc = self._image_num(image)
+        polys: Num = {y: _poly(terms) for y, terms in acc.items() if terms}
+        if not polys:
+            return TorusFraction.zero(self.pair)
+        one: Num = {_xkey((0,) * self.pair.rank): _ONE}
+        unit, den, new_factors = one, self.den, []
+        for beta, key, coeff in factors:
+            new_beta, m = image(beta)
+            if not any(new_beta):
+                # m(beta) - c, for beta = k alpha with k != 0 on a divisor;
+                # the two keys meet when both are constants
+                value = LaurentPoly.monomial(*m[0], coeff=m[1])
+                den = den * (value - LaurentPoly.monomial(*key, coeff=coeff))
+                continue
+            if m is not None:
+                (sq, st, sv), sc = inv = _mono_pow(*m, -1)
+                unit = {x: _times_monomial(p, *inv) for x, p in unit.items()}
+                qe, te, ve = key
+                key, coeff = (_norm(qe + sq), te + st, ve + sv), coeff * sc
+            nf, unit = _canonicalize_factor((new_beta, key, coeff), unit)
+            new_factors.append(nf)
+        if unit is not one:
+            polys = _num_mul(polys, unit)
+        return TorusFraction._stored(self.pair, polys, den, new_factors)
+
     def transport(self, w: WeylElement, mu) -> TorusFraction:
         """Move the fraction left through D^mu [w]: the plain action
-        e^x -> e^{wx} followed by the shift e^x -> q^{2<x,mu>} e^x, done as
-        one substitution e^x -> q^{phi.x} e^{M x} with M = M_w and the
-        covector phi = M_w^T phi_mu.
+        e^x -> e^{wx} followed by the shift e^x -> q^{2<x,mu>} e^x, as one
+        substitution e^x -> q^{phi.x} e^{M x}, M = M_w and phi = M^T phi_mu.
 
-        M is a Weyl matrix, so the substitution is a ring automorphism of
-        the Laurent polynomials with exponents in Q^n, and it sends each
-        denominator binomial to a unit times a binomial.  A factor
-        therefore divides the image of the numerator exactly when it
-        divided the numerator, so a reduced fraction maps to a reduced one
-        and the result is built without a second reduction.  The scalar
-        denominator is unchanged: the numerators only gain q-monomials,
-        units of the scalar ring.
+        M is a Weyl matrix, so this is a ring automorphism sending each
+        denominator binomial to a unit times a binomial: a factor divides
+        the image of the numerator exactly when it divided the numerator,
+        so a reduced fraction maps to a reduced one with nothing cancelled.
+        The scalar denominator is unchanged: the numerators only gain
+        q-monomials, units of the scalar ring.
         """
         pair = self.pair
         n = pair.rank
@@ -348,33 +405,14 @@ class TorusFraction(CommonDen):
         if ident and not any(phi):
             return self  # fractions never change after construction
 
-        def apply_mat(x) -> XKey:
-            return tuple(
-                _norm(sum(mat[i][k] * x[k] for k in range(n))) for i in range(n)
-            )
-
-        def qform(x) -> Rat:
-            return _norm(sum(p * v for p, v in zip(phi, x)))
-
         # M is injective, so no two exponents meet
-        polys: Num = {}
-        for x, p in self.polys.items():
-            e = qform(x)
-            polys[x if ident else apply_mat(x)] = p.shift(e) if e else p
-        unit: Num = {_xkey((0,) * n): _ONE}
-        factors = []
-        for beta, (qe, te, ve), coeff in self.factors:
-            new_beta = tuple(int(v) for v in apply_mat(beta))
-            shift = qform(beta)
-            if shift:
-                # e^beta - c  ->  q^shift (e^{M beta} - q^{-shift} c)
-                unit = {x: p.shift(-shift) for x, p in unit.items()}
-                qe = _norm(qe - shift)
-            nf, unit = _canonicalize_factor((new_beta, (qe, te, ve), coeff), unit)
-            factors.append(nf)
-        if factors:
-            polys = _num_mul(polys, unit)
-        return TorusFraction._stored(self.pair, polys, self.den, factors)
+        def image(x):
+            e = _norm(sum(c * v for c, v in zip(phi, x)))
+            if not ident:
+                x = tuple(_norm(sum(a * v for a, v in zip(row, x))) for row in mat)
+            return x, ((e, 0, 0), 1) if e else None
+
+        return self._substitute(image, self.factors)
 
     def weyl_act(self, w: WeylElement) -> TorusFraction:
         """The plain action e^x -> e^{wx}."""
@@ -386,15 +424,12 @@ class TorusFraction(CommonDen):
 
     # -- evaluation and residues ------------------------------------------------
 
-    def _matching_factors(self, alpha, tau: Scalar) -> list[tuple[Factor, int]]:
-        """Factors (beta, c) vanishing on the divisor e^alpha = tau, in
-        either orientation of alpha: beta = k alpha with c = tau^k once
-        (alpha, tau) is positive; returns (factor, k) pairs.  A factor
-        value is a monomial, so a tau that is not one matches nothing."""
-        alpha, tau = _positive(alpha, tau)
-        if not tau.is_monomial():
+    def _matching_factors(self, alpha, mono) -> list[tuple[Factor, int]]:
+        """(factor, k) for the factors e^{k alpha} - tau^k, k > 0, on a
+        divisor as :func:`_divisor` returns it; factor values are
+        monomials, so a tau that is not one (mono None) matches nothing."""
+        if mono is None:
             return []
-        key, coeff = tau.as_monomial()
         i = next(i for i, a in enumerate(alpha) if a)
         out = []
         for f in self.factors:
@@ -402,36 +437,23 @@ class TorusFraction(CommonDen):
             k, rest = divmod(beta[i], alpha[i])
             if rest or k <= 0 or beta != tuple(k * a for a in alpha):
                 continue
-            if (f[1], f[2]) == _mono_pow(key, coeff, k):
+            if (f[1], f[2]) == _mono_pow(*mono, k):
                 out.append((f, k))
         return out
 
-    def _off_poles(self, alpha, tau) -> tuple[tuple[int, ...], Scalar]:
-        """The divisor, checked, with PoleError if a factor vanishes there."""
-        alpha, tau = _divisor(alpha, tau, "evaluation")
-        if self._matching_factors(alpha, tau):
+    def _checked_restriction(self, alpha, tau):
+        """The substitution onto e^alpha = tau in the orientation given,
+        whose exponents the value keeps: PoleError on a pole, ValueError
+        unless alpha is primitive and tau a monomial."""
+        alpha, mono, flipped = _divisor(alpha, tau, "evaluation")
+        if self._matching_factors(alpha, mono):
+            tau = _factor_value((alpha, *mono))
             raise PoleError(f"pole on the divisor e^{list(alpha)} = {tau}")
-        return alpha, tau
-
-    def _restricted_num(self, alpha, tau) -> dict[XKey, dict]:
-        """Term dicts, by exponent, of the numerator on e^alpha = tau, for a
-        primitive alpha and a monomial tau (else ValueError)."""
-        _, content, row = _beta_coordinate(alpha)
-        if content != 1:
-            raise ValueError("evaluation direction must be primitive")
-        if not tau.is_monomial():
+        if mono is None:
             raise ValueError(f"evaluation value must be a monomial, not {tau}")
-        tkey, tcoeff = tau.as_monomial()
-        powers: dict[Rat, dict] = {}
-        acc: dict[XKey, dict] = {}
-        for x, p in self.polys.items():
-            k = _norm(sum(r * v for r, v in zip(row, x)))
-            if k not in powers:
-                key, coeff = _mono_pow(tkey, tcoeff, k)
-                powers[k] = {key: _norm(coeff)}
-            rest = tuple(_norm(v - k * a) for v, a in zip(x, alpha))
-            _mul_terms(acc.setdefault(rest, {}), p.terms, powers[k])
-        return acc
+        if flipped:
+            alpha, mono = tuple(-a for a in alpha), _mono_pow(*mono, -1)
+        return _restriction(alpha, mono)
 
     def evaluate_at(self, alpha, tau) -> TorusFraction:
         """Substitute e^alpha = tau (alpha a primitive integer vector of
@@ -442,48 +464,17 @@ class TorusFraction(CommonDen):
         tau^k - c, which moves into the scalar denominator; the result is
         put in lowest terms once.  A numerator that vanishes on the divisor
         gives zero without reading the factors."""
-        value = self._restrict(*self._off_poles(alpha, tau), self.factors)
+        value = self._substitute(self._checked_restriction(alpha, tau), self.factors)
         return TorusFraction(self.pair, (value.polys, value.den), value.factors)
 
     def vanishes_on(self, alpha, tau) -> bool:
         """Whether :meth:`evaluate_at` would be zero, or its error: read on
         the restricted numerator alone, with no fraction built."""
-        return not any(self._restricted_num(*self._off_poles(alpha, tau)).values())
-
-    def _restrict(self, alpha, tau, factors) -> TorusFraction:
-        """The value on e^alpha = tau of the numerator over den and the given
-        factors, none vanishing there, with nothing cancelled."""
-        num = _collect(self._restricted_num(alpha, tau))
-        if not num:
-            return TorusFraction.zero(self.pair)
-        row = _beta_coordinate(alpha)[2]
-        tkey, tcoeff = tau.as_monomial()
-        unit: Num = {_xkey((0,) * self.pair.rank): _ONE}
-        den = self.den
-        new_factors = []
-        for beta, key, coeff in factors:
-            k = _norm(sum(r * v for r, v in zip(row, beta)))
-            new_beta = tuple(b - k * a for b, a in zip(beta, alpha))
-            if not any(new_beta):
-                # tau^k - c, nonzero as no factor matches; the two keys
-                # meet when both are constants, so subtract
-                pkey, pcoeff = _mono_pow(tkey, tcoeff, k)
-                value = LaurentPoly.monomial(*pkey, coeff=pcoeff)
-                den = den * (value - LaurentPoly.monomial(*key, coeff=coeff))
-                continue
-            if k:
-                # e^beta - c = tau^k (e^{new_beta} - c tau^-k) on the divisor
-                (sq, st, sv), sc = _mono_pow(tkey, tcoeff, -k)
-                unit = {x: _times_monomial(p, (sq, st, sv), sc) for x, p in unit.items()}
-                qe, te, ve = key
-                key, coeff = (_norm(qe + sq), te + st, ve + sv), coeff * sc
-            nf, unit = _canonicalize_factor((new_beta, key, coeff), unit)
-            new_factors.append(nf)
-        return TorusFraction._stored(self.pair, _num_mul(num, unit), den, new_factors)
+        return not any(self._image_num(self._checked_restriction(alpha, tau)).values())
 
     def pole_order(self, alpha, tau) -> int:
         """The order of the pole on e^alpha = tau, in either orientation."""
-        return len(self._matching_factors(*_divisor(alpha, tau, "pole")))
+        return len(self._matching_factors(*_divisor(alpha, tau, "pole")[:2]))
 
     def residue(self, alpha, tau) -> TorusFraction:
         """Residue along e^alpha = tau: the value of (e^alpha - tau) * self
@@ -492,38 +483,35 @@ class TorusFraction(CommonDen):
 
         alpha may have either orientation; tau must be a nonzero monomial.
         """
-        value = self._residue(alpha, tau)
+        value = self._residue(*_divisor(alpha, tau, "residue"))
         return TorusFraction(self.pair, (value.polys, value.den), value.factors)
 
     def residues_cancel(self, other: TorusFraction, alpha, tau) -> bool:
         """Whether the residues of self and other along e^alpha = tau sum
         to zero, with the errors of :meth:`residue`; decided by ``==`` on
         the residues with nothing cancelled, so no reduced one is built."""
-        return self._residue(alpha, tau) == -other._residue(alpha, tau)
+        divisor = _divisor(alpha, tau, "residue")
+        return self._residue(*divisor) == -other._residue(*divisor)
 
-    def _residue(self, alpha, tau) -> TorusFraction:
-        """:meth:`residue` with nothing cancelled, for zero tests and ``==``."""
-        alpha, tau = _divisor(alpha, tau, "residue")
-        positive = _positive(alpha, tau)
-        if positive[0] != alpha:
-            # e^alpha - tau = -tau e^alpha (e^{-alpha} - tau^{-1})
-            return self._residue(*positive).scale(-(tau**2))
-        matching = self._matching_factors(alpha, tau)
+    def _residue(self, alpha, mono, flipped) -> TorusFraction:
+        """:meth:`residue` on a divisor as :func:`_divisor` returns it, with
+        nothing cancelled, for zero tests and ``==``."""
+        matching = self._matching_factors(alpha, mono)
         if not matching:
             return TorusFraction.zero(self.pair)
         if len(matching) > 1:
-            raise PoleError(
-                f"pole of order {len(matching)} on e^{list(alpha)} = {tau}"
-            )
+            tau = _factor_value((alpha, *mono))
+            raise PoleError(f"pole of order {len(matching)} on e^{list(alpha)} = {tau}")
         # the one matching factor is peeled off, so no other factor vanishes
         [(f, k)] = matching
         remaining = list(self.factors)
         remaining.remove(f)
-        value = self._restrict(alpha, tau, remaining)
-        # e^{k alpha} - tau^k = (e^alpha - tau) * S with S -> k tau^{k-1}
-        if k != 1:
-            key, coeff = _mono_pow(*tau.as_monomial(), 1 - k)
-            value = value.scale(Scalar.monomial(*key, coeff=coeff / k))
+        value = self._substitute(_restriction(alpha, mono), remaining)
+        # e^{k alpha} - tau^k = (e^alpha - tau) S with S -> k tau^{k-1}, and
+        # e^-alpha - 1/tau = -tau^-2 (e^alpha - tau) on the divisor
+        if k != 1 or flipped:
+            key, coeff = _mono_pow(*mono, 1 - k - 2 * flipped)
+            value = value.scale(Scalar.monomial(*key, coeff=(-1) ** flipped * coeff / k))
         return value
 
     # -- display and JSON ------------------------------------------------------------

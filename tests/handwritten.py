@@ -237,10 +237,30 @@ def scalar_frac_power(tau: Scalar, k) -> Scalar:
     return Scalar.monomial(qexp=qe * k, texp=int(texp), vexp=int(vexp))
 
 
+def divisor(alpha, tau, what: str) -> tuple[tuple[int, ...], Scalar]:
+    """The divisor e^alpha = tau as given, checked: alpha a nonzero integer
+    vector and tau a nonzero Scalar."""
+    tau = tau if isinstance(tau, Scalar) else Scalar.const(tau)
+    if tau.is_zero():
+        raise ValueError("divisor value must be nonzero")
+    alpha = tuple(int(a) for a in alpha)
+    if not any(alpha):
+        raise ValueError(f"{what} direction must be nonzero")
+    return alpha, tau
+
+
+def positive(alpha: tuple[int, ...], tau: Scalar) -> tuple[tuple[int, ...], Scalar]:
+    """The same divisor with the first nonzero coordinate of alpha positive:
+    e^-alpha = 1/tau is e^alpha = tau."""
+    if next(a for a in alpha if a) > 0:
+        return alpha, tau
+    return tuple(-a for a in alpha), tau.inverse()
+
+
 def matching_factors(f: TorusFraction, alpha, tau: Scalar) -> list:
     """(factor, k) for the factors e^{k alpha} - tau^k of f, k > 0, with
     (alpha, tau) turned positive, found by the ratios beta_i / alpha_i."""
-    alpha, tau = torusfn._positive(alpha, tau)
+    alpha, tau = positive(alpha, tau)
     out = []
     for g in f.factors:
         beta = g[0]
@@ -261,7 +281,7 @@ def matching_factors(f: TorusFraction, alpha, tau: Scalar) -> list:
 def evaluate_at(f: TorusFraction, alpha, tau) -> TorusFraction:
     """f on e^alpha = tau, each power of tau and each moved factor value a
     Scalar."""
-    alpha, tau = torusfn._divisor(alpha, tau, "evaluation")
+    alpha, tau = divisor(alpha, tau, "evaluation")
     if matching_factors(f, alpha, tau):
         raise PoleError(f"pole on the divisor e^{list(alpha)} = {tau}")
     _, content, row = torusfn._beta_coordinate(alpha)
@@ -302,10 +322,10 @@ def evaluate_at(f: TorusFraction, alpha, tau) -> TorusFraction:
 def residue(f: TorusFraction, alpha, tau) -> TorusFraction:
     """The value of (e^alpha - tau) f on e^alpha = tau, through Scalar
     powers of tau."""
-    alpha, tau = torusfn._divisor(alpha, tau, "residue")
-    positive = torusfn._positive(alpha, tau)
-    if positive[0] != alpha:
-        return residue(f, *positive).scale(-(tau**2))
+    alpha, tau = divisor(alpha, tau, "residue")
+    positive_divisor = positive(alpha, tau)
+    if positive_divisor[0] != alpha:
+        return residue(f, *positive_divisor).scale(-(tau**2))
     matching = matching_factors(f, alpha, tau)
     if not matching:
         return TorusFraction.zero(f.pair)
@@ -322,7 +342,7 @@ def residue(f: TorusFraction, alpha, tau) -> TorusFraction:
 
 
 def pole_order(f: TorusFraction, alpha, tau) -> int:
-    return len(matching_factors(f, *torusfn._divisor(alpha, tau, "pole")))
+    return len(matching_factors(f, *divisor(alpha, tau, "pole")))
 
 
 def check_membership(op) -> dict:
@@ -337,7 +357,7 @@ def check_membership(op) -> dict:
     for key in order:
         for beta, value, mult in op.terms[key].pole_list():
             a = _pure_even_q_power(value)
-            if beta not in pos_roots_x:
+            if beta not in pos_roots_x and tuple(-b for b in beta) not in pos_roots_x:
                 detail = "pole direction is not a root"
             elif a is None:
                 detail = "pole value is not an even power of q"

@@ -380,6 +380,46 @@ def test_json_documents_are_byte_identical(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# membership documents read an operator document: (daha op arguments, sha256
+# of the member document on the same chart); on the weight chart of A2 the
+# pole of T2 lies along alpha_2 = (-1, 2), stored as (1, -2)
+PINNED_MEMBERSHIP = {
+    "daha-member-a2-weight-t2": (
+        ("--root-system", "A2", "--lattice", "weight", "--v", "1", "--word", "T2"),
+        "1367ffe15a49eb38eb4e1c11005fe0668559c597b266523d0388af955efeddde",
+    ),
+}
+
+
+def _member(capsys, op_argv, *flags):
+    code, out, _ = run(capsys, "daha", "op", "--json", *op_argv)
+    assert code == 0
+    chart = op_argv[: op_argv.index("--v")]
+    op = json.dumps(json.loads(out)["operator"])
+    return run(capsys, "daha", "member", *flags, *chart, "--op", op)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MEMBERSHIP))
+def test_membership_documents_are_byte_identical(capsys, name):
+    op_argv, digest = PINNED_MEMBERSHIP[name]
+    code, out, _ = _member(capsys, op_argv, "--json")
+    assert code == 0 and json.loads(out)["ok"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_membership_refuses_a_non_primitive_root(capsys):
+    # A1's root is twice the fundamental weight
+    op_argv = ("--root-system", "A1", "--lattice", "weight", "--v", "1", "--word", "T1")
+    code, out, _ = _member(capsys, op_argv, "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": "qtalg/error/v1",
+        "error": "membership needs primitive roots; [2] is not",
+    }
+    code, _, err = _member(capsys, op_argv)
+    assert code == 1 and "[2] is not" in err
+
+
 # -- error paths -------------------------------------------------------------------
 
 

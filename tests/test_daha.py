@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction as Q
 
 import handwritten as ref
@@ -22,7 +23,7 @@ from qtalg.daha import (
     node_reflection,
     relations_report,
 )
-from qtalg.errors import PoleError
+from qtalg.errors import PoleError, QtalgError
 from qtalg.rootdata import LatticePair, RootSystem
 from qtalg.scalars import Scalar
 from qtalg.torusfn import TorusFraction
@@ -455,6 +456,49 @@ def test_membership_by_zero_tests_matches_the_reduced_rules():
     ops += [op for op, _ in pinned_violators()]
     for op in ops:
         assert repr(check_membership(op)) == repr(ref.check_membership(op))
+
+
+def _rules_broken(op) -> list:
+    """The violations of op, sorted, each with its divisor's value only: the
+    divisor direction is in X coordinates, terms and partners are in Y."""
+    out = []
+    for viol in check_membership(op)["violations"]:
+        out.append(json.dumps(dict(viol, divisor=viol["divisor"]["value"]), sort_keys=True))
+    return sorted(out)
+
+
+def test_weight_and_root_charts_of_g2_agree():
+    # G2's weight lattice is its root lattice and both charts take Y on the
+    # simple coroots, so a word and a shift are the same operator on both:
+    # every word of length <= 3, and the short ones moved off the family
+    charts = [LatticePair(RootSystem("G2"), kind) for kind in ("weight", "root")]
+    words = [list(_generator_words(pair, 3)) for pair in charts]
+    for pair, ops in zip(charts, words):
+        shifts = [DiffRefOperator.shift_op(pair, mu) for mu in ((1, 0), (0, -1))]
+        ops += [op * d for op in ops[:12] for d in shifts]
+    assert len(words[0]) == 39 + 24
+    for on_weights, on_roots in zip(*words):
+        assert _rules_broken(on_weights) == _rules_broken(on_roots)
+    assert all(check_membership(op)["ok"] for op in words[0][:39])
+
+
+def test_weight_chart_generator_words_are_members():
+    # a positive root on a weight chart may start negative, as A2's
+    # alpha_2 = (-1, 2), while a stored pole direction starts positive
+    for label, max_len in (("A2", 3), ("A3", 2)):
+        for op in _generator_words(LatticePair(RootSystem(label), "weight"), max_len):
+            rep = check_membership(op)
+            assert rep["ok"], rep
+            assert repr(rep) == repr(ref.check_membership(op))
+
+
+@pytest.mark.parametrize("label, root", [("A1", [2]), ("B2", [2, -2]), ("C2", [-2, 2])])
+def test_membership_refuses_non_primitive_roots(label, root):
+    # the rules restrict to e^alpha = tau, which needs alpha primitive
+    pair = LatticePair(RootSystem(label), "weight")
+    for op in (DiffRefOperator.identity(pair), dl_operator(pair, 1, 1)):
+        with pytest.raises(QtalgError, match=re.escape(f"primitive roots; {root} is not")):
+            check_membership(op)
 
 
 def test_membership_residue_cancellation_is_exact():

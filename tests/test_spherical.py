@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtalg import spherical
 from qtalg.daha import DiffRefOperator, default_pair, dl_operator
 from qtalg.rootdata import LatticePair, RootSystem
 from qtalg.scalars import Scalar
@@ -156,6 +157,17 @@ def test_right_absorption_at_every_node_at_symbolic_v(label):
     e = idempotent_e_v(pair)
     for node in range(1, pair.rank + 1):
         assert e * dl_operator(pair, node) == e.scale(T)
+
+
+@pytest.mark.parametrize("pair", [A1, A2], ids=["A1", "A2"])
+def test_absorption_detects_a_wrong_h(monkeypatch, pair):
+    # T_i sum_w w(h) [w] = t sum_w w(h) [w] whatever h is, so only e_v T_i
+    # = t e_v sees h; likewise only T_i eps_v = -y eps_v sees k = w0(h)
+    macdonald_h = spherical._macdonald_h
+    e_alpha = TorusFraction.monomial(pair, pair.simple_root_x(0))
+    monkeypatch.setattr(spherical, "_macdonald_h", lambda p, ty: macdonald_h(p, ty) * e_alpha)
+    assert not check_absorption(pair, 1)
+    assert not check_sign_absorption(pair, 1)
 
 
 # -- the product formula against the word build -----------------------------------
