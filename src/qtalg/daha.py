@@ -12,7 +12,9 @@ The deformed divided-difference generator at node i is
     T_i(v) = t [s_i] + c_i ([s_i] - 1),   c_i = v (t - 1/t) / (e^{alpha_i} - 1),
 
 which satisfies T^2 = v(t - 1/t) T + v + t^2(1 - v) and the braid
-relations of the affine Coxeter diagram.
+relations of the affine Coxeter diagram.  The braid sides share their middle
+word, and a product collects equal factors, sum h1 G = (sum h1) G, so an
+idempotent square takes one coefficient product per key instead of |W|.
 
 `check_membership` decides whether an operator's coefficients satisfy
 the three divisor conditions that cut out the image of the deformed
@@ -28,7 +30,9 @@ built: :meth:`~qtalg.torusfn.TorusFraction.residues_cancel` and
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
+from operator import eq
 
 from .errors import PoleError, QtalgError
 from .rootdata import LatticePair, RootSystem, WeylElement
@@ -113,10 +117,10 @@ class DiffRefOperator:
         """Composition, normal-ordered: coefficients move left through
         D^mu and [w] by the substitution rules.
 
-        The term pairs are grouped by their key (w1 w2, m1 + w1 m2).  Each
-        group's partial products h1 * h2.transport(w1, m1) are formed
-        unreduced, one group at a time, and summed once over the lcm of
-        their denominators with one reduction (:meth:`TorusFraction.sum`)."""
+        Term pairs are grouped by key (w1 w2, m1 + w1 m2); a group's products
+        h1 * G, G = h2.transport(w1, m1), equal factors collected in groups of
+        more than two (:func:`_collect_factors`), are formed unreduced and
+        summed once with one reduction (:meth:`TorusFraction.sum`)."""
         pair = self.pair
         groups: dict = {}
         for (w1, m1), h1 in self.terms.items():
@@ -126,10 +130,13 @@ class DiffRefOperator:
                     tuple(a + b for a, b in zip(m1, pair.act_y(w1, m2))),
                 )
                 groups.setdefault(key, []).append((h1, h2, w1, m1))
+        signed: dict = {}
         terms = {}
         for key, group in groups.items():
-            parts = [h1.mul_unreduced(h2.transport(w1, m1)) for h1, h2, w1, m1 in group]
-            terms[key] = TorusFraction.sum(pair, parts)
+            parts = [(h1, h2.transport(w1, m1)) for h1, h2, w1, m1 in group]
+            if len(parts) > 2:
+                parts = _collect_factors(pair, parts, signed)
+            terms[key] = TorusFraction.sum(pair, [h1.mul_unreduced(g) for h1, g in parts])
         return DiffRefOperator(pair, terms)
 
     def __pow__(self, n: int) -> DiffRefOperator:
@@ -192,6 +199,29 @@ class DiffRefOperator:
         return cls(pair, terms)
 
 
+def _collect_factors(pair: LatticePair, parts: list, signed: dict) -> list:
+    """The factor pairs (h1, G) of one key with equal factors collected, by
+    sum h1 G = (sum h1) G: per stored form of G (in e_v^2, G = f_{w1 w2})
+    or per form of h1 up to sign (in eps_v^2, h1 = +-k), whichever leaves
+    fewer pairs.  signed caches the forms of left factors by id."""
+    right, left = {}, {}
+    for h1, g in parts:
+        right.setdefault(g._form()[0], (g, []))[1].append(h1)
+        if id(h1) not in signed:
+            signed[id(h1)] = h1._form(up_to_sign=True)
+        form, sign = signed[id(h1)]
+        # h1 = (s s0) h0 for the first h0 of the form, of sign s0
+        h0, s0, gs = left.setdefault(form, (h1, sign, []))
+        gs.append(g if sign == s0 else -g)
+    if len(right) <= len(left):
+        return [(_sum(pair, h1s), g) for g, h1s in right.values()]
+    return [(h0, _sum(pair, gs)) for h0, _, gs in left.values()]
+
+
+def _sum(pair: LatticePair, parts: list) -> TorusFraction:
+    return parts[0] if len(parts) == 1 else TorusFraction.sum(pair, parts)
+
+
 # -- generators ---------------------------------------------------------------
 
 
@@ -240,53 +270,59 @@ def dl_operator(pair: LatticePair, node: int, v=None) -> DiffRefOperator:
 def quadratic_sides(pair: LatticePair, node: int, v=None):
     """Both sides of T^2 = v(t - 1/t) T + (v + t^2(1 - v))."""
     v = _as_v(v)
+    return _quadratic_sides(pair, dl_operator(pair, node, v), v)
+
+
+def _quadratic_sides(pair: LatticePair, op: DiffRefOperator, v: Scalar):
     t = Scalar.t()
-    op = dl_operator(pair, node, v)
     d = v * (t - t.inverse())
     kappa = v + t * t * (Scalar.one() - v)
-    lhs = op * op
-    rhs = op.scale(d) + DiffRefOperator.identity(pair).scale(kappa)
-    return lhs, rhs
+    return op * op, op.scale(d) + DiffRefOperator.identity(pair).scale(kappa)
 
 
 def check_quadratic(pair: LatticePair, node: int, v=None) -> bool:
-    lhs, rhs = quadratic_sides(pair, node, v)
-    return lhs == rhs
+    return eq(*quadratic_sides(pair, node, v))
 
 
 def braid_sides(pair: LatticePair, i: int, j: int, v=None):
-    """The alternating products T_i T_j T_i ... of Coxeter length m(i,j)."""
+    """The alternating products T_i T_j T_i ... and T_j T_i T_j ... of
+    Coxeter length m(i,j), sharing their middle word (:func:`_braid_sides`)."""
     m = pair.system.affine_coxeter_m(i, j)
     if m is None:
         raise ValueError(f"nodes {i}, {j} have infinite Coxeter order")
-    a, b = dl_operator(pair, i, v), dl_operator(pair, j, v)
-    lhs = DiffRefOperator.identity(pair)
-    rhs = DiffRefOperator.identity(pair)
-    for k in range(m):
-        lhs = lhs * (a if k % 2 == 0 else b)
-        rhs = rhs * (b if k % 2 == 0 else a)
-    return lhs, rhs
+    return _braid_sides(dl_operator(pair, i, v), dl_operator(pair, j, v), m)
+
+
+def _braid_sides(a: DiffRefOperator, b: DiffRefOperator, m: int):
+    """With P = a b a ... of m - 1 letters, the sides are P a (m odd) or
+    P b (m even) and b P: m products, where two separate sides take 2m - 2."""
+    middle = a
+    for k in range(1, m - 1):
+        middle = middle * (b if k % 2 else a)
+    return middle * (a if m % 2 else b), b * middle
 
 
 def check_braid(pair: LatticePair, i: int, j: int, v=None) -> bool:
-    lhs, rhs = braid_sides(pair, i, j, v)
-    return lhs == rhs
+    return eq(*braid_sides(pair, i, j, v))
 
 
 def relations_report(pair: LatticePair, v=None) -> dict:
     """Quadratic at every node, braid at every finite-order node pair."""
+    v = _as_v(v)
     nodes = range(pair.rank + 1)
-    quad = {node: check_quadratic(pair, node, v) for node in nodes}
+    gens = [dl_operator(pair, node, v) for node in nodes]
+    quad = {node: eq(*_quadratic_sides(pair, gens[node], v)) for node in nodes}
     braid = {}
     skipped = []
     for i in nodes:
         for j in nodes:
             if i >= j:
                 continue
-            if pair.system.affine_coxeter_m(i, j) is None:
+            m = pair.system.affine_coxeter_m(i, j)
+            if m is None:
                 skipped.append((i, j))
                 continue
-            braid[(i, j)] = check_braid(pair, i, j, v)
+            braid[(i, j)] = eq(*_braid_sides(gens[i], gens[j], m))
     return {
         "quadratic": quad,
         "braid": braid,
@@ -314,18 +350,6 @@ def _violation(rule: str, detail: str, key, alpha, value: Scalar) -> dict:
     }
 
 
-def _pure_even_q_power(value: Scalar):
-    """The exponent a when value = q^a with a an even integer, else None."""
-    if not value.is_monomial():
-        return None
-    (dq, dt, dv), coeff = value.as_monomial()
-    if dt or dv or coeff != 1:
-        return None
-    if dq.denominator != 1 or int(dq) % 2:
-        return None
-    return int(dq)
-
-
 def check_membership(op: DiffRefOperator) -> dict:
     """Report whether every coefficient satisfies the divisor conditions
     characterizing the deformed algebra (at v = 1); see module docstring."""
@@ -343,9 +367,9 @@ def check_membership(op: DiffRefOperator) -> dict:
     # pole locations: only e^alpha = q^{2k}, alpha a root, order <= 1
     clean_poles: dict = {}
     for key in order:
-        h = op.terms[key]
-        for beta, value, mult in h.pole_list():
-            a = _pure_even_q_power(value)
+        # each distinct stored factor e^beta - c; a when c = q^a, a even
+        for (beta, (dq, dt, dv), c), mult in sorted(Counter(op.terms[key].factors).items()):
+            a = None if dt or dv or c != 1 or dq % 2 else int(dq)
             if beta not in roots:
                 detail = "pole direction is not a root"
             elif a is None:
@@ -355,6 +379,7 @@ def check_membership(op: DiffRefOperator) -> dict:
             else:
                 clean_poles.setdefault((beta, a), []).append(key)
                 continue
+            value = Scalar.monomial(dq, dt, dv, coeff=c)
             violations.append(_violation("pole-location", detail, key, beta, value))
 
     # residue pairing: partner of (w, mu) on e^alpha = q^{-2k} is

@@ -328,7 +328,7 @@ def check_spherical(h: DiffRefOperator) -> SphericalReport:
             if mirrored != coeff.weyl_act(si):
                 failures.append(_failure("left-equivariance", node, w, mu))
             right = h.terms.get((w * si, mu), zero)
-            if right != coeff * ratio.transport(w, mu):
+            if right != coeff.mul_unreduced(ratio.transport(w, mu)):
                 failures.append(_failure("right-ratio", node, w, mu))
     return SphericalReport(failures, checked)
 

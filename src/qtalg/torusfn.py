@@ -25,9 +25,10 @@ still reports a pole at e^a = r (ROADMAP.md, canonical torus fractions).
 
 Fractions cancel on construction: a denominator binomial is dropped
 exactly when it divides the numerator (classwise synthetic division along
-beta; u - c is monic in u, so no scalar is divided).  The division stops
-at the first class with a single member or a nonzero remainder, so a
-binomial that does not divide costs little.
+beta; u - c is monic in u, so no scalar is divided), stopping at the first
+class with one member or a remainder.  Above rank 1 the class of one
+exponent, found by dict probes, is divided first: most candidates fail
+there, before the numerator is split into classes.
 
 Transport through D^mu [w] and restriction to a divisor are one monomial
 substitution e^x -> m(x) e^{x'}, x -> x' linear and m(x) a scalar
@@ -281,10 +282,16 @@ class TorusFraction(CommonDen):
         classes: dict[tuple[int, ...], list] = {}
         for f in dict.fromkeys(self.factors):
             for _ in range(self.factors.count(f)):
-                if f[0] not in classes:
-                    classes[f[0]] = _beta_classes(self.polys, f[0])
-                quotient = _divide_num(self.polys, f, classes[f[0]])
-                if quotient is None:
+                quotient: Num = {}
+                todo = classes.get(f[0])
+                if todo is None:
+                    probed = _probe_class(self.polys, f[0]) if len(f[0]) > 1 else None
+                    if probed and not _divide_num(self.polys, f, [probed], quotient):
+                        break
+                    # the first exponent's class comes first, and was just divided
+                    classes[f[0]] = todo = _beta_classes(self.polys, f[0])
+                    todo = todo[1:] if probed else todo
+                if not _divide_num(self.polys, f, todo, quotient):
                     break
                 self.polys, classes = quotient, {}
                 factors.remove(f)
@@ -336,6 +343,17 @@ class TorusFraction(CommonDen):
         return not num
 
     __hash__ = None
+
+    def _form(self, up_to_sign: bool = False) -> tuple[tuple, int]:
+        """(form, s): a hashable image of the stored form of s * self, for
+        self != 0, s = 1 or, up_to_sign, the sign that makes the first
+        coefficient positive.  Not a hash: a value can have other forms."""
+        first = self.polys[min(self.polys)].terms
+        sign = -1 if up_to_sign and first[min(first)] < 0 else 1
+        num = frozenset(
+            (x, frozenset((k, sign * c) for k, c in p.terms.items())) for x, p in self.polys.items()
+        )
+        return (num, frozenset(self.den.terms.items()), self.factors), sign
 
     # -- substitutions -----------------------------------------------------------
 
@@ -636,8 +654,9 @@ def _canonicalize_factor(f: Factor, unit: Num):
 
 
 def _beta_classes(num: Num, beta: tuple[int, ...]) -> list[list[tuple[int, XKey]]]:
-    """Split the exponents of num into the classes x + Z beta; each member
-    comes with its offset m >= 0 above the lowest member of its class."""
+    """Split the exponents of num into the classes x + Z beta, in the order
+    of their first exponents; each member comes with its offset m >= 0
+    above the lowest member of its class."""
     _, content, row = _beta_coordinate(beta)
     classes: dict[tuple, list] = {}
     for x in num:
@@ -652,16 +671,32 @@ def _beta_classes(num: Num, beta: tuple[int, ...]) -> list[list[tuple[int, XKey]
     return out
 
 
-def _divide_num(num: Num, f: Factor, classes: list) -> Num | None:
-    """Exact quotient num / (e^beta - c), or None: synthetic division of
-    each class polynomial sum_m P_m u^m by u - c, monic in u.  classes is
-    _beta_classes(num, beta)."""
+def _probe_class(num: Num, beta: tuple[int, ...]) -> list[tuple[int, XKey]]:
+    """The class x0 + Z beta of num's first exponent x0, as
+    :func:`_beta_classes` lists it, by dict probes x0 + k beta within the
+    bounds of num's exponents in one coordinate i with beta_i != 0."""
+    x0 = next(iter(num))
+    i = next(i for i, b in enumerate(beta) if b)
+    coords = [x[i] for x in num]
+    reach = max(x0[i] - min(coords), max(coords) - x0[i]) // abs(beta[i])
+    # x0 is a stored key and k * c an int, so each probe is in stored form
+    members = [
+        (k, x)
+        for k in range(-reach, reach + 1)
+        if (x := tuple(y + k * c for y, c in zip(x0, beta))) in num
+    ]
+    return [(k - members[0][0], x) for k, x in members]
+
+
+def _divide_num(num: Num, f: Factor, classes: list, quotient: Num) -> bool:
+    """Whether e^beta - c divides num on each class (:func:`_beta_classes`):
+    synthetic division of sum_m P_m u^m, u = e^beta, by u - c, monic in u,
+    the quotient terms put into quotient."""
     beta, key, coeff = f
-    quotient: Num = {}
     for items in classes:
         degree = max(m for m, _ in items)
         if degree == 0:
-            return None
+            return False
         coeffs: list[LaurentPoly | None] = [None] * (degree + 1)
         for m, x in items:
             coeffs[m] = num[x]
@@ -675,5 +710,5 @@ def _divide_num(num: Num, f: Factor, classes: list) -> Num | None:
             shifted = _times_monomial(carry, key, coeff)
             carry = shifted if coeffs[m] is None else shifted + coeffs[m]
         if carry.terms:  # the remainder
-            return None
-    return quotient
+            return False
+    return True

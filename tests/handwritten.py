@@ -18,12 +18,19 @@ and the rational inverse of the pairing, the divisor code through
 value, membership by reduced residues and evaluations, and the
 transversal of a component group by a search of the cosets of its
 reflection subgroup.
+
+The earlier operator product, one partial product per term pair
+(:func:`plain_product`), and the earlier braid sides, each built on its
+own (:func:`sequential_braid_sides`), are kept here too.  The evaluation
+of operator coefficients at rational points from their JSON form by
+``Scalar.specialize`` alone (:func:`specialize_operator`) has no library
+counterpart: it checks symbolic-v operators against numeric-v builds.
 """
 
 from fractions import Fraction as Q
 
 from qtalg import torusfn
-from qtalg.daha import _as_v, _pure_even_q_power, _term_json, _violation
+from qtalg.daha import DiffRefOperator, _as_v, _term_json, _violation, dl_operator
 from qtalg.errors import PoleError
 from qtalg.linalg import is_integral, mat_inv, mat_vec
 from qtalg.mlambda import Character
@@ -86,6 +93,76 @@ def im_involution(expr: HeckeExpression) -> HeckeExpression:
         for new_word, c2 in partial.items():
             out[new_word] = out[new_word] + c2 if new_word in out else c2
     return HeckeExpression(expr.v, out)
+
+
+def plain_product(a, b):
+    """Composition with one partial product h1 * h2.transport(w1, m1) per
+    term pair, summed per key: no equal factors collected."""
+    pair = a.pair
+    groups: dict = {}
+    for (w1, m1), h1 in a.terms.items():
+        for (w2, m2), h2 in b.terms.items():
+            key = (w1 * w2, tuple(x + y for x, y in zip(m1, pair.act_y(w1, m2))))
+            groups.setdefault(key, []).append(h1.mul_unreduced(h2.transport(w1, m1)))
+    terms = {key: TorusFraction.sum(pair, parts) for key, parts in groups.items()}
+    return DiffRefOperator(pair, terms)
+
+
+def alternating_product(a, b, m: int):
+    """a b a ... of m letters, one letter at a time from the identity."""
+    out = DiffRefOperator.identity(a.pair)
+    for k in range(m):
+        out = plain_product(out, a if k % 2 == 0 else b)
+    return out
+
+
+def sequential_braid_sides(pair, i: int, j: int, v=None):
+    """T_i T_j T_i ... and T_j T_i T_j ... of Coxeter length m(i, j), each
+    side built on its own."""
+    m = pair.system.affine_coxeter_m(i, j)
+    a, b = dl_operator(pair, i, v), dl_operator(pair, j, v)
+    return alternating_product(a, b, m), alternating_product(b, a, m)
+
+
+def _torus_value(exponent, roots) -> Q:
+    """e^x at the point e^{x_i} = roots[i]^2, x a half-lattice point."""
+    out = Q(1)
+    for e, r in zip(exponent, roots):
+        out *= r ** int(2 * Q(e))
+    return out
+
+
+def specialize_operator(op, q0, t0, v0, roots) -> dict:
+    """(word, mu) -> the value of each nonzero coefficient at q = q0,
+    t = t0, v = v0 and e^{x_i} = roots[i]^2, read from the JSON form by
+    Scalar.specialize: no torus fraction arithmetic."""
+    out = {}
+    for item in op.to_json():
+        value = Q(0)
+        for term in item["coeff"]["num"]:
+            c = Scalar.from_json(term["coeff"]).specialize(q0, t0, v0)
+            value += c * _torus_value(term["exponent"], roots)
+        for f in item["coeff"]["den"]:
+            c = Scalar.from_json(f["value"]).specialize(q0, t0, v0)
+            value /= _torus_value(f["direction"], roots) - c
+        if value:
+            out[(tuple(item["w"]), tuple(item["mu"]))] = value
+    return out
+
+
+# two generic rational points; q0 = (2/3)^6 has exact square and cube roots
+SPECIALIZATION_POINTS = [
+    (Q(64, 729), Q(3, 5), (Q(5, 7), Q(11, 13), Q(17, 19))),
+    (Q(729, 64), Q(-7, 4), (Q(-3, 2), Q(13, 5), Q(2, 9))),
+]
+
+
+def specialize_at_points(op, v0) -> list[dict]:
+    """:func:`specialize_operator` at v = v0 and each of the two points."""
+    return [
+        specialize_operator(op, q0, t0, v0, roots)
+        for q0, t0, roots in SPECIALIZATION_POINTS
+    ]
 
 
 def _idempotent_word(system, v, sign: bool) -> HeckeExpression:
@@ -345,6 +422,19 @@ def pole_order(f: TorusFraction, alpha, tau) -> int:
     return len(matching_factors(f, *divisor(alpha, tau, "pole")))
 
 
+def pure_even_q_power(value: Scalar):
+    """The exponent a when value = q^a with a an even integer, else None,
+    read through the Scalar value of a pole."""
+    if not value.is_monomial():
+        return None
+    (dq, dt, dv), coeff = value.as_monomial()
+    if dt or dv or coeff != 1:
+        return None
+    if dq.denominator != 1 or int(dq) % 2:
+        return None
+    return int(dq)
+
+
 def check_membership(op) -> dict:
     """The three membership rules, each residue and each value on a
     divisor a reduced fraction through the Scalar-path code above."""
@@ -356,7 +446,7 @@ def check_membership(op) -> dict:
     clean_poles: dict = {}
     for key in order:
         for beta, value, mult in op.terms[key].pole_list():
-            a = _pure_even_q_power(value)
+            a = pure_even_q_power(value)
             if beta not in pos_roots_x and tuple(-b for b in beta) not in pos_roots_x:
                 detail = "pole direction is not a root"
             elif a is None:

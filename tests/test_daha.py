@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from qtalg.acceptance import membership_violators
 from qtalg.daha import (
     DiffRefOperator,
+    _braid_sides,
+    braid_sides,
     check_braid,
     check_membership,
     check_quadratic,
@@ -206,6 +208,99 @@ def test_relations_report_shape():
     assert rep["ok"]
     assert rep["infinite_order_pairs"] == [(0, 1)]
     assert set(rep["quadratic"]) == {0, 1}
+
+
+def finite_order_pairs(pair):
+    nodes = range(pair.rank + 1)
+    return [
+        (i, j)
+        for i in nodes
+        for j in nodes
+        if i < j and pair.system.affine_coxeter_m(i, j) is not None
+    ]
+
+
+@pytest.mark.parametrize("v", [None, 0, 1, 2], ids=["v", "0", "1", "2"])
+@pytest.mark.parametrize("kind", LatticePair.KINDS)
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2", "A3"])
+def test_braid_sides_match_the_sequential_build(label, kind, v):
+    pair = LatticePair(RootSystem(label), kind)
+    for i, j in finite_order_pairs(pair):
+        lhs, rhs = braid_sides(pair, i, j, v)
+        ref_lhs, ref_rhs = ref.sequential_braid_sides(pair, i, j, v)
+        assert lhs.to_json() == ref_lhs.to_json(), (i, j)
+        assert rhs.to_json() == ref_rhs.to_json(), (i, j)
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2)])
+def test_a_generator_at_another_v_breaks_an_odd_braid(i, j):
+    # the shared middle word assumes nothing about a and b: with T_i and
+    # T_j at different v the sides differ, and each is still its product
+    for vi, vj in ((1, 2), (2, 1)):
+        a, b = dl_operator(A2, i, vi), dl_operator(A2, j, vj)
+        lhs, rhs = _braid_sides(a, b, 3)
+        assert lhs != rhs
+        assert lhs.to_json() == ref.alternating_product(a, b, 3).to_json()
+        assert rhs.to_json() == ref.alternating_product(b, a, 3).to_json()
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_symbolic_braid_sides_specialize_to_the_numeric_build(label):
+    pair = default_pair(label)
+    for i, j in finite_order_pairs(pair):
+        symbolic = braid_sides(pair, i, j)
+        for v0 in (0, 1, 2):
+            for side, numeric in zip(symbolic, braid_sides(pair, i, j, v0)):
+                values = ref.specialize_at_points(side, v0)
+                assert values == ref.specialize_at_points(numeric, v0)
+
+
+# coefficient pools of random operators: roots as pole directions, and
+# symbolic v, fractional q-powers and signs in the numerators
+_pool_coeffs = st.sampled_from(
+    [Scalar.one(), Scalar.const(-2), Scalar.v(), T - Scalar.v(), Scalar.q(Q(1, 2)) * T]
+)
+
+
+@st.composite
+def repeated_factor_operators(draw, pair):
+    """An operator whose coefficients repeat up to sign across its Weyl
+    elements, and one whose coefficients are w(g) for one g (as e_v's are)
+    or drawn from the same pool: products of the two have keys of several
+    pairs with equal left or equal transported right factors."""
+    roots = pair.positive_roots_x()
+    zero = (0,) * pair.rank
+
+    def fraction():
+        x = tuple(draw(st.integers(-1, 1)) for _ in range(pair.rank))
+        dens = [(draw(st.sampled_from(roots)), draw(st.sampled_from([Scalar.one(), T * T])))]
+        return TorusFraction.ratio(pair, {x: draw(_pool_coeffs), zero: 1}, dens[: draw(st.integers(0, 1))])
+
+    pool = [fraction() for _ in range(draw(st.integers(1, 2)))]
+    mus = [zero, tuple(pair.theta_coroot_y())]
+
+    def signed():
+        h = draw(st.sampled_from(pool))
+        return -h if draw(st.booleans()) else h
+
+    elements = pair.system.elements
+    left = {(w, draw(st.sampled_from(mus))): signed() for w in elements}
+    g = fraction()
+    if draw(st.booleans()):
+        right = {(w, zero): g.weyl_act(w) for w in elements}
+    else:
+        right = {(w, draw(st.sampled_from(mus))): signed() for w in elements}
+    return DiffRefOperator(pair, left), DiffRefOperator(pair, right)
+
+
+@given(st.sampled_from([A1, A2, LatticePair(RootSystem("B2"), "weight")]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_grouped_products_match_plain_products(pair, data):
+    a, b = data.draw(repeated_factor_operators(pair))
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        got, plain = x * y, ref.plain_product(x, y)
+        assert got.to_json() == plain.to_json()
+        assert got == plain
 
 
 def test_operator_equality_matches_pointwise_action():

@@ -203,6 +203,34 @@ def test_product_formula_matches_the_word_build_a3(v):
     assert_same_idempotent(idempotent_eps_v(pair, v), ref.idempotent_eps_v(pair, v))
 
 
+# The plain square of a G2 idempotent at symbolic v or v = 2 takes 6-11 s
+# of CPU (2-vCPU machine), so there the grouped square is only compared
+# with e, whose stored form every plain square checked here also has.
+@pytest.mark.parametrize("v", [None, 1, 2], ids=["v", "1", "2"])
+@pytest.mark.parametrize("kind", LatticePair.KINDS)
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_grouped_idempotent_squares_match_plain_products(label, kind, v):
+    pair = LatticePair(RootSystem(label), kind)
+    for build in (idempotent_e_v, idempotent_eps_v):
+        e = build(pair, v)
+        square = (e * e).to_json()
+        assert square == e.to_json()
+        if label != "G2" or v == 1:
+            assert square == ref.plain_product(e, e).to_json()
+
+
+@pytest.mark.parametrize("pair", [A1, A2], ids=["A1", "A2"])
+def test_symbolic_idempotent_squares_specialize_to_the_numeric_build(pair):
+    for build in (idempotent_e_v, idempotent_eps_v):
+        e = build(pair)
+        square = e * e
+        for v0 in (0, 1, 2):
+            numeric = build(pair, v0)
+            values = ref.specialize_at_points(square, v0)
+            assert values == ref.specialize_at_points(numeric * numeric, v0)
+            assert all(values)
+
+
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2", "A3"])
 def test_macdonald_normalization_at_symbolic_v(label):
     # sum_w w(h) = (-ty)^N W(t/y) = (-t^2)^N W(y/t), h = prod (t^2 - ty e^a)/(e^a - 1)

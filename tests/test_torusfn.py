@@ -310,8 +310,37 @@ _reduce_settings = settings(
 )
 
 
+@st.composite
+def multiclass_fractions_to_reduce(draw):
+    """(pair, numerator, factors) at rank 2: a sum over two or three
+    classes x + Z beta, x a half-lattice point, each a random polynomial
+    along beta that is multiplied, or not, by each factor along beta, so
+    that the class a reduction probes first may divide while another does
+    not.  beta may be non-primitive, as (0, 2) and (2, 1) - (0, 1) are."""
+    pair, betas = draw(st.sampled_from([PAIRS[2], WEIGHT_PAIRS[2]]))
+    beta = draw(st.sampled_from(betas))
+    factors = [_make_factor(beta, draw(_monomials)) for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        factors.append(_make_factor(draw(st.sampled_from(betas)), draw(_monomials)))
+    half = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    num: dict = {}
+    for _ in range(draw(st.integers(2, 3))):
+        x = (draw(half), draw(half))
+        along = {
+            tuple(v + m * b for v, b in zip(x, beta)): draw(_scalars)
+            for m in range(draw(st.integers(1, 3)))
+        }
+        for f in factors:
+            if f[0] == beta and draw(st.booleans()):
+                along = ref.num_mul(along, ref.binomial(f, pair.rank))
+        for y, c in along.items():
+            num[y] = num[y] + c if y in num else c
+    num = {y: c for y, c in num.items() if not c.is_zero()} or {(0, 0): Scalar.one()}
+    return pair, num, factors
+
+
 @_reduce_settings
-@given(fractions_to_reduce())
+@given(st.one_of(fractions_to_reduce(), multiclass_fractions_to_reduce()))
 def test_screened_reduce_matches_the_unscreened_loop(case):
     pair, num, factors = case
     raw = unreduced(pair, num, factors)
