@@ -132,6 +132,17 @@ def _parse_v(text: str):
         raise UsageError(f"bad --v value {text!r}; use 'symbolic' or a rational") from None
 
 
+def _operator_at_v1(args, pair: LatticePair, check: str) -> DiffRefOperator:
+    """The --op operator of a check stated at v = 1: a whole document whose
+    config names another v is refused, a bare operator is taken as given."""
+    data = _load_json(args.op, "--op")
+    cfg = data.get("config") if isinstance(data, dict) else None
+    v = cfg.get("v") if isinstance(cfg, dict) else None
+    if v is not None and _parse_v(str(v)) != 1:
+        raise QtalgError(f"{check} is stated at v = 1; the --op document has v = {v}")
+    return DiffRefOperator.from_json(pair, _unwrap(data, "operator"))
+
+
 def _coeff(data) -> Scalar:
     if isinstance(data, dict):
         return Scalar.from_json(data)
@@ -446,8 +457,7 @@ def cmd_daha_apply(args):
 
 def cmd_daha_member(args):
     pair = _pair(args)
-    op = DiffRefOperator.from_json(pair, _unwrap(_load_json(args.op, "--op"), "operator"))
-    rep = check_membership(op)
+    rep = check_membership(_operator_at_v1(args, pair, "membership"))
     cfg = _config_header(args)
     payload = {"config": cfg, "ok": rep["ok"], "violations": rep["violations"]}
     lines = [_header_line(cfg)]
@@ -472,8 +482,7 @@ def cmd_spherical_e(args):
 
 def cmd_spherical_check(args):
     pair = _pair(args)
-    op = DiffRefOperator.from_json(pair, _unwrap(_load_json(args.op, "--op"), "operator"))
-    rep = check_spherical(op)
+    rep = check_spherical(_operator_at_v1(args, pair, "the spherical check"))
     cfg = _config_header(args)
     payload = {"config": cfg, "report": rep.to_json()}
     lines = [_header_line(cfg)]

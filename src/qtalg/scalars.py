@@ -515,45 +515,6 @@ def _interpolate(h: LaurentPoly, ax: int, xi: int) -> LaurentPoly:
     return out
 
 
-# Smallest screen coordinate: the values of coprime sides share small
-# factors by accident, and a factor below half the smallest coordinate does
-# not defeat the screen.
-_SCREEN_MIN = 1 << 16
-
-
-def _proves_coprime(f: LaurentPoly, g: LaurentPoly) -> bool:
-    """True when the values at one integer point prove that the integer
-    polynomials f and g (nonnegative exponents, g nonzero) have no common
-    nonmonomial factor; False proves nothing.
-
-    On each axis either side has, in the order q, t, v, the coordinate is
-    x_k >= 2 B_k + 2, where B_k bounds g's coefficients once the earlier
-    axes are substituted; the roots of every nonzero polynomial in x_k of
-    size at most B_k are then smaller than x_k / 2 in absolute value
-    (Cauchy).  Let c be a common factor without monomial content and x_k
-    the last axis it involves.  Substituting an earlier axis keeps c's
-    degree in x_k, because c's leading coefficient in x_k divides g's, which
-    does not vanish there.  Then c, a polynomial in x_k alone, divides a
-    nonzero coefficient of g, so |c(x)| > x_k / 2 and c(x) divides both
-    values.  A gcd of the values with 2 |gcd| < min x_k excludes every such
-    c.
-    """
-    ft, gt = f.terms, g.terms
-    bound = max(map(abs, gt.values()))
-    pw: list[list[int]] = []
-    lowest = 0
-    for fd, gd in zip(map(max, zip(*ft)), map(max, zip(*gt))):
-        xi = max(2 * bound + 2, _SCREEN_MIN) if fd or gd else 0
-        pw.append(_powers(xi, max(fd, gd)))
-        if fd or gd:
-            lowest = lowest or xi
-            bound *= sum(pw[-1][: gd + 1])
-    pq, pt, pv = pw
-    fv = sum(c * pq[a] * pt[b] * pv[e] for (a, b, e), c in ft.items())
-    gv = sum(c * pq[a] * pt[b] * pv[e] for (a, b, e), c in gt.items())
-    return 2 * gcd(fv, gv) < lowest
-
-
 def _gcd(
     f: LaurentPoly, g: LaurentPoly
 ) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
@@ -610,8 +571,6 @@ def _cancel_common(
         return None
     grid = lcm(p.root_index(), r.root_index())
     (f, sf, mf), (g, sg, mg) = _int_poly(p, grid), _int_poly(r, grid)
-    if _proves_coprime(f, g):
-        return None
     h, a, b = _gcd(f, g)
     if len(h.terms) == 1:
         return None
@@ -894,9 +853,8 @@ def _lowest_terms(num: dict, den: LaurentPoly) -> tuple[dict, LaurentPoly]:
 
     One gcd chain: h starts at den and becomes gcd(h, p) only for a
     numerator p that h does not divide, and the chain stops as soon as h is
-    a monomial.  Numerators are taken smallest first, where a coprimality
-    screen is cheapest; the quotients by h are kept, and rescaled when h
-    shrinks."""
+    a monomial.  Numerators are taken smallest first, where a gcd is
+    cheapest; the quotients by h are kept, and rescaled when h shrinks."""
     if not num:
         return {}, _ONE
     if len(den.terms) > 1:

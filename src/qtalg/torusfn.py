@@ -95,6 +95,8 @@ XKey = tuple[Rat, ...]
 Num = dict[XKey, LaurentPoly]
 # denominator binomial e^beta - c, with c stored by monomial data
 Factor = tuple[tuple[int, ...], tuple[Rat, int, int], Q]
+# torus monomial c e^x: x and the monomial data (key, coeff) of a scalar c
+Unit = tuple[tuple[int, ...], tuple[tuple[Rat, int, int], Q]]
 
 _completion_cache: dict[tuple[int, ...], list[list[int]]] = {}
 
@@ -240,14 +242,11 @@ class TorusFraction(CommonDen):
 
     @classmethod
     def ratio(cls, pair: LatticePair, num: dict, den_binomials=()) -> TorusFraction:
-        """num / prod (e^beta - c) for the given (beta, c) pairs."""
-        factors = []
-        unit: Num = {_xkey((0,) * pair.rank): _ONE}
-        for beta, c in den_binomials:
-            f = _make_factor(beta, _as_scalar(c))
-            f, unit = _canonicalize_factor(f, unit)
-            factors.append(f)
-        return cls(pair, num) * cls(pair, (unit, _ONE), tuple(factors))
+        """num / prod (e^beta - c) for the given (beta, c) pairs: the
+        identity substitution puts the factors in stored orientation."""
+        factors = [_make_factor(beta, _as_scalar(c)) for beta, c in den_binomials]
+        value = cls(pair, num)._substitute(lambda x: (x, None), factors)
+        return cls(pair, (value.polys, value.den), value.factors)
 
     # -- structure -------------------------------------------------------------
 
@@ -379,7 +378,7 @@ class TorusFraction(CommonDen):
         polys: Num = {y: _poly(terms) for y, terms in acc.items() if terms}
         if not polys:
             return TorusFraction.zero(self.pair)
-        one: Num = {_xkey((0,) * self.pair.rank): _ONE}
+        one: Unit = ((0,) * self.pair.rank, ((0, 0, 0), 1))
         unit, den, new_factors = one, self.den, []
         for beta, key, coeff in factors:
             new_beta, m = image(beta)
@@ -390,14 +389,14 @@ class TorusFraction(CommonDen):
                 den = den * (value - LaurentPoly.monomial(*key, coeff=coeff))
                 continue
             if m is not None:
-                (sq, st, sv), sc = inv = _mono_pow(*m, -1)
-                unit = {x: _times_monomial(p, *inv) for x, p in unit.items()}
-                qe, te, ve = key
-                key, coeff = (_norm(qe + sq), te + st, ve + sv), coeff * sc
+                inv = _mono_pow(*m, -1)
+                unit = unit[0], _mono_mul(unit[1], inv)
+                key, coeff = _mono_mul((key, coeff), inv)
             nf, unit = _canonicalize_factor((new_beta, key, coeff), unit)
             new_factors.append(nf)
         if unit is not one:
-            polys = _num_mul(polys, unit)
+            x, mono = unit
+            polys = {_xkey(map(add, y, x)): _times_monomial(p, *mono) for y, p in polys.items()}
         return TorusFraction._stored(self.pair, polys, den, new_factors)
 
     def transport(self, w: WeylElement, mu) -> TorusFraction:
@@ -640,17 +639,25 @@ def _factors_poly(factors, rank: int) -> Num:
     return out
 
 
-def _canonicalize_factor(f: Factor, unit: Num):
-    """Flip e^beta - c so the first nonzero coordinate of beta is positive;
+def _mono_mul(a, b) -> tuple[tuple[Rat, int, int], Q]:
+    """(key, coeff) of the product of two scalar monomials given so."""
+    (aq, at, av), ac = a
+    (bq, bt, bv), bc = b
+    return (_norm(aq + bq), at + bt, av + bv), ac * bc
+
+
+def _canonicalize_factor(f: Factor, unit: Unit) -> tuple[Factor, Unit]:
+    """Flip e^beta - c so the first nonzero coordinate of beta is positive,
+    and multiply unit by what the flip leaves in the numerator:
     1/(e^beta - c) = (-c^{-1} e^{-beta}) / (e^{-beta} - c^{-1})."""
     beta, (qe, te, ve), coeff = f
-    first = next(v for v in beta if v)
-    if first > 0:
+    if next(v for v in beta if v) > 0:
         return f, unit
     neg = tuple(-b for b in beta)
     inv_key = (-qe, -te, -ve)
     flipped = (neg, inv_key, 1 / coeff)
-    return flipped, _num_mul(unit, {neg: LaurentPoly.monomial(*inv_key, coeff=-1 / coeff)})
+    x, mono = unit
+    return flipped, (tuple(map(add, x, neg)), _mono_mul(mono, (inv_key, -1 / coeff)))
 
 
 def _beta_classes(num: Num, beta: tuple[int, ...]) -> list[list[tuple[int, XKey]]]:

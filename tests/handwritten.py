@@ -34,7 +34,7 @@ from qtalg.daha import DiffRefOperator, _as_v, _term_json, _violation, dl_operat
 from qtalg.errors import PoleError
 from qtalg.linalg import is_integral, mat_inv, mat_vec
 from qtalg.mlambda import Character
-from qtalg.scalars import QPower, Scalar, _as_scalar, _norm
+from qtalg.scalars import LaurentPoly, QPower, Scalar, _as_scalar, _norm
 from qtalg.spherical import HeckeExpression, deformed_y, poincare_sum
 from qtalg.torusfn import TorusFraction
 
@@ -355,6 +355,19 @@ def matching_factors(f: TorusFraction, alpha, tau: Scalar) -> list:
     return out
 
 
+def canonicalize_factor(f, unit: dict):
+    """Flip e^beta - c so the first nonzero coordinate of beta is positive,
+    and multiply the numerator unit by what the flip leaves:
+    1/(e^beta - c) = (-c^{-1} e^{-beta}) / (e^{-beta} - c^{-1})."""
+    beta, (qe, te, ve), coeff = f
+    if next(v for v in beta if v) > 0:
+        return f, unit
+    neg = tuple(-b for b in beta)
+    inv_key = (-qe, -te, -ve)
+    flipped = (neg, inv_key, 1 / coeff)
+    return flipped, torusfn._num_mul(unit, {neg: LaurentPoly.monomial(*inv_key, coeff=-1 / coeff)})
+
+
 def evaluate_at(f: TorusFraction, alpha, tau) -> TorusFraction:
     """f on e^alpha = tau, each power of tau and each moved factor value a
     Scalar."""
@@ -390,7 +403,7 @@ def evaluate_at(f: TorusFraction, alpha, tau) -> TorusFraction:
         key, coeff = shift.as_monomial()
         unit = {x: torusfn._times_monomial(p, key, coeff) for x, p in unit.items()}
         nf = torusfn._make_factor(new_beta, c * shift)
-        nf, unit = torusfn._canonicalize_factor(nf, unit)
+        nf, unit = canonicalize_factor(nf, unit)
         factors.append(nf)
     num = torusfn._num_mul(torusfn._collect(acc), unit)
     return TorusFraction(f.pair, (num, den), tuple(factors))

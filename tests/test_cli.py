@@ -201,6 +201,37 @@ def test_spherical_e_is_spherical_via_cli(capsys):
     assert code == 0 and "spherical" in out
 
 
+def test_checks_at_v1_refuse_documents_built_at_another_v(capsys):
+    code, doc, _ = run(
+        capsys, "daha", "op", "--root-system", "A1", "--v", "2", "--word", "T1", "--json"
+    )
+    assert code == 0
+    code, out, _ = run(
+        capsys, "daha", "member", "--root-system", "A1", "--op", doc, "--json"
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": "qtalg/error/v1",
+        "error": "membership is stated at v = 1; the --op document has v = 2",
+    }
+    code, doc, _ = run(capsys, "spherical", "e", "--root-system", "A1", "--json")
+    assert code == 0
+    code, out, err = run(
+        capsys, "spherical", "check", "--root-system", "A1", "--op", doc
+    )
+    assert code == 1 and not out
+    assert "the spherical check is stated at v = 1" in err and "v = symbolic" in err
+    # a whole document at v = 1 is read as before
+    code, doc, _ = run(
+        capsys, "spherical", "e", "--root-system", "A1", "--v", "1", "--json"
+    )
+    assert code == 0
+    code, out, _ = run(
+        capsys, "spherical", "check", "--root-system", "A1", "--op", doc
+    )
+    assert code == 0 and "spherical" in out
+
+
 def test_spherical_xi_word(capsys):
     code, out, _ = run(capsys, "spherical", "xi", "--word", "T1", "--json")
     assert code == 0

@@ -412,6 +412,14 @@ def test_generators_and_short_products_are_members():
             assert check_membership(a * b)["ok"]
 
 
+@pytest.mark.xfail(strict=True, reason="the forced-vanishing divisors are those of v = 1")
+@pytest.mark.parametrize("label", ["A1", "A2"])
+@pytest.mark.parametrize("v", [2, None], ids=["v2", "symbolic"])
+def test_generator_is_a_member_away_from_v1(label, v):
+    # each reports one forced-vanishing violation
+    assert check_membership(dl_operator(default_pair(label), 1, v))["ok"]
+
+
 def test_multiplication_operator_is_member():
     op = DiffRefOperator.from_function(A1, TorusFraction.monomial(A1, (2,), T))
     assert check_membership(op)["ok"]

@@ -148,17 +148,43 @@ def test_common_factor_leaves_the_stored_form_unchanged(a, b, c):
     assert s.den.terms == t.den.terms
 
 
-@given(nonzero_polys, nonzero_polys, nonzero_polys)
-@settings(max_examples=60, deadline=None)
-def test_cancel_common_returns_the_gcd_with_exact_quotients(a, b, c):
+# integer coefficients up to 10^6 in q^1/2, t and v
+big_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4).map(lambda e: Q(e, 2)), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-(10**6), 10**6).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(LaurentPoly)
+# (a, b, c) for the sides a c and b c: c = 1 leaves a pair that is mostly
+# coprime, any other c is a planted common factor
+gcd_cases = st.one_of(
+    st.tuples(nonzero_polys, nonzero_polys, nonzero_polys),
+    st.tuples(big_polys, big_polys, st.just(LaurentPoly.one()) | big_polys),
+)
+
+
+@given(gcd_cases)
+@settings(max_examples=100, deadline=None)
+def test_cancel_common_returns_the_gcd_with_exact_quotients(case):
+    sympy = pytest.importorskip("sympy")
+    a, b, c = case
     p, r = a * c, b * c
     split = _cancel_common(p, r)
-    if split is None:
-        assert len(c.terms) == 1  # a common factor c is found
+    syms = sympy.symbols("y t v")  # y = q^(1/2)
+
+    def lift(s):  # s over its monomial content, a polynomial
+        return sympy_poly(s.shift(*(-e for e in s.min_exponents())), 2, syms)
+
+    g = sympy.gcd(lift(p), lift(r))
+    if split is None:  # only a monomial is common
+        assert len(sympy.Poly(g, *syms).terms()) == 1, (p, r, g)
         return
     h, x, y = split
     assert h * x == p and h * y == r
     assert h.min_exponents() == (0, 0, 0) and len(h.terms) > 1
+    # h is the gcd up to a unit: a rational multiple of a Laurent monomial
+    unit = sympy.fraction(sympy.cancel(sympy_poly(h, 2, syms) / g))
+    assert all(len(sympy.Poly(side, *syms).terms()) == 1 for side in unit), (p, r, h, g)
 
 
 @given(scalars, scalars, nonzero_polys, points)

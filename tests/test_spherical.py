@@ -293,6 +293,14 @@ def test_e_itself_is_spherical():
     assert rep.ok and rep.terms_checked == 2
 
 
+@pytest.mark.xfail(strict=True, reason="check_spherical hard-codes the right ratio of v = 1")
+@pytest.mark.parametrize("label", ["A1", "A2"])
+@pytest.mark.parametrize("v", [2, None], ids=["v2", "symbolic"])
+def test_e_v_is_spherical_away_from_v1(label, v):
+    # A1 reports 2 right-ratio failures and A2 reports 12
+    assert check_spherical(idempotent_e_v(default_pair(label), v)).ok
+
+
 def test_sandwiches_are_spherical():
     e = idempotent_e_v(A1, 1)
     rng = random.Random(11)
