@@ -132,15 +132,14 @@ def _parse_v(text: str):
         raise UsageError(f"bad --v value {text!r}; use 'symbolic' or a rational") from None
 
 
-def _operator_at_v1(args, pair: LatticePair, check: str) -> DiffRefOperator:
-    """The --op operator of a check stated at v = 1: a whole document whose
-    config names another v is refused, a bare operator is taken as given."""
+def _operator_and_v(args, pair: LatticePair) -> tuple[DiffRefOperator, str]:
+    """The --op operator and the v it was built at: config.v of a whole
+    document, or "1" for a bare operator."""
     data = _load_json(args.op, "--op")
     cfg = data.get("config") if isinstance(data, dict) else None
     v = cfg.get("v") if isinstance(cfg, dict) else None
-    if v is not None and _parse_v(str(v)) != 1:
-        raise QtalgError(f"{check} is stated at v = 1; the --op document has v = {v}")
-    return DiffRefOperator.from_json(pair, _unwrap(data, "operator"))
+    op = DiffRefOperator.from_json(pair, _unwrap(data, "operator"))
+    return op, "1" if v is None else str(v)
 
 
 def _coeff(data) -> Scalar:
@@ -457,7 +456,10 @@ def cmd_daha_apply(args):
 
 def cmd_daha_member(args):
     pair = _pair(args)
-    rep = check_membership(_operator_at_v1(args, pair, "membership"))
+    op, v = _operator_and_v(args, pair)
+    if _parse_v(v) != 1:
+        raise QtalgError(f"membership is stated at v = 1; the --op document has v = {v}")
+    rep = check_membership(op)
     cfg = _config_header(args)
     payload = {"config": cfg, "ok": rep["ok"], "violations": rep["violations"]}
     lines = [_header_line(cfg)]
@@ -482,7 +484,8 @@ def cmd_spherical_e(args):
 
 def cmd_spherical_check(args):
     pair = _pair(args)
-    rep = check_spherical(_operator_at_v1(args, pair, "the spherical check"))
+    op, v = _operator_and_v(args, pair)
+    rep = check_spherical(op, _parse_v(v))
     cfg = _config_header(args)
     payload = {"config": cfg, "report": rep.to_json()}
     lines = [_header_line(cfg)]

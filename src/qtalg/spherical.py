@@ -31,9 +31,12 @@ spherical subalgebra e*H*e is equivalent to two coefficient conditions,
 for every finite node i and every term (w, mu):
 
     (left-equivariance)  h_{s_i w, s_i mu} = s_i(h_{w,mu}),
-    (right-ratio)        h_{w s_i, mu} = h_{w,mu} * D^mu w(R_i),
+    (right-ratio)        h_{w s_i, mu} = h_{w,mu} * D^mu w(s_i(h)/h),
 
-where R_i = (t^2 e^{a_i} - 1)/(e^{a_i} - t^2).
+with h the product above and s_i(h)/h = (t^2 e^{a_i} - ty)/(ty e^{a_i} - t^2),
+taken at the v of the algebra that h belongs to.  At symbolic v the pole
+e^{a_i} = t/y is not a monomial, so the right-ratio is compared
+cross-multiplied by the two binomials.
 """
 
 from __future__ import annotations
@@ -212,13 +215,16 @@ def _normalizer(system: RootSystem, scale: Scalar, ratio: Scalar) -> Scalar:
     return (scale ** len(system.positive_roots) * poincare).inverse()
 
 
+def _binomial(pair: LatticePair, ty: Scalar, alpha) -> dict:
+    """t^2 - ty e^alpha, the numerator factor of the product formula."""
+    return {(0,) * pair.rank: Scalar.t() * Scalar.t(), tuple(alpha): -ty}
+
+
 def _macdonald_h(pair: LatticePair, ty: Scalar) -> TorusFraction:
     """h = prod_{a > 0} (t^2 - ty e^a)/(e^a - 1)."""
-    t2 = Scalar.t() * Scalar.t()
-    zero = (0,) * pair.rank
     h = TorusFraction.one(pair)
     for alpha in pair.positive_roots_x():
-        h = h * TorusFraction.ratio(pair, {zero: t2, alpha: -ty}, [(alpha, 1)])
+        h = h * TorusFraction.ratio(pair, _binomial(pair, ty, alpha), [(alpha, 1)])
     return h
 
 
@@ -261,18 +267,6 @@ def check_sign_absorption(pair: LatticePair, node: int, v=None) -> bool:
     return dl_operator(pair, node, v) * eps == eps.scale(v * (t - t.inverse()) - t)
 
 
-def spherical_ratio(pair: LatticePair, node: int) -> TorusFraction:
-    """(t^2 e^{a_i} - 1)/(e^{a_i} - t^2) for the finite node i."""
-    if not 1 <= node <= pair.rank:
-        raise ValueError("the ratio is attached to finite nodes 1..rank")
-    alpha = pair.simple_root_x(node - 1)
-    t2 = Scalar.t() * Scalar.t()
-    zero = (0,) * pair.rank
-    return TorusFraction.ratio(
-        pair, {alpha: t2, zero: Scalar.const(-1)}, [(alpha, t2)]
-    )
-
-
 class SphericalReport:
     """Outcome of the spherical membership test, with failure witnesses."""
 
@@ -310,17 +304,28 @@ def _failure(condition: str, node: int, w: WeylElement, mu) -> dict:
     }
 
 
-def check_spherical(h: DiffRefOperator) -> SphericalReport:
-    """Check left-equivariance and right-ratio for every term and node."""
+def check_spherical(h: DiffRefOperator, v=1) -> SphericalReport:
+    """Check left-equivariance and right-ratio for every term and node,
+    for h in the algebra at v (None for symbolic v).
+
+    The right-ratio h_{w s_i, mu} = h_{w,mu} D^mu w(s_i(h)/h) is tested as
+    h_{w s_i, mu} D^mu w(ty e^{a_i} - t^2) = h_{w,mu} D^mu w(t^2 e^{a_i} - ty),
+    the two binomials of the product formula's ratio.
+    """
     pair = h.pair
     system = pair.system
+    ty = Scalar.t() * deformed_y(v)
     zero = TorusFraction.zero(pair)
     failures: list[dict] = []
     checked = 0
     keys = sorted(h.terms, key=lambda key: (key[0].length, key[0].word, key[1]))
     for node in range(1, system.rank + 1):
         si = system.simple_reflection(node - 1)
-        ratio = spherical_ratio(pair, node)
+        alpha = pair.simple_root_x(node - 1)
+        # t^2 - ty e^a is b(a); ty e^a - t^2 = -b(a), t^2 e^a - ty = e^a s_i(b(a))
+        b = TorusFraction(pair, _binomial(pair, ty, alpha))
+        den = -b
+        num = TorusFraction.monomial(pair, alpha) * b.weyl_act(si)
         for w, mu in keys:
             coeff = h.terms[(w, mu)]
             checked += 1
@@ -328,7 +333,9 @@ def check_spherical(h: DiffRefOperator) -> SphericalReport:
             if mirrored != coeff.weyl_act(si):
                 failures.append(_failure("left-equivariance", node, w, mu))
             right = h.terms.get((w * si, mu), zero)
-            if right != coeff.mul_unreduced(ratio.transport(w, mu)):
+            if right.mul_unreduced(den.transport(w, mu)) != coeff.mul_unreduced(
+                num.transport(w, mu)
+            ):
                 failures.append(_failure("right-ratio", node, w, mu))
     return SphericalReport(failures, checked)
 
@@ -350,18 +357,3 @@ def im_involution(expr: HeckeExpression) -> HeckeExpression:
                 image = image * HeckeExpression.monomial(tuple(-m for m in payload), v)
         out = out + image
     return out
-
-
-def sign_rep_apply(
-    pair: LatticePair, expr: HeckeExpression, f: TorusFraction
-) -> TorusFraction:
-    """Act by the involuted word on the anti-symmetrized function space."""
-    if not isinstance(expr, HeckeExpression):
-        raise TypeError("sign_rep_apply expects a generator-word expression")
-    proj = idempotent_eps_v(pair, expr.v)
-    if proj.apply(f) != f:
-        raise ValueError("function is not in the projected subspace")
-    image = im_involution(expr).to_operator(pair).apply(f)
-    if proj.apply(image) != image:
-        raise ValueError("the image leaves the projected subspace")
-    return image

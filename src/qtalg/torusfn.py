@@ -252,9 +252,6 @@ class TorusFraction(CommonDen):
 
     num = CommonDen.coeffs  # exponent -> lowest-terms scalar coefficient
 
-    def is_polynomial(self) -> bool:
-        return not self.factors
-
     def as_scalar(self) -> Scalar:
         """The value of a constant fraction (no factors, exponent zero)."""
         if self.factors:

@@ -25,6 +25,9 @@ own (:func:`sequential_braid_sides`), are kept here too.  The evaluation
 of operator coefficients at rational points from their JSON form by
 ``Scalar.specialize`` alone (:func:`specialize_operator`) has no library
 counterpart: it checks symbolic-v operators against numeric-v builds.
+The spherical check of v = 1 with its hard-coded right ratio R_i
+(:func:`check_spherical_v1`) is the earlier form of ``check_spherical``,
+which now takes the ratio of the product formula at any v.
 """
 
 from fractions import Fraction as Q
@@ -35,7 +38,13 @@ from qtalg.errors import PoleError
 from qtalg.linalg import is_integral, mat_inv, mat_vec
 from qtalg.mlambda import Character
 from qtalg.scalars import LaurentPoly, QPower, Scalar, _as_scalar, _norm
-from qtalg.spherical import HeckeExpression, deformed_y, poincare_sum
+from qtalg.spherical import (
+    HeckeExpression,
+    SphericalReport,
+    _failure,
+    deformed_y,
+    poincare_sum,
+)
 from qtalg.torusfn import TorusFraction
 
 
@@ -208,6 +217,41 @@ def idempotent_e_v(pair, v=None):
 def idempotent_eps_v(pair, v=None):
     """eps_v as the operator of its generator words."""
     return antisymmetrizer_word(pair.system, v).to_operator(pair)
+
+
+# -- the spherical check at v = 1 -------------------------------------------------
+
+
+def spherical_ratio_v1(pair, node: int) -> TorusFraction:
+    """R_i = (t^2 e^{a_i} - 1)/(e^{a_i} - t^2), the right ratio of v = 1."""
+    alpha = pair.simple_root_x(node - 1)
+    t2 = Scalar.t() * Scalar.t()
+    zero = (0,) * pair.rank
+    return TorusFraction.ratio(pair, {alpha: t2, zero: Scalar.const(-1)}, [(alpha, t2)])
+
+
+def check_spherical_v1(h) -> SphericalReport:
+    """The spherical check of v = 1 as first written: the right ratio taken
+    as the fraction R_i, compared term by term without cross-multiplying."""
+    pair = h.pair
+    system = pair.system
+    zero = TorusFraction.zero(pair)
+    failures = []
+    checked = 0
+    keys = sorted(h.terms, key=lambda key: (key[0].length, key[0].word, key[1]))
+    for node in range(1, system.rank + 1):
+        si = system.simple_reflection(node - 1)
+        ratio = spherical_ratio_v1(pair, node)
+        for w, mu in keys:
+            coeff = h.terms[(w, mu)]
+            checked += 1
+            mirrored = h.terms.get((si * w, pair.act_y(si, mu)), zero)
+            if mirrored != coeff.weyl_act(si):
+                failures.append(_failure("left-equivariance", node, w, mu))
+            right = h.terms.get((w * si, mu), zero)
+            if right != coeff * ratio.transport(w, mu):
+                failures.append(_failure("right-ratio", node, w, mu))
+    return SphericalReport(failures, checked)
 
 
 def _as_qpower(c) -> QPower:

@@ -201,7 +201,7 @@ def test_spherical_e_is_spherical_via_cli(capsys):
     assert code == 0 and "spherical" in out
 
 
-def test_checks_at_v1_refuse_documents_built_at_another_v(capsys):
+def test_membership_refuses_documents_built_at_another_v(capsys):
     code, doc, _ = run(
         capsys, "daha", "op", "--root-system", "A1", "--v", "2", "--word", "T1", "--json"
     )
@@ -214,13 +214,24 @@ def test_checks_at_v1_refuse_documents_built_at_another_v(capsys):
         "schema": "qtalg/error/v1",
         "error": "membership is stated at v = 1; the --op document has v = 2",
     }
+
+
+def test_spherical_check_reads_the_v_of_the_document(capsys):
     code, doc, _ = run(capsys, "spherical", "e", "--root-system", "A1", "--json")
-    assert code == 0
-    code, out, err = run(
+    assert code == 0 and json.loads(doc)["config"]["v"] == "symbolic"
+    code, out, _ = run(
         capsys, "spherical", "check", "--root-system", "A1", "--op", doc
     )
-    assert code == 1 and not out
-    assert "the spherical check is stated at v = 1" in err and "v = symbolic" in err
+    assert code == 0 and out.splitlines()[-1].startswith("spherical:")
+    code, doc, _ = run(
+        capsys, "daha", "op", "--root-system", "A1", "--v", "2", "--word", "T1", "--json"
+    )
+    assert code == 0
+    code, out, _ = run(
+        capsys, "spherical", "check", "--root-system", "A1", "--op", doc
+    )
+    assert code == 1
+    assert any(line.startswith("  right-ratio at node 1") for line in out.splitlines())
     # a whole document at v = 1 is read as before
     code, doc, _ = run(
         capsys, "spherical", "e", "--root-system", "A1", "--v", "1", "--json"

@@ -1,5 +1,6 @@
 """Tests for Hecke words, spherical idempotents and membership."""
 
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -23,8 +24,6 @@ from qtalg.spherical import (
     im_involution,
     poincare_sum,
     reduced_words,
-    sign_rep_apply,
-    spherical_ratio,
 )
 from qtalg.torusfn import TorusFraction
 
@@ -293,12 +292,36 @@ def test_e_itself_is_spherical():
     assert rep.ok and rep.terms_checked == 2
 
 
-@pytest.mark.xfail(strict=True, reason="check_spherical hard-codes the right ratio of v = 1")
-@pytest.mark.parametrize("label", ["A1", "A2"])
-@pytest.mark.parametrize("v", [2, None], ids=["v2", "symbolic"])
+# v = 0 (H[W]), 2 and 1/3 away from DAHA's v = 1, and symbolic v
+V_FAMILY = [0, 2, Q(1, 3), None]
+V_IDS = ["v0", "v2", "v1_3", "symbolic"]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2"])
+@pytest.mark.parametrize("v", V_FAMILY, ids=V_IDS)
 def test_e_v_is_spherical_away_from_v1(label, v):
-    # A1 reports 2 right-ratio failures and A2 reports 12
-    assert check_spherical(idempotent_e_v(default_pair(label), v)).ok
+    pair = default_pair(label)
+    rep = check_spherical(idempotent_e_v(pair, v), v)
+    assert rep.ok and rep.terms_checked == pair.rank * len(pair.system.elements)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2"])
+@pytest.mark.parametrize("v", [0, 2, None], ids=["v0", "v2", "symbolic"])
+def test_sandwiches_are_spherical_away_from_v1(label, v):
+    pair = default_pair(label)
+    e = idempotent_e_v(pair, v)
+    t0, t1 = dl_operator(pair, 0, v), dl_operator(pair, 1, v)
+    for g in (t0, t0 * t1):
+        assert check_spherical(e * g * e, v).ok
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2"])
+@pytest.mark.parametrize("v", V_FAMILY, ids=V_IDS)
+def test_bare_generator_is_not_spherical_away_from_v1(label, v):
+    rep = check_spherical(dl_operator(default_pair(label), 1, v), v)
+    assert not rep.ok
+    assert rep.first_witness()["node"] == 1
+    assert any(f["condition"] == "right-ratio" for f in rep.failures)
 
 
 def test_sandwiches_are_spherical():
@@ -323,22 +346,37 @@ def test_bare_generator_is_not_spherical():
     assert any(f["condition"] == "left-equivariance" for f in rep.failures)
 
 
+def _generator_words(pair, max_length):
+    gens = [dl_operator(pair, n, 1) for n in range(pair.rank + 1)]
+    for length in range(1, max_length + 1):
+        for word in itertools.product(gens, repeat=length):
+            op = DiffRefOperator.identity(pair)
+            for g in word:
+                op = op * g
+            yield op
+
+
+def test_v1_failures_match_the_fixed_ratio_reference():
+    # the product formula's ratio at v = 1 is the R_i of the earlier check
+    e = idempotent_e_v(A1, 1)
+    ops = [op for w in _generator_words(A1, 3) for op in (w, e * w * e)]
+    ops += list(_generator_words(A2, 3))
+    assert len(ops) == 67
+    for op in ops:
+        assert check_spherical(op).to_json() == ref.check_spherical_v1(op).to_json()
+
+
 def test_sl2_series_ratio():
-    # the right-ratio factor after a shift by mu = (n,)
+    # the right-ratio factor of v = 1 after a shift by mu = (n,)
     q2 = Scalar.q() ** 2
     t2 = T * T
     for n in (1, -2):
-        shifted = spherical_ratio(A1, 1).shift_mu((n,))
+        shifted = ref.spherical_ratio_v1(A1, 1).shift_mu((n,))
         qn = q2**n
         expected = ref.two_term_den(
             A1, {(1,): t2 * qn, (0,): Scalar.const(-1)}, {(1,): qn, (0,): -t2}
         )
         assert shifted == expected
-
-
-def test_spherical_ratio_rejects_affine_node():
-    with pytest.raises(ValueError, match="finite"):
-        spherical_ratio(A1, 0)
 
 
 def test_report_json_shape():
@@ -419,6 +457,17 @@ def test_expression_json_round_trip():
 
 
 # -- sign representation ----------------------------------------------------------
+
+
+def sign_rep_apply(pair, expr, f):
+    """Act by the involuted word on the anti-symmetrized function space."""
+    proj = idempotent_eps_v(pair, expr.v)
+    if proj.apply(f) != f:
+        raise ValueError("function is not in the projected subspace")
+    image = im_involution(expr).to_operator(pair).apply(f)
+    if proj.apply(image) != image:
+        raise ValueError("the image leaves the projected subspace")
+    return image
 
 
 def antisym_a1():
