@@ -15,6 +15,9 @@ which satisfies T^2 = v(t - 1/t) T + v + t^2(1 - v) and the braid
 relations of the affine Coxeter diagram.  The braid sides share their middle
 word, and a product collects equal factors, sum h1 G = (sum h1) G, so an
 idempotent square takes one coefficient product per key instead of |W|.
+A key with one term pair is the reduced product h1 G, which divides only
+across the two sides: along a primitive direction a binomial is prime
+(:meth:`~qtalg.torusfn.TorusFraction.__mul__`).
 
 `check_membership` decides whether an operator's coefficients satisfy
 the three divisor conditions that cut out the image of the deformed
@@ -23,8 +26,8 @@ algebra: poles confined to e^alpha = q^{2k} with order one
 each such divisor ("residue-sum"), and forced vanishing on a family of
 t-shifted divisors determined by the sign of <alpha, mu> ("forced-
 vanishing"; the exact ranges are documented in the README).  The last
-two are zero tests on unreduced restrictions, with no reduced fraction
-built: :meth:`~qtalg.torusfn.TorusFraction.residues_cancel` and
+two are zero tests on restricted numerators, with no fraction built:
+:meth:`~qtalg.torusfn.TorusFraction.residues_cancel` and
 :meth:`~qtalg.torusfn.TorusFraction.vanishes_on`.
 """
 
@@ -120,7 +123,8 @@ class DiffRefOperator:
         Term pairs are grouped by key (w1 w2, m1 + w1 m2); a group's products
         h1 * G, G = h2.transport(w1, m1), equal factors collected in groups of
         more than two (:func:`_collect_factors`), are formed unreduced and
-        summed once with one reduction (:meth:`TorusFraction.sum`)."""
+        summed once with one reduction (:meth:`TorusFraction.sum`); a group
+        of one is the reduced product h1 * G."""
         pair = self.pair
         groups: dict = {}
         for (w1, m1), h1 in self.terms.items():
@@ -134,6 +138,10 @@ class DiffRefOperator:
         terms = {}
         for key, group in groups.items():
             parts = [(h1, h2.transport(w1, m1)) for h1, h2, w1, m1 in group]
+            if len(parts) == 1:
+                [(h1, g)] = parts
+                terms[key] = h1 * g
+                continue
             if len(parts) > 2:
                 parts = _collect_factors(pair, parts, signed)
             terms[key] = TorusFraction.sum(pair, [h1.mul_unreduced(g) for h1, g in parts])

@@ -206,16 +206,43 @@ class IsotropyGroup:
     """The subgroup {w : w(lambda) = lambda q^{y_w}} with its shifts."""
 
     def __init__(self, pair: LatticePair, shifts: dict[WeylElement, tuple[int, ...]]):
+        """Checks, through a generating set, that the elements form a group
+        and that the shifts satisfy the cocycle identity.
+
+        Each element not yet generated becomes a generator, and the
+        products of the generated elements with the generators must stay
+        in the set, so the set is the finite subgroup they generate.  Every
+        element is a word in the generators, so y_{w g} = y_w + w(y_g) for
+        every element w and generator g gives the identity for every
+        pair; the identity element, which generates nothing, is checked on
+        its own."""
         self.pair = pair
         self.shifts = shifts = dict(shifts)
+        identity = pair.system.identity
+        if any(shifts.get(identity, ())):
+            raise ValueError("isotropy shifts violate the cocycle identity")
+        gens: list[WeylElement] = []
+        generated: set[WeylElement] = set()
+        for w in shifts:
+            if w in generated or w == identity:
+                continue
+            gens.append(w)
+            generated.add(w)
+            todo = list(generated)
+            while todo:
+                x = todo.pop()
+                for g in gens:
+                    y = x * g
+                    if y not in generated:
+                        if y not in shifts:
+                            raise ValueError("isotropy set is not closed under products")
+                        generated.add(y)
+                        todo.append(y)
         for w1, y1 in shifts.items():
             rows = tuple(zip(y1, pair.y_matrix(w1)))
-            for w2, y2 in shifts.items():
-                got = shifts.get(w1 * w2)
-                if got is None:
-                    raise ValueError("isotropy set is not closed under products")
-                # y_{w1 w2} = y_{w1} + w1(y_{w2})
-                if got != tuple([a + sum(map(mul, row, y2)) for a, row in rows]):
+            for g in gens:
+                # y_{w1 g} = y_{w1} + w1(y_g)
+                if shifts[w1 * g] != tuple([a + sum(map(mul, row, shifts[g])) for a, row in rows]):
                     raise ValueError("isotropy shifts violate the cocycle identity")
 
     @property

@@ -48,17 +48,24 @@ When no two stored directions are proportional, as for roots, the
 reduced denominator depends on the value alone, so it is also the form
 that reducing every product and partial sum would store.
 
+A product of two reduced fractions tries only the cancellations that can
+happen (:meth:`TorusFraction.__mul__`): over integral exponents a binomial
+along a primitive direction is prime, so it is divided only into the
+numerator of the side that does not already hold it.
+
 Restriction to e^alpha = tau is e^x -> tau^k e^{x - k alpha}, k the
 alpha-coordinate of x.  Each divisor is taken apart once: alpha in the
 orientation of stored factors and tau as monomial exponents and a
 coefficient, so powers of tau, pole matching and moved factors are
 exponent and coefficient arithmetic, with no scalar built.
 :meth:`evaluate_at` and :meth:`residue` return the restriction reduced.
-The zero tests build no reduced fraction: :meth:`vanishes_on` reads only
-the restricted numerator, and :meth:`residues_cancel` compares two
-unreduced residues with ``==``.  :meth:`vanishes_on` takes a monomial tau
-only, as :meth:`evaluate_at` does; the membership test across the
-v-family (ROADMAP.md) extends it.
+The zero tests build no fraction: :meth:`vanishes_on` reads only the
+restricted numerator, and :meth:`residues_cancel` reads the restricted
+numerators of both sides, each multiplied by what the other side's
+denominator has beyond its own (the scalar denominator, the derivative
+k tau^{k-1} of the pole factor and the restricted lacking factors).
+:meth:`vanishes_on` takes a monomial tau only, as :meth:`evaluate_at`
+does; the membership test across the v-family (ROADMAP.md) extends it.
 """
 
 from __future__ import annotations
@@ -205,7 +212,8 @@ class TorusFraction(CommonDen):
         # zero has no poles, whatever the factors were
         self.factors = tuple(sorted(factors)) if self.polys else ()
         if self.factors:
-            self._reduce()
+            self.polys, kept = _cancel(self.polys, self.factors)
+            self.factors = tuple(kept)
 
     @classmethod
     def _stored(cls, pair: LatticePair, polys: Num, den, factors) -> TorusFraction:
@@ -268,31 +276,6 @@ class TorusFraction(CommonDen):
         counts = sorted(Counter(self.factors).items())
         return [(f[0], _factor_value(f), m) for f, m in counts]
 
-    # -- reduction ---------------------------------------------------------------
-
-    def _reduce(self) -> None:
-        """Cancel each factor, after its exact division succeeds, as often
-        as it divides, in one pass in sorted order: a factor that does not
-        divide N divides no N/f, as N = f (N/f), so none needs a retry."""
-        factors = list(self.factors)
-        classes: dict[tuple[int, ...], list] = {}
-        for f in dict.fromkeys(self.factors):
-            for _ in range(self.factors.count(f)):
-                quotient: Num = {}
-                todo = classes.get(f[0])
-                if todo is None:
-                    probed = _probe_class(self.polys, f[0]) if len(f[0]) > 1 else None
-                    if probed and not _divide_num(self.polys, f, [probed], quotient):
-                        break
-                    # the first exponent's class comes first, and was just divided
-                    classes[f[0]] = todo = _beta_classes(self.polys, f[0])
-                    todo = todo[1:] if probed else todo
-                if not _divide_num(self.polys, f, todo, quotient):
-                    break
-                self.polys, classes = quotient, {}
-                factors.remove(f)
-        self.factors = tuple(factors)
-
     # -- arithmetic -----------------------------------------------------------------
 
     @classmethod
@@ -315,10 +298,32 @@ class TorusFraction(CommonDen):
         return TorusFraction.sum(self.pair, (self, other))
 
     def __mul__(self, other: TorusFraction) -> TorusFraction:
+        """The product, reduced, of two reduced fractions.
+
+        Over integral exponents, e^beta - c with beta primitive is prime, so
+        a factor of one side divides the product only through the other
+        side's numerator, and a factor of both sides never divides it: the
+        cross-cancellations alone are tried.  A factor along a non-primitive
+        direction may split, and is tried on the whole product, as are all
+        factors when a numerator has a fractional exponent, where a primitive
+        beta can be twice a half-lattice point."""
         if not isinstance(other, TorusFraction):
             return NotImplemented
-        num = (_num_mul(self.polys, other.polys), self.den * other.den)
-        return TorusFraction(self.pair, num, self.factors + other.factors)
+        pair, a, b = self.pair, self.factors, other.factors
+        if not (self.polys and other.polys):
+            return TorusFraction.zero(pair)
+        den = self.den * other.den
+        if not (_integral(self.polys) and _integral(other.polys)):
+            return TorusFraction(pair, (_num_mul(self.polys, other.polys), den), a + b)
+        # only the factors of one side are tried on the other's numerator
+        num_a, kept_b = _cancel(self.polys, [f for f in b if f not in a and _primitive(f)])
+        num_b, kept_a = _cancel(other.polys, [f for f in a if f not in b and _primitive(f)])
+        polys = _num_mul(num_a, num_b)
+        if len(den.terms) > 1:
+            polys, den = _lowest_terms(polys, den)
+        common = [f for f in a + b if f in a and f in b and _primitive(f)]
+        split, kept = _cancel(polys, sorted(f for f in a + b if not _primitive(f)))
+        return TorusFraction._stored(pair, split, den, kept_a + kept_b + common + kept)
 
     def mul_unreduced(self, other: TorusFraction) -> TorusFraction:
         """The product with nothing cancelled: the factor multisets
@@ -497,22 +502,71 @@ class TorusFraction(CommonDen):
 
         alpha may have either orientation; tau must be a nonzero monomial.
         """
-        value = self._residue(*_divisor(alpha, tau, "residue"))
+        alpha, mono, flipped = _divisor(alpha, tau, "residue")
+        pole = self._pole_on(alpha, mono)
+        if pole is None:
+            return TorusFraction.zero(self.pair)
+        k, remaining = pole
+        value = self._substitute(_restriction(alpha, mono), remaining)
+        # e^{k alpha} - tau^k = (e^alpha - tau) S with S -> k tau^{k-1}, and
+        # e^-alpha - 1/tau = -tau^-2 (e^alpha - tau) on the divisor
+        if k != 1 or flipped:
+            key, coeff = _mono_pow(*mono, 1 - k - 2 * flipped)
+            value = value.scale(Scalar.monomial(*key, coeff=(-1) ** flipped * coeff / k))
         return TorusFraction(self.pair, (value.polys, value.den), value.factors)
 
     def residues_cancel(self, other: TorusFraction, alpha, tau) -> bool:
         """Whether the residues of self and other along e^alpha = tau sum
-        to zero, with the errors of :meth:`residue`; decided by ``==`` on
-        the residues with nothing cancelled, so no reduced one is built."""
-        divisor = _divisor(alpha, tau, "residue")
-        return self._residue(*divisor) == -other._residue(*divisor)
+        to zero, with the errors of :meth:`residue`, read on restricted
+        numerators with no residue built.
 
-    def _residue(self, alpha, mono, flipped) -> TorusFraction:
-        """:meth:`residue` on a divisor as :func:`_divisor` returns it, with
-        nothing cancelled, for zero tests and ``==``."""
+        Write f = N / (d F A), with d the scalar denominator, F = e^{k alpha}
+        - tau^k the one factor vanishing on D: e^alpha = tau and A the
+        others, and s = k tau^{k-1}.  Then Res f = N|_D / (d s A|_D), up to
+        the sign of the orientation, which both sides share.  Multiplied by
+        d_f d_g s_f s_g lcm(A_f, A_g)|_D, nonzero on D, the residue sum is
+        N_f|_D d_g s_g (A_g - A_f)|_D + N_g|_D d_f s_f (A_f - A_g)|_D, with
+        A_g - A_f the multiset difference, and equal parts of the two sides
+        are left out.  A side with no pole on D has no residue.
+        """
+        alpha, mono, _ = _divisor(alpha, tau, "residue")
+        image, sides = None, []
+        for f in (self, other):
+            pole = f._pole_on(alpha, mono)
+            if pole is not None:
+                image = image or _restriction(alpha, mono)
+                pole = (f._image_num(image), *pole)
+            sides.append(pole)
+        if sides[0] is None or sides[1] is None:
+            return not any(any(side[0].values()) for side in sides if side)
+        (num_f, k_f, rest_f), (num_g, k_g, rest_g) = sides
+        # each side is multiplied by what the other's denominator has
+        # beyond its own
+        lacks_f = lacks_g = ()
+        if rest_f != rest_g:
+            counts_f, counts_g = Counter(rest_f), Counter(rest_g)
+            lacks_f = tuple((counts_g - counts_f).elements())
+            lacks_g = tuple((counts_f - counts_g).elements())
+        den_f = den_g = None
+        if self.den.terms != other.den.terms:
+            den_f, den_g = other.den, self.den
+        s_f = s_g = None
+        if k_f != k_g:
+            # s = k tau^{k-1}; each side takes the other's
+            s_f, s_g = (_mono_mul(_mono_pow(*mono, k - 1), ((0, 0, 0), k)) for k in (k_g, k_f))
+        rank = self.pair.rank
+        acc = _times_restricted(num_f, image, rank, den_f, s_f, lacks_f)
+        for y, terms in _times_restricted(num_g, image, rank, den_g, s_g, lacks_g).items():
+            _add_into(acc, y, terms)
+        return not any(acc.values())
+
+    def _pole_on(self, alpha, mono) -> tuple[int, list[Factor]] | None:
+        """(k, the other factors) for the one factor e^{k alpha} - tau^k of
+        self that vanishes on a divisor as :func:`_divisor` returns it, or
+        None if none does; PoleError if more than one does."""
         matching = self._matching_factors(alpha, mono)
         if not matching:
-            return TorusFraction.zero(self.pair)
+            return None
         if len(matching) > 1:
             tau = _factor_value((alpha, *mono))
             raise PoleError(f"pole of order {len(matching)} on e^{list(alpha)} = {tau}")
@@ -520,13 +574,7 @@ class TorusFraction(CommonDen):
         [(f, k)] = matching
         remaining = list(self.factors)
         remaining.remove(f)
-        value = self._substitute(_restriction(alpha, mono), remaining)
-        # e^{k alpha} - tau^k = (e^alpha - tau) S with S -> k tau^{k-1}, and
-        # e^-alpha - 1/tau = -tau^-2 (e^alpha - tau) on the divisor
-        if k != 1 or flipped:
-            key, coeff = _mono_pow(*mono, 1 - k - 2 * flipped)
-            value = value.scale(Scalar.monomial(*key, coeff=(-1) ** flipped * coeff / k))
-        return value
+        return k, remaining
 
     # -- display and JSON ------------------------------------------------------------
 
@@ -627,6 +675,31 @@ def _common_form(rank: int, parts) -> tuple[Num, LaurentPoly, tuple[Factor, ...]
     return _collect(acc), den, factors
 
 
+def _times_restricted(num: dict, image, rank: int, den, s, factors) -> dict:
+    """Term dicts, by exponent, of num (as :meth:`TorusFraction._image_num`
+    gives it) times the scalar den, the scalar monomial with data s and the
+    factors restricted through image; den and s may be None for 1."""
+    zero = (0,) * rank
+    mult = None if den is None else {zero: den}
+    if s is not None:
+        scalar = {zero: LaurentPoly.monomial(*s[0], coeff=s[1])}
+        mult = scalar if mult is None else _num_mul(mult, scalar)
+    for beta, key, coeff in factors:
+        # e^beta - c -> m e^{beta'} - c, a nonzero scalar when beta' = 0
+        y, m = image(beta)
+        power = _ONE if m is None else LaurentPoly.monomial(*m[0], coeff=m[1])
+        c = LaurentPoly.monomial(*key, coeff=-coeff)
+        binomial = {y: power, zero: c} if any(y) else {zero: power + c}
+        mult = binomial if mult is None else _num_mul(mult, binomial)
+    if mult is None:
+        return num
+    acc: dict = {}
+    for y, terms in num.items():
+        for x, p in mult.items():
+            _mul_terms(acc.setdefault(tuple(map(add, y, x)), {}), terms, p.terms)
+    return acc
+
+
 def _factors_poly(factors, rank: int) -> Num:
     """Expand a factor multiset into a numerator."""
     zero = _xkey((0,) * rank)
@@ -655,6 +728,43 @@ def _canonicalize_factor(f: Factor, unit: Unit) -> tuple[Factor, Unit]:
     flipped = (neg, inv_key, 1 / coeff)
     x, mono = unit
     return flipped, (tuple(map(add, x, neg)), _mono_mul(mono, (inv_key, -1 / coeff)))
+
+
+def _primitive(f: Factor) -> bool:
+    return gcd(*f[0]) == 1
+
+
+def _integral(num: Num) -> bool:
+    """Whether every exponent of num lies in X."""
+    return all(v.__class__ is int for x in num for v in x)
+
+
+def _cancel(num: Num, factors) -> tuple[Num, list[Factor]]:
+    """(quotient, kept): num divided by each of the sorted factors, after
+    its exact division succeeds, as often as it divides, in one pass: a
+    factor that does not divide N divides no N/f, as N = f (N/f), so none
+    needs a retry.  A numerator with one exponent is a unit, which no
+    binomial divides."""
+    kept = list(factors)
+    classes: dict[tuple[int, ...], list] = {}
+    for f in dict.fromkeys(factors):
+        if len(num) == 1:
+            break
+        for _ in range(factors.count(f)):
+            quotient: Num = {}
+            todo = classes.get(f[0])
+            if todo is None:
+                probed = _probe_class(num, f[0]) if len(f[0]) > 1 else None
+                if probed and not _divide_num(num, f, [probed], quotient):
+                    break
+                # the first exponent's class comes first, and was just divided
+                classes[f[0]] = todo = _beta_classes(num, f[0])
+                todo = todo[1:] if probed else todo
+            if not _divide_num(num, f, todo, quotient):
+                break
+            num, classes = quotient, {}
+            kept.remove(f)
+    return num, kept
 
 
 def _beta_classes(num: Num, beta: tuple[int, ...]) -> list[list[tuple[int, XKey]]]:

@@ -10,6 +10,7 @@ from qtalg.errors import WindowOverflowError
 from qtalg.mlambda import (
     Character,
     InducedModule,
+    IsotropyGroup,
     WRep,
     WeightModule,
     Window,
@@ -114,6 +115,25 @@ def test_isotropy_cocycle_property(a, b, d):
     iso = isotropy_group(A2, lam)  # the constructor re-checks the cocycle
     assert A2.system.identity in iso
     assert iso.shift(A2.system.identity) == (0, 0)
+
+
+def test_isotropy_checks_reach_every_element():
+    # the constructor checks products with a generating set only; a shift
+    # changed at any one element, generator or not, still breaks the
+    # cocycle identity, and a set missing any one element is not closed
+    a3 = LatticePair(RootSystem("A3"), "weight")
+    iso = isotropy_group(a3, Character((half(), QPower.one(), half())))
+    assert iso.order == 24 and sum(map(any, iso.shifts.values())) == 20
+    IsotropyGroup(a3, iso.shifts)
+    for w, y in iso.shifts.items():
+        altered = dict(iso.shifts)
+        altered[w] = (y[0] + 1, *y[1:])
+        with pytest.raises(ValueError, match="cocycle"):
+            IsotropyGroup(a3, altered)
+        if not w.is_identity():
+            missing = {v: s for v, s in iso.shifts.items() if v != w}
+            with pytest.raises(ValueError, match="closed"):
+                IsotropyGroup(a3, missing)
 
 
 # -- windows and the bare weight module -------------------------------------

@@ -611,6 +611,89 @@ def test_sum_stores_the_pairwise_fold_form(case, rng):
     assert (a + b).to_json() == pairwise_add(a, b).to_json()
 
 
+# root directions of A1, A2, B2 and G2 on the root and weight charts; on the
+# weight charts of A1 and B2 some are not primitive
+PRODUCT_CHARTS = [
+    (pair, sorted({_oriented(a) for a in pair.positive_roots_x()}))
+    for pair in (
+        LatticePair(RootSystem(label), kind)
+        for label in ("A1", "A2", "B2", "G2")
+        for kind in ("root", "weight")
+    )
+]
+
+
+@st.composite
+def reduced_pairs(draw):
+    """(pair, a, b): reduced fractions over a shared pool of factors along
+    root directions, with numerators multiplied by some binomials e^beta -+
+    c of the pool, so that a factor of one side may divide the other's
+    numerator and both sides may share a factor.  A pool factor e^{2 beta}
+    - c^2 splits into two such binomials, and over half-lattice exponents
+    (grid 2) so does e^beta - c^2, into e^{beta/2} -+ c; now and then a
+    carries the factor and one half and b the other half."""
+    pair, betas = draw(st.sampled_from(PRODUCT_CHARTS))
+    zero = (0,) * pair.rank
+    grid = draw(st.sampled_from([1, 1, 2]))
+    xs = st.tuples(*[st.integers(-2, 2).map(lambda k: Q(k, grid))] * pair.rank)
+    pool, halves, splits = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        beta, c = draw(st.sampled_from(betas)), draw(_values)
+        pool.append((beta, c))
+        halves += [{beta: Scalar.one(), zero: -c}, {beta: Scalar.one(), zero: c}]
+        if draw(st.booleans()):
+            if grid == 1:
+                splits.append(((tuple(2 * b for b in beta), c * c), *halves[-2:]))
+            else:
+                half = tuple(Q(b, 2) for b in beta)
+                minus, plus = {half: Scalar.one(), zero: -c}, {half: Scalar.one(), zero: c}
+                splits.append(((beta, c * c), minus, plus))
+                halves += [minus, plus]
+            pool.append(splits[-1][0])
+
+    def fraction(half=None, factor=None) -> TorusFraction:
+        num = draw(st.dictionaries(xs, _scalars, min_size=1, max_size=2))
+        for h in draw(st.lists(st.sampled_from(halves), max_size=2)) + [half] * bool(half):
+            num = ref.num_mul(num, h)
+        dens = draw(st.lists(st.sampled_from(pool), max_size=3)) + [factor] * bool(factor)
+        return TorusFraction.ratio(pair, num, dens)
+
+    if splits and draw(st.booleans()):
+        factor, minus, plus = draw(st.sampled_from(splits))
+        return pair, fraction(minus, factor), fraction(plus)
+    return pair, fraction(), fraction()
+
+
+@_reduce_settings
+@given(reduced_pairs())
+def test_product_stores_the_form_of_the_reduced_sum(case):
+    pair, a, b = case
+    for x, y in ((a, b), (b, a)):
+        got, full = x * y, TorusFraction.sum(pair, [x.mul_unreduced(y)])
+        assert got.to_json() == full.to_json()
+        assert got.factors == full.factors
+
+
+def test_a_non_primitive_factor_is_tried_on_the_whole_product():
+    # (e^a - 1)/(e^2a - 1) times e^a + 1: e^2a - 1 divides neither
+    # numerator, but it divides their product
+    a = TorusFraction.ratio(A1, {(1,): 1, (0,): -1}, [((2,), 1)])
+    b = TorusFraction(A1, {(1,): 1, (0,): 1})
+    assert len(a.factors) == 1
+    product = a * b
+    assert product.factors == () and product.to_json() == TorusFraction.one(A1).to_json()
+
+
+def test_a_primitive_factor_splits_over_half_lattice_exponents():
+    # e^a - 1 = (e^{a/2} - 1)(e^{a/2} + 1): with a half-lattice exponent a
+    # primitive direction is not prime, so the whole product is tried
+    a = frac({(Q(1, 2),): 1, (0,): 1}, [((1,), 1)])
+    b = TorusFraction(A1, {(Q(1, 2),): 1, (0,): -1})
+    assert len(a.factors) == 1
+    product = a * b
+    assert product.factors == () and product.to_json() == TorusFraction.one(A1).to_json()
+
+
 def test_proportional_directions_make_the_fold_depend_on_order():
     # e^{2a} - 1 = (e^a - 1)(e^a + 1): with both binomials stored, which one
     # a reduction cancels depends on the factors it is given, so the
@@ -849,21 +932,55 @@ def test_vanishing_is_the_zero_test_of_evaluation(case):
     assert vanishes == outcome(lambda: f.evaluate_at(alpha, tau).is_zero())
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(divisor_cases(), st.sampled_from([-1, 1, 2]), _scalars)
-def test_unreduced_residues_decide_the_residue_sum(case, c, m):
-    # f gains a pole on the divisor, which a numerator vanishing there
-    # cancels; g = c f (1 + m (e^alpha - tau)) has c times the residue of
-    # f, so the residues cancel when c = -1 or f has none
-    f, alpha, tau = case
-    zero = (0,) * f.pair.rank
+@st.composite
+def residue_partners(draw):
+    """(f, g, alpha, tau): f from divisor_cases, given a pole on the divisor
+    when tau is a monomial, and a partner g = c f u with u = 1 on the
+    divisor, so Res g = c Res f and the residues cancel when c = -1 or f has
+    none.  u = 1 + (e^alpha - tau) r brings g another factor multiset
+    (r = 1/(e^beta - b)) or another scalar denominator (r a scalar), and
+    u = (e^alpha - tau)(e^alpha + tau)/(e^{2 alpha} - tau^2) moves g's pole
+    onto e^{2 alpha} - tau^2.  Or g has no pole at all."""
+    f, alpha, tau = draw(divisor_cases())
+    pair, zero = f.pair, (0,) * f.pair.rank
+    dirs = dict(_DIVISOR_PAIRS)[pair]
     if tau.is_monomial():
-        f = f * TorusFraction.ratio(f.pair, {zero: 1}, [(alpha, tau)])
-    u = TorusFraction(f.pair, {zero: Scalar.one() - m * tau, alpha: m})
-    g = (f * u).scale(c)
-    got = outcome(lambda: f.residues_cancel(g, alpha, tau))
-    expected = outcome(lambda: (f.residue(alpha, tau) + g.residue(alpha, tau)).is_zero())
-    assert got == expected
+        f = f * TorusFraction.ratio(pair, {zero: 1}, [(alpha, tau)])
+    kind = draw(st.sampled_from(["scalar", "factor", "doubled pole", "no pole"]))
+    if kind == "no pole":
+        xs = st.tuples(*[st.integers(-2, 2)] * pair.rank)
+        num = draw(st.dictionaries(xs, _scalars, min_size=1, max_size=3))
+        return f, TorusFraction(pair, num), alpha, tau
+    if kind == "doubled pole" and tau.is_monomial():
+        # f (e^{2 alpha} - tau^2) cancels f's pole; the second product
+        # cannot cancel e^{2 alpha} - tau^2 again
+        double = tuple(2 * a for a in alpha)
+        g = f * TorusFraction(pair, {double: 1, zero: -(tau**2)})
+        g = g * TorusFraction.ratio(pair, {zero: 1}, [(double, tau**2)])
+    else:
+        if kind == "factor":
+            beta = draw(st.sampled_from(dirs))
+            r = TorusFraction.ratio(pair, {zero: draw(_scalars)}, [(beta, draw(_monomials))])
+        else:
+            r = TorusFraction.from_scalar(pair, draw(_scalars))
+        u = TorusFraction.one(pair) + TorusFraction(pair, {alpha: 1, zero: -tau}) * r
+        g = f * u
+    return f, g.scale(draw(st.sampled_from([-1, -1, 1, 2]))), alpha, tau
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(residue_partners(), st.booleans())
+def test_unreduced_residues_decide_the_residue_sum(case, swap):
+    f, g, alpha, tau = case
+    if swap:
+        f, g = g, f
+    divisors = [(alpha, tau)]
+    if tau.is_monomial():
+        divisors.append((tuple(-a for a in alpha), tau.inverse()))
+    for divisor in divisors:
+        got = outcome(lambda: f.residues_cancel(g, *divisor))
+        expected = outcome(lambda: (f.residue(*divisor) + g.residue(*divisor)).is_zero())
+        assert got == expected
 
 
 @pytest.mark.parametrize(
